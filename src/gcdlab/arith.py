@@ -20,7 +20,6 @@ def _sieve_primes(bound: int) -> list[int]:
 
 
 SMALL_PRIMES = _sieve_primes(_SMALL_PRIME_BOUND)
-_SMALL_PRIMES = SMALL_PRIMES
 
 # Deterministic Miller-Rabin witness set, valid for n < 3317044064679887385961981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -32,7 +31,7 @@ def is_prime(n: int) -> bool:
     division beyond)."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES[:60]:
+    for p in SMALL_PRIMES[:60]:
         if n == p:
             return True
         if n % p == 0:
@@ -55,7 +54,7 @@ def is_prime(n: int) -> bool:
                 return False
         return True
     # desk scale should never reach this; keep it correct anyway
-    f = _SMALL_PRIMES[-1]
+    f = SMALL_PRIMES[-1]
     while f * f <= n:
         if n % f == 0:
             return False
@@ -88,7 +87,7 @@ def factorize(n: int) -> dict[int, int]:
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    for p in SMALL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
@@ -129,7 +128,7 @@ def perfect_power(n: int) -> tuple[int, int]:
     if n < 2:
         raise ValueError("perfect_power expects n >= 2")
     maxk = n.bit_length()
-    for k in _SMALL_PRIMES:
+    for k in SMALL_PRIMES:
         if k > maxk:
             break
         r = _iroot(n, k)

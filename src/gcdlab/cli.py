@@ -260,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--prec", type=int, default=128,
                        help="starting interval precision in bits")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; evaluation is serial")
 
     p = sub.add_parser("lrs-scan", help="gcd grid scan of two recurrences")
     common(p)
@@ -310,9 +308,6 @@ def main(argv=None) -> int:
     except (DomainError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except harness.BudgetExceeded as exc:
-        print(f"truncated: {exc}", file=sys.stderr)
-        return EXIT_TRUNCATED
 
 
 if __name__ == "__main__":

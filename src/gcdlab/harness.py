@@ -37,16 +37,8 @@ from .logreal import (
 )
 from .lrs import PowerSum, compute_S0, zero_scan
 from .multipoly import MultiPoly
-from .places import DomainError, PlaceSet, format_rational
+from .places import DomainError, PlaceSet, format_rational, support_primes
 from .arith import sqrt_fraction_exact
-
-
-class BudgetExceeded(RuntimeError):
-    """An enumeration hit its combinatorial budget; partial results attached."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
 
 # ---------------------------------------------------------------------
@@ -381,7 +373,7 @@ def sample_almost_unit_point(rng, nvars: int, S: PlaceSet, delta: Fraction,
             for a in range(1, pert_bound + 1)
             for b in range(1, pert_bound + 1)
         )
-        if all(p not in s_set for p in _support(q))
+        if s_set.isdisjoint(support_primes(q))
     ]
     for _ in range(max_retries):
         coords = []
@@ -398,17 +390,6 @@ def sample_almost_unit_point(rng, nvars: int, S: PlaceSet, delta: Fraction,
         if is_almost_unit(u, cfg, precision):
             return u
     return None
-
-
-def _support(q: Fraction):
-    from .arith import factorize
-
-    out = set()
-    if abs(q.numerator) != 1:
-        out.update(factorize(abs(q.numerator)))
-    if q.denominator != 1:
-        out.update(factorize(q.denominator))
-    return out
 
 
 def run_poly_gcd_experiment(cfg: SampleConfig, seed: int = 0) -> PolyGcdReport:
@@ -839,16 +820,14 @@ def run_hilbert_verify(seed: int = 0, pairs_per_cell: int = 5,
     from .hilbert import (
         dim_quotient_bruteforce,
         dim_quotient_formula,
-        graded_ideal_rank,
         greedy_dominance_violations,
         greedy_monomial_basis,
-        monomials_exact,
         multiindex_sum,
         multiindex_sum_closed_form,
         ord_sum_check,
+        quotient_monomial_basis,
         truncated_ideal,
     )
-    from .linalg import LinearSpan
     from .multipoly import coprime
     from .places import Place
 
@@ -883,21 +862,7 @@ def run_hilbert_verify(seed: int = 0, pairs_per_cell: int = 5,
             for d2 in (1, 2):
                 F1, F2 = random_coprime_forms(rng, n + 1, d1, d2)
                 m = d1 + d2 + 1
-                # quotient monomial basis at degree m by greedy completion
-                cols = {e: j for j, e in enumerate(monomials_exact(n + 1, m))}
-                span = LinearSpan(len(cols))
-                for F in (F1, F2):
-                    for a in monomials_exact(n + 1, m - F.degree()):
-                        row = [Fraction(0)] * len(cols)
-                        for e, c in F.terms.items():
-                            row[cols[tuple(x + y for x, y in zip(a, e))]] = c
-                        span.add(row)
-                B = []
-                for e in monomials_exact(n + 1, m):
-                    row = [Fraction(0)] * len(cols)
-                    row[cols[e]] = Fraction(1)
-                    if span.add(row):
-                        B.append(e)
+                B = quotient_monomial_basis(F1, F2, m)
                 for i in range(n + 1):
                     count += 1
                     if not ord_sum_check(B, i, d1, d2, m, n):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .logreal import DEFAULT_PRECISION, LogReal, logreal_sum
 from .places import DomainError, Place, PlaceSet, support_primes, valuation
@@ -27,10 +27,8 @@ class ProjPoint:
         coords = tuple(Fraction(c) for c in coords)
         if not coords or all(c == 0 for c in coords):
             raise DomainError("projective point needs a nonzero coordinate")
-        lcm = 1
-        for c in coords:
-            lcm = lcm // gcd(lcm, c.denominator) * c.denominator
-        ints = [int(c * lcm) for c in coords]
+        L = lcm(*(c.denominator for c in coords))
+        ints = [int(c * L) for c in coords]
         content = 0
         for a in ints:
             content = gcd(content, a)
@@ -138,10 +136,6 @@ def standard_height(u: TorusPoint) -> LogReal:
     """Coordinate-wise height sum, the alternative normalization for torus
     points."""
     return logreal_sum(height(c) for c in u.coords)
-
-
-def standard_local_height(u: TorusPoint, v: Place) -> LogReal:
-    return logreal_sum(local_height(c, v) for c in u.coords)
 
 
 def tuple_heights(u: TorusPoint):

@@ -45,6 +45,19 @@ def monomials_upto(nvars: int, m: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _coordinate_rows(monomials, products) -> list[list]:
+    """Coordinate rows over the monomial list of the products x^a * F, given
+    as (a, F) pairs; zero entries are plain 0."""
+    col = {e: j for j, e in enumerate(monomials)}
+    rows = []
+    for a, F in products:
+        row = [0] * len(col)
+        for e, c in F.terms.items():
+            row[col[tuple(x + y for x, y in zip(a, e))]] = c
+        rows.append(row)
+    return rows
+
+
 def multiindex_sum(n: int, m: int) -> tuple[int, ...]:
     """Coordinate-wise sum of all (n+1)-tuples of nonnegative integers with
     coordinate sum m, by direct enumeration."""
@@ -81,19 +94,34 @@ def dim_quotient_formula(n: int, l: int, d1: int, d2: int) -> int:
 def graded_ideal_rank(F1: MultiPoly, F2: MultiPoly, l: int) -> int:
     """Brute-force dim of the degree-l piece of the ideal (F1, F2): the rank
     of the matrix of all monomial multiples, by exact elimination."""
-    nvars = F1.nvars
-    cols = {e: j for j, e in enumerate(monomials_exact(nvars, l))}
-    rows = []
-    for F in (F1, F2):
-        d = F.degree()
-        if l < d:
-            continue
-        for a in monomials_exact(nvars, l - d):
-            row = [Fraction(0)] * len(cols)
-            for e, c in F.terms.items():
-                row[cols[tuple(x + y for x, y in zip(a, e))]] = c
-            rows.append(row)
+    rows = _graded_multiple_rows(F1, F2, l)
     return rational_rank(rows) if rows else 0
+
+
+def _graded_multiple_rows(F1: MultiPoly, F2: MultiPoly, l: int) -> list[list]:
+    """Rows of the degree-l monomial multiples of F1, then of F2."""
+    nvars = F1.nvars
+    return _coordinate_rows(
+        monomials_exact(nvars, l),
+        ((a, F) for F in (F1, F2) for a in monomials_exact(nvars, l - F.degree())),
+    )
+
+
+def quotient_monomial_basis(F1: MultiPoly, F2: MultiPoly, m: int) -> list[tuple[int, ...]]:
+    """A monomial basis of the degree-m piece of the quotient by (F1, F2):
+    the degree-m monomials, in graded-lex order, that stay independent of the
+    ideal and of the monomials kept before them."""
+    monomials = monomials_exact(F1.nvars, m)
+    span = LinearSpan(len(monomials))
+    for row in _graded_multiple_rows(F1, F2, m):
+        span.add(row)
+    basis = []
+    for j, e in enumerate(monomials):
+        unit = [0] * len(monomials)
+        unit[j] = 1
+        if span.add(unit):
+            basis.append(e)
+    return basis
 
 
 def dim_quotient_bruteforce(F1: MultiPoly, F2: MultiPoly, l: int) -> int:
@@ -143,14 +171,10 @@ class TruncatedIdeal:
     def nvars(self) -> int:
         return self.f.nvars
 
-    def _vector(self, p: MultiPoly) -> list[Fraction]:
-        col = {e: j for j, e in enumerate(self.monomials)}
-        row = [Fraction(0)] * len(self.monomials)
-        for e, c in p.terms.items():
-            if sum(e) > self.m:
-                raise DomainError("degree exceeds the truncation bound")
-            row[col[e]] = c
-        return row
+    def _vector(self, p: MultiPoly) -> list:
+        if p.degree() > self.m:
+            raise DomainError("degree exceeds the truncation bound")
+        return _coordinate_rows(self.monomials, [((0,) * self.nvars, p)])[0]
 
     def contains(self, p: MultiPoly) -> bool:
         """Membership of a degree-<= m polynomial, by exact reduction."""
@@ -168,14 +192,11 @@ def truncated_ideal(f: MultiPoly, g: MultiPoly, m: int) -> TruncatedIdeal:
         raise DomainError("truncation bound below the degrees")
     nvars = f.nvars
     monomials = monomials_upto(nvars, m)
-    col = {e: j for j, e in enumerate(monomials)}
     span = LinearSpan(len(monomials))
-    for h in (f, g):
-        for a in monomials_upto(nvars, m - h.degree()):
-            row = [Fraction(0)] * len(monomials)
-            for e, c in h.terms.items():
-                row[col[tuple(x + y for x, y in zip(a, e))]] = c
-            span.add(row)
+    for row in _coordinate_rows(
+        monomials, ((a, h) for h in (f, g) for a in monomials_upto(nvars, m - h.degree()))
+    ):
+        span.add(row)
     N = span.rank
     return TruncatedIdeal(f, g, m, monomials, span, N, len(monomials) - N)
 
@@ -419,12 +440,10 @@ def veronese_rank(basis: PowerBasis) -> int:
     """Exact rank of the power basis inside the degree m*d forms (full rank
     equals C(n + m*d, n))."""
     nvars = basis.F.nvars
-    deg = basis.m * basis.F.degree()
-    col = {e: j for j, e in enumerate(monomials_exact(nvars, deg))}
-    rows = []
-    for p in basis.elements:
-        row = [Fraction(0)] * len(col)
-        for e, c in p.terms.items():
-            row[col[e]] = c
-        rows.append(row)
-    return rational_rank(rows)
+    origin = (0,) * nvars
+    return rational_rank(
+        _coordinate_rows(
+            monomials_exact(nvars, basis.m * basis.F.degree()),
+            ((origin, p) for p in basis.elements),
+        )
+    )

@@ -5,7 +5,7 @@ larger brute-force dimension checks."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 
@@ -71,9 +71,6 @@ class LinearSpan:
         self.pivots.insert(at, pivot)
         return True
 
-    def basis_rows(self) -> list[list[Fraction]]:
-        return [list(row) for row, _ in self.rows]
-
 
 def int_rank(rows: list[list[int]]) -> int:
     """Exact rank of an integer matrix by fraction-free elimination with
@@ -117,13 +114,11 @@ def int_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def rational_rank(rows: list[list[Fraction]]) -> int:
-    """Exact rank of a matrix over Q (rows scaled to integers first)."""
+def rational_rank(rows: list[list]) -> int:
+    """Exact rank of a matrix of ints and Fractions over Q (each row scaled
+    to integers by the lcm of its denominators first)."""
     scaled = []
     for r in rows:
-        lcm = 1
-        for x in r:
-            x = Fraction(x)
-            lcm = lcm // gcd(lcm, x.denominator) * x.denominator
-        scaled.append([int(Fraction(x) * lcm) for x in r])
+        L = lcm(*(x.denominator for x in r))
+        scaled.append([x.numerator * (L // x.denominator) for x in r])
     return int_rank(scaled)

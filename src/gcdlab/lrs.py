@@ -10,6 +10,7 @@ torsion-free root group, and the induced coprimality test."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -236,10 +237,8 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         cs.pop()
     roots = []
     while len(cs) > 1:
-        lcm = 1
-        for c in cs:
-            lcm = lcm // __import__("math").gcd(lcm, c.denominator) * c.denominator
-        ints = [int(c * lcm) for c in cs]
+        L = math.lcm(*(c.denominator for c in cs))
+        ints = [int(c * L) for c in cs]
         low = next(i for i, c in enumerate(ints) if c)
         for _ in range(low):
             roots.append(Fraction(0))
@@ -484,11 +483,10 @@ def compute_S0(roots_f: Iterable[Fraction], roots_g: Iterable[Fraction]) -> Plac
     if not roots:
         return PlaceSet(False, ())
     arch = all(abs(r) < 1 for r in roots)
-    from .arith import factorize
-
-    candidates = set(factorize(abs(roots[0].numerator))) if abs(roots[0].numerator) != 1 else set()
+    # a prime of the first root's denominator has negative valuation there,
+    # so the filter keeps only primes of its numerator
     primes = [
-        p for p in sorted(candidates) if all(valuation(r, p) > 0 for r in roots)
+        p for p in support_primes(roots[0]) if all(valuation(r, p) > 0 for r in roots)
     ]
     return PlaceSet(arch, tuple(primes))
 

@@ -7,6 +7,7 @@ extraction, which is entirely adequate at desk-scale degrees."""
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -14,37 +15,147 @@ from typing import Iterable, Sequence
 from .places import DomainError
 
 
-def multi_degree(exponents: Sequence[int]) -> int:
-    return sum(exponents)
-
-
 def _grlex_key(e: tuple[int, ...]) -> tuple:
     return (sum(e), e)
 
 
-class MultiPoly:
-    """Polynomial in nvars variables x1..xn with Fraction coefficients."""
+def _accumulate(pairs) -> dict[tuple[int, ...], Fraction]:
+    """Sum (exponent, coefficient) pairs into a term map without zeros."""
+    out: dict[tuple[int, ...], Fraction] = {}
+    for e, c in pairs:
+        if e in out:
+            c += out[e]
+            if not c:
+                del out[e]
+                continue
+        elif not c:
+            continue
+        out[e] = c
+    return out
+
+
+class _SparsePoly:
+    """Term-map core shared by MultiPoly and LaurentPoly: a sparse map from
+    exponent tuples to nonzero Fraction coefficients.  Results keep the type
+    of the left operand; the two types never compare equal."""
 
     __slots__ = ("nvars", "terms")
+    _negative_exponents = False
 
     def __init__(self, nvars: int, terms=None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
         self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
+        pairs = []
         for e, c in (terms or {}).items():
             e = tuple(int(x) for x in e)
-            if len(e) != nvars or any(x < 0 for x in e):
+            if len(e) != nvars or (min(e, default=0) < 0 and not self._negative_exponents):
                 raise ValueError(f"bad exponent tuple {e} for nvars={nvars}")
-            c = Fraction(c)
-            if c == 0:
-                continue
-            cur = clean.get(e, Fraction(0)) + c
-            if cur == 0:
-                clean.pop(e, None)
+            pairs.append((e, Fraction(c)))
+        self.terms = _accumulate(pairs)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.nvars == other.nvars
+            and self.terms == other.terms
+        )
+
+    __hash__ = None
+
+    # -- arithmetic ---------------------------------------------------
+    def _check(self, other: "_SparsePoly") -> None:
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(
+            self.nvars, _accumulate(itertools.chain(self.terms.items(), other.terms.items()))
+        )
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        self._check(other)
+        return type(self)(
+            self.nvars,
+            _accumulate(
+                (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                for e1, c1 in self.terms.items()
+                for e2, c2 in other.terms.items()
+            ),
+        )
+
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        c = Fraction(c)
+        return type(self)(self.nvars, {e: x * c for e, x in self.terms.items()})
+
+    def eval(self, point: Sequence) -> Fraction:
+        """Exact value at a rational point."""
+        vals = [Fraction(c) for c in _coords(point)]
+        if len(vals) != self.nvars:
+            raise ValueError("point dimension mismatch")
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            t = c
+            for x, k in zip(vals, e):
+                if k:
+                    if k < 0 and x == 0:
+                        raise DomainError("zero coordinate under negative exponent")
+                    t *= x**k
+            total += t
+        return total
+
+    # -- printing -----------------------------------------------------
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        parts = []
+        for e, c in self.sorted_terms():
+            factors = []
+            for i, k in enumerate(e):
+                if k == 1:
+                    factors.append(f"x{i + 1}")
+                elif k != 0:
+                    factors.append(f"x{i + 1}^{k}")
+            if not factors:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = "*".join(factors)
             else:
-                clean[e] = cur
-        self.terms = clean
+                body = str(abs(c)) + "*" + "*".join(factors)
+            if not parts:
+                parts.append(("-" if c < 0 else "") + body)
+            else:
+                parts.append(("- " if c < 0 else "+ ") + body)
+        return " ".join(parts)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.nvars}, {self})"
+
+
+class MultiPoly(_SparsePoly):
+    """Polynomial in nvars variables x1..xn with Fraction coefficients."""
+
+    __slots__ = ()
+    # bound in the class's own __dict__, where bench/tracer.py looks methods up
+    eval = _SparsePoly.eval
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -70,10 +181,6 @@ class MultiPoly:
         return MultiPoly(nvars, {tuple(exponents): Fraction(c)})
 
     # -- structure ----------------------------------------------------
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
@@ -91,63 +198,6 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    # -- arithmetic ---------------------------------------------------
-    def _check(self, other: "MultiPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e, Fraction(0)) + c
-            if cur == 0:
-                out.pop(e, None)
-            else:
-                out[e] = cur
-        return MultiPoly(self.nvars, out)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                cur = out.get(e, Fraction(0)) + c1 * c2
-                if cur == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = cur
-        return MultiPoly(self.nvars, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        if c == 0:
-            return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {e: x * c for e, x in self.terms.items()})
-
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
@@ -159,20 +209,6 @@ class MultiPoly:
             base = base * base
             k >>= 1
         return out
-
-    def eval(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point."""
-        vals = [Fraction(c) for c in _coords(point)]
-        if len(vals) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for x, k in zip(vals, e):
-                if k:
-                    t *= x**k
-            total += t
-        return total
 
     def vanishes_at_origin(self) -> bool:
         return self.constant_term() == 0
@@ -191,15 +227,9 @@ class MultiPoly:
 
     def dehomogenize(self) -> "MultiPoly":
         """Set the first variable to 1."""
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            key = e[1:]
-            cur = out.get(key, Fraction(0)) + c
-            if cur == 0:
-                out.pop(key, None)
-            else:
-                out[key] = cur
-        return MultiPoly(self.nvars - 1, out)
+        return MultiPoly(
+            self.nvars - 1, _accumulate((e[1:], c) for e, c in self.terms.items())
+        )
 
     def coeffs_in(self, k: int) -> list["MultiPoly"]:
         """Dense coefficient list [c0, c1, ...] of self as a polynomial in
@@ -214,39 +244,14 @@ class MultiPoly:
 
     @staticmethod
     def from_coeffs_in(nvars: int, k: int, coeffs: Iterable["MultiPoly"]) -> "MultiPoly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for j, p in enumerate(coeffs):
-            for e, c in p.terms.items():
-                key = e[:k] + (j,) + e[k + 1 :]
-                out[key] = out.get(key, Fraction(0)) + c
-        return MultiPoly(nvars, out)
-
-    # -- printing / parsing --------------------------------------------
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(f"x{i + 1}")
-                elif k > 1:
-                    factors.append(f"x{i + 1}^{k}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = str(abs(c)) + "*" + "*".join(factors)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({self.nvars}, {self})"
+        return MultiPoly(
+            nvars,
+            _accumulate(
+                (e[:k] + (j,) + e[k + 1 :], c)
+                for j, p in enumerate(coeffs)
+                for e, c in p.terms.items()
+            ),
+        )
 
 
 def _coords(point) -> Sequence:
@@ -478,87 +483,15 @@ def coprime(f: MultiPoly, g: MultiPoly) -> bool:
 # Laurent polynomials
 # ---------------------------------------------------------------------
 
-class LaurentPoly:
+class LaurentPoly(_SparsePoly):
     """Polynomial with integer (possibly negative) exponents."""
 
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for e, c in (terms or {}).items():
-            e = tuple(int(x) for x in e)
-            if len(e) != nvars:
-                raise ValueError("bad exponent tuple")
-            c = Fraction(c)
-            if c == 0:
-                continue
-            cur = clean.get(e, Fraction(0)) + c
-            if cur == 0:
-                clean.pop(e, None)
-            else:
-                clean[e] = cur
-        self.terms = clean
+    __slots__ = ()
+    _negative_exponents = True
 
     @staticmethod
     def from_poly(p: MultiPoly) -> "LaurentPoly":
         return LaurentPoly(p.nvars, dict(p.terms))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e, Fraction(0)) + c
-            if cur == 0:
-                out.pop(e, None)
-            else:
-                out[e] = cur
-        return LaurentPoly(self.nvars, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                cur = out.get(e, Fraction(0)) + c1 * c2
-                if cur == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = cur
-        return LaurentPoly(self.nvars, out)
-
-    def eval(self, point: Sequence) -> Fraction:
-        vals = [Fraction(c) for c in _coords(point)]
-        if len(vals) != self.nvars:
-            raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            t = c
-            for x, k in zip(vals, e):
-                if k:
-                    if x == 0 and k < 0:
-                        raise DomainError("zero coordinate under negative exponent")
-                    t *= x**k
-            total += t
-        return total
 
     def normalize(self) -> tuple[tuple[int, ...], MultiPoly]:
         """Unique factorization monomial * f0 with f0 a polynomial divisible
@@ -572,32 +505,6 @@ class LaurentPoly:
             tuple(a - b for a, b in zip(e, mins)): c for e, c in self.terms.items()
         }
         return mins, MultiPoly(self.nvars, shifted)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True):
-            factors = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(f"x{i + 1}")
-                elif k != 0:
-                    factors.append(f"x{i + 1}^{k}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = str(abs(c)) + "*" + "*".join(factors)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.nvars}, {self})"
 
 
 def laurent_normalize(f: LaurentPoly) -> tuple[tuple[int, ...], MultiPoly]:

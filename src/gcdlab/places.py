@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import factorize, is_prime
-from .logreal import DEFAULT_PRECISION, LogReal, logreal_sign as _logreal_sign
+from .logreal import LogReal
 
 
 class DomainError(ValueError):
@@ -124,24 +124,15 @@ def log_abs(x: Fraction, v: Place) -> LogReal:
     return LogReal({v.prime: Fraction(-valuation(x, v.prime))})
 
 
-def logreal_sign(a: LogReal, precision: int = DEFAULT_PRECISION) -> int:
-    """Certified sign of an exact log-combination (-1, 0 or +1)."""
-    return _logreal_sign(a, precision)
-
-
 def support(x: Fraction) -> set[Place]:
     """All places v with |x|_v != 1; the archimedean place included iff
     |x| != 1."""
     x = Fraction(x)
     if x == 0:
         raise DomainError("support of zero is undefined")
-    out: set[Place] = set()
+    out = {Place.finite(p) for p in support_primes(x)}
     if abs(x) != 1:
         out.add(Place.archimedean())
-    for p in factorize(abs(x.numerator)) if abs(x.numerator) != 1 else {}:
-        out.add(Place.finite(p))
-    for p in factorize(x.denominator) if x.denominator != 1 else {}:
-        out.add(Place.finite(p))
     return out
 
 

@@ -24,14 +24,13 @@ from gcdlab.hilbert import (
     dim_quotient_formula,
     greedy_dominance_violations,
     greedy_monomial_basis,
-    monomials_exact,
     monomials_upto,
     multiindex_sum,
     multiindex_sum_closed_form,
     ord_sum_check,
+    quotient_monomial_basis,
     truncated_ideal,
 )
-from gcdlab.linalg import LinearSpan
 from gcdlab.logreal import LogReal, logreal_sum
 from gcdlab.lrs import PowerSum, from_recurrence, lrs_coprime, zero_scan
 from gcdlab.multipoly import MultiPoly, coprime, parse_poly
@@ -112,20 +111,7 @@ def test_criterion_04_dimension_formula_vs_bruteforce():
                     # quotient monomial basis at degree m = d1 + d2 + 1 and
                     # the order-sum bound in every variable
                     m = d1 + d2 + 1
-                    cols = {e: j for j, e in enumerate(monomials_exact(n + 1, m))}
-                    span = LinearSpan(len(cols))
-                    for F in (F1, F2):
-                        for a in monomials_exact(n + 1, m - F.degree()):
-                            row = [Fraction(0)] * len(cols)
-                            for e, c in F.terms.items():
-                                row[cols[tuple(x + y for x, y in zip(a, e))]] = c
-                            span.add(row)
-                    B = []
-                    for e in monomials_exact(n + 1, m):
-                        row = [Fraction(0)] * len(cols)
-                        row[cols[e]] = Fraction(1)
-                        if span.add(row):
-                            B.append(e)
+                    B = quotient_monomial_basis(F1, F2, m)
                     for i in range(n + 1):
                         assert ord_sum_check(B, i, d1, d2, m, n)
     elapsed = time.monotonic() - t0

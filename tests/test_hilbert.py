@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from gcdlab.harness import random_coprime_forms
 from gcdlab.heights import TorusPoint
 from gcdlab.hilbert import (
     ceil_spart_degree,
@@ -19,6 +20,7 @@ from gcdlab.hilbert import (
     multiindex_sum,
     multiindex_sum_closed_form,
     ord_sum_check,
+    quotient_monomial_basis,
     truncated_ideal,
     veronese_basis,
     veronese_rank,
@@ -55,6 +57,20 @@ def test_dim_quotient_against_bruteforce_spotchecks():
     G1 = parse_poly("x1^2 + x2^2", nvars=2)
     G2 = parse_poly("x1^3 - x2^3", nvars=2)
     assert dim_quotient_bruteforce(G1, G2, 5) == 0
+
+
+def test_quotient_monomial_basis():
+    F1 = parse_poly("x1", nvars=3)
+    F2 = parse_poly("x2", nvars=3)
+    assert quotient_monomial_basis(F1, F2, 2) == [(0, 0, 2)]
+    rng = random.Random(31)
+    for n in (1, 2):
+        for d1 in (1, 2):
+            for d2 in (1, 2):
+                F1, F2 = random_coprime_forms(rng, n + 1, d1, d2)
+                for m in range(d1 + d2 + 2):
+                    B = quotient_monomial_basis(F1, F2, m)
+                    assert len(B) == dim_quotient_formula(n, m, d1, d2)
 
 
 def test_truncated_ideal_examples():

@@ -36,6 +36,43 @@ def test_parse_print_roundtrip():
         parse_poly("2x1")  # implicit multiplication rejected
 
 
+def test_print_golden():
+    p = MultiPoly(3, {(2, 1, 0): Fraction(-3, 2), (0, 0, 1): 1, (0, 0, 0): -2,
+                      (1, 0, 0): 1, (0, 3, 0): 5})
+    assert str(p) == "-3/2*x1^2*x2 + 5*x2^3 + x1 + x3 - 2"
+    assert repr(p) == "MultiPoly(3, -3/2*x1^2*x2 + 5*x2^3 + x1 + x3 - 2)"
+    q = LaurentPoly(2, {(-1, 2): Fraction(-3, 2), (0, -1): 1, (0, 0): -2,
+                        (1, 0): 1, (-2, -3): Fraction(4, 7)})
+    assert str(q) == "x1 - 3/2*x1^-1*x2^2 - 2 + x2^-1 + 4/7*x1^-2*x2^-3"
+    assert repr(q) == "LaurentPoly(2, x1 - 3/2*x1^-1*x2^2 - 2 + x2^-1 + 4/7*x1^-2*x2^-3)"
+    assert str(-q) == "-x1 + 3/2*x1^-1*x2^2 + 2 - x2^-1 - 4/7*x1^-2*x2^-3"
+    assert str(LaurentPoly(2)) == str(MultiPoly.zero(2)) == "0"
+
+
+def test_laurent_add_sub_neg_roundtrip():
+    rng = random.Random(26)
+    for _ in range(50):
+        f, g = (
+            LaurentPoly(2, {
+                tuple(rng.randint(-3, 3) for _ in range(2)): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 4))
+            })
+            for _ in range(2)
+        )
+        assert (f + g) - g == f
+        assert f - g == f + (-g)
+        assert -(-f) == f
+        assert (f - f).is_zero and (f + (-f)).is_zero
+        assert (f + g).eval([2, -3]) == f.eval([2, -3]) + g.eval([2, -3])
+
+
+def test_multipoly_and_laurentpoly_never_equal():
+    terms = {(1, 0): 1, (0, 2): Fraction(-1, 2)}
+    assert MultiPoly(2, terms) != LaurentPoly(2, terms)
+    assert LaurentPoly(2, terms) != MultiPoly(2, terms)
+    assert LaurentPoly.from_poly(MultiPoly(2, terms)) == LaurentPoly(2, terms)
+
+
 def test_eval_examples():
     assert parse_poly("x1 + 1").eval([4]) == 5
     assert LaurentPoly(2, {(2, -1): 1}).eval([2, 3]) == Fraction(4, 3)

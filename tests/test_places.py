@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from gcdlab.logreal import LogReal, logreal_sum
+from gcdlab.logreal import LogReal, logreal_sign, logreal_sum
 from gcdlab.places import (
     DomainError,
     Place,
     PlaceSet,
     format_rational,
     log_abs,
-    logreal_sign,
     parse_rational,
     support,
     valuation,
