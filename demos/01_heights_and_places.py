@@ -7,7 +7,7 @@ product formula is a telescoping identity, not a numerical near-zero.
 
 from fractions import Fraction
 
-from gcdlab import LogReal, Place, height, local_height, log_abs, support
+from gcdlab import LogReal, height, local_height, log_abs, support
 from gcdlab.heights import relevant_places
 from gcdlab.logreal import logreal_sum
 

@@ -39,14 +39,14 @@ print("\ngeneralized log gcd extends the classical one to rationals:")
 pairs = [(Fraction(12), Fraction(18)), (Fraction(3, 2), Fraction(9, 4)),
          (Fraction(1, 2), Fraction(1, 3))]
 for a, b in pairs:
-    g = log_gcd(a, b).value
+    g = log_gcd(a, b)
     print(f"  log gcd({a}, {b}) = {g}  ({g.decimal(6)})")
 
 print("\nand splits exactly across any set of places:")
 a, b = Fraction(720), Fraction(300)
 for primes in [(), (2,), (2, 3), (2, 3, 5)]:
     Ss = PlaceSet.of(*primes)
-    inside = log_gcd_within(a, b, Ss).value
-    outside = log_gcd_outside(a, b, Ss).value
-    assert inside + outside == log_gcd(a, b).value
+    inside = log_gcd_within(a, b, Ss)
+    outside = log_gcd_outside(a, b, Ss)
+    assert inside + outside == log_gcd(a, b)
     print(f"  S = {str(Ss):>12}:  within = {str(inside):>18}  outside = {outside}")

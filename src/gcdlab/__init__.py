@@ -3,7 +3,7 @@ generalized logarithmic gcds, almost-unit classification, truncated-ideal
 combinatorics, and linear recurrence sequences, with a harness that scans
 gcd inequalities on desk-scale grids."""
 
-from .logreal import LogReal, logreal_sign, logreal_sum
+from .logreal import LogReal, logreal_sum
 from .places import (
     DomainError,
     Place,
@@ -29,7 +29,7 @@ from .heights import (
     torus_height,
     tuple_heights,
 )
-from .gengcd import GcdValue, log_gcd, log_gcd_outside, log_gcd_within
+from .gengcd import log_gcd, log_gcd_outside, log_gcd_within
 from .multipoly import (
     LaurentPoly,
     MultiPoly,

@@ -4,7 +4,7 @@ Subcommands: lrs-scan, poly-gcd, example-pk, sharpness, rec1-scan, unit-eq,
 hilbert-verify.  Each takes --config <json> (schema documented in the
 README) and/or direct flags, writes CSV to --out (path or '-'), and prints a
 short summary.  Exit codes: 0 success, 2 precondition failure, 3 budget
-truncation."""
+truncation, 4 a sign that interval arithmetic left undecided."""
 
 from __future__ import annotations
 
@@ -15,16 +15,8 @@ import sys
 from contextlib import contextmanager
 
 from . import harness
-from .harness import (
-    PkReport,
-    PolyGcdReport,
-    Rec1Report,
-    SampleConfig,
-    ScanConfig,
-    ScanReport,
-    SharpnessReport,
-    UnitEquationReport,
-)
+from .harness import SampleConfig, ScanConfig
+from .logreal import PrecisionExhausted
 from .lrs import PowerSum, power_sum_from_json
 from .multipoly import parse_poly
 from .places import DomainError, Place, PlaceSet, format_rational, parse_rational
@@ -32,6 +24,7 @@ from .places import DomainError, Place, PlaceSet, format_rational, parse_rationa
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_TRUNCATED = 3
+EXIT_UNDECIDED = 4
 
 
 def _load_config(path: str | None) -> dict:
@@ -94,7 +87,6 @@ def cmd_lrs_scan(args) -> int:
         mode=cfg.get("mode", "full-grid"),
         tube_max_ab=int(cfg.get("tube_max_ab", 8)),
         tube_kappa=int(cfg.get("tube_kappa", 16)),
-        precision=args.prec,
     )
     report = harness.run_lrs_scan(scan)
     _write_csv(args.out, harness.SCAN_CSV_HEADER, harness.scan_csv_rows(report))
@@ -119,7 +111,6 @@ def cmd_poly_gcd(args) -> int:
         count=int(cfg.get("count", 50)),
         generator_exponent_bound=int(cfg.get("generator_exponent_bound", 6)),
         perturbation_bound=int(cfg.get("perturbation_bound", 1)),
-        precision=args.prec,
     )
     report = harness.run_poly_gcd_experiment(sample, seed=args.seed)
     _write_csv(
@@ -139,7 +130,7 @@ def cmd_example_pk(args) -> int:
     p = int(cfg.get("p", args.p))
     epsilon = parse_rational(str(cfg.get("epsilon", args.epsilon)))
     kmax = int(cfg.get("kmax", args.kmax))
-    report = harness.run_example_pk(p, epsilon, kmax, precision=args.prec)
+    report = harness.run_example_pk(p, epsilon, kmax)
     header = ("k", "m", "n", "value_equal", "lhs_decimal", "threshold_decimal",
               "flagged", "in_tube")
     rows = [
@@ -164,7 +155,7 @@ def cmd_sharpness(args) -> int:
     delta = parse_rational(str(cfg.get("delta", args.delta)))
     trials = int(cfg.get("trials", args.trials))
     m_start = int(cfg.get("m_start", 4))
-    report = harness.run_sharpness(p, delta, trials, m_start, precision=args.prec)
+    report = harness.run_sharpness(p, delta, trials, m_start)
     header = ("m", "n", "h_decimal", "h_sbar_decimal", "lhs_decimal",
               "bound_ok", "ratio")
     rows = [
@@ -189,7 +180,7 @@ def cmd_rec1_scan(args) -> int:
     v = Place.archimedean() if place_raw in ("oo", "inf", None) else Place.finite(int(place_raw))
     epsilon = parse_rational(str(cfg.get("epsilon", "1/10")))
     N = int(cfg.get("N", 500))
-    report = harness.run_rec1_scan(F, v, epsilon, N, precision=args.prec)
+    report = harness.run_rec1_scan(F, v, epsilon, N)
     header = ("violator_n",)
     _write_csv(args.out, header, [(n,) for n in report.violators])
     _summary(
@@ -257,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config path or '-' for stdin")
         p.add_argument("--out", default="-", help="CSV output path or '-'")
-        p.add_argument("--prec", type=int, default=128,
-                       help="starting interval precision in bits")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p = sub.add_parser("lrs-scan", help="gcd grid scan of two recurrences")
@@ -308,6 +297,9 @@ def main(argv=None) -> int:
     except (DomainError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except PrecisionExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

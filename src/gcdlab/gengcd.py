@@ -8,25 +8,11 @@ factorization), so the operands may be astronomically large."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as igcd
 
 from .logreal import LogReal
 from .places import DomainError, PlaceSet
-
-
-@dataclass(frozen=True)
-class GcdValue:
-    """A generalized-gcd value; each place contributes a nonnegative term."""
-
-    value: LogReal
-
-    def sign(self, precision: int = 128) -> int:
-        return self.value.sign(precision)
-
-    def __str__(self) -> str:
-        return str(self.value)
 
 
 def _finite_core(a: Fraction, b: Fraction) -> tuple[int, int]:
@@ -58,17 +44,17 @@ def _split_primes(M: int, primes) -> tuple[dict[int, int], int]:
     return parts, M
 
 
-def log_gcd(a: Fraction, b: Fraction) -> GcdValue:
+def log_gcd(a: Fraction, b: Fraction) -> LogReal:
     """Generalized log gcd over all places; equals log(gcd(a, b)) exactly for
     integer inputs."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 and b == 0:
         raise DomainError("log_gcd(0, 0) is undefined")
     M, _ = _finite_core(a, b)
-    return GcdValue(LogReal.log_of_int(M) + _arch_term(a, b))
+    return LogReal.log_of_int(M) + _arch_term(a, b)
 
 
-def log_gcd_within(a: Fraction, b: Fraction, S: PlaceSet) -> GcdValue:
+def log_gcd_within(a: Fraction, b: Fraction, S: PlaceSet) -> LogReal:
     """The part of the generalized log gcd contributed by the places in S."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 and b == 0:
@@ -78,10 +64,10 @@ def log_gcd_within(a: Fraction, b: Fraction, S: PlaceSet) -> GcdValue:
     total = LogReal({p: Fraction(e) for p, e in parts.items()})
     if S.contains_archimedean:
         total = total + _arch_term(a, b)
-    return GcdValue(total)
+    return total
 
 
-def log_gcd_outside(a: Fraction, b: Fraction, S: PlaceSet) -> GcdValue:
+def log_gcd_outside(a: Fraction, b: Fraction, S: PlaceSet) -> LogReal:
     """The part of the generalized log gcd contributed by places not in S;
     log_gcd == log_gcd_within + log_gcd_outside for every S."""
     a, b = Fraction(a), Fraction(b)
@@ -92,4 +78,4 @@ def log_gcd_outside(a: Fraction, b: Fraction, S: PlaceSet) -> GcdValue:
     total = LogReal.log_of_int(rest)
     if not S.contains_archimedean:
         total = total + _arch_term(a, b)
-    return GcdValue(total)
+    return total

@@ -28,13 +28,7 @@ from .heights import (
     torus_height,
 )
 from .hilbert import inequality_constants
-from .logreal import (
-    DEFAULT_PRECISION,
-    LogReal,
-    escalating_sign,
-    fraction_interval,
-    logreal_sum,
-)
+from .logreal import LogReal, escalating_sign, fraction_interval, logreal_sum
 from .lrs import PowerSum, compute_S0, zero_scan
 from .multipoly import MultiPoly
 from .places import DomainError, PlaceSet, format_rational, support_primes
@@ -56,7 +50,6 @@ class ScanConfig:
     tube_max_ab: int = 8
     tube_kappa: int = 16
     keep_rows: bool = True
-    precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
@@ -131,23 +124,20 @@ def _scan_row(m, n, a: Fraction, b: Fraction, s_primes, s_arch: bool):
     return rest, arch
 
 
-def _row_lhs_cmp(core: int, arch: Fraction | None, threshold: Fraction,
-                 precision: int) -> int:
+def _row_lhs_cmp(core: int, arch: Fraction | None, threshold: Fraction) -> int:
     lhs = LogReal.log_of_int(core)
     if arch is not None:
         lhs = lhs + LogReal.log_of_fraction(arch)
-    return lhs.cmp(threshold, precision)
+    return lhs.cmp(threshold)
 
 
-def tube_inequality_holds(a: int, b: int, kappa: int, m: int, n: int,
-                          precision: int = DEFAULT_PRECISION) -> bool:
+def tube_inequality_holds(a: int, b: int, kappa: int, m: int, n: int) -> bool:
     """Exact check of |a*m - b*n| <= kappa * log max(m, n)."""
     diff = abs(a * m - b * n)
-    return LogReal({max(m, n): Fraction(kappa)}).cmp(Fraction(diff), precision) >= 0
+    return LogReal({max(m, n): Fraction(kappa)}).cmp(Fraction(diff)) >= 0
 
 
-def _cluster_flagged(flagged: list[ScanRow], max_ab: int, kappa: int,
-                     precision: int):
+def _cluster_flagged(flagged: list[ScanRow], max_ab: int, kappa: int):
     """Greedy assignment of flagged pairs to tubes around lines a*m = b*n,
     coprime 1 <= a, b <= max_ab, narrow lines first."""
     candidates = sorted(
@@ -164,7 +154,7 @@ def _cluster_flagged(flagged: list[ScanRow], max_ab: int, kappa: int,
     assignment: dict[tuple[int, int], int] = {}
     for a, b in candidates:
         members = [
-            r for r in unassigned if tube_inequality_holds(a, b, kappa, r.m, r.n, precision)
+            r for r in unassigned if tube_inequality_holds(a, b, kappa, r.m, r.n)
         ]
         if not members:
             continue
@@ -218,7 +208,7 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
         nrows += 1
         core, arch = _scan_row(m, n, a, b, s_primes, s_arch)
         threshold = eps * max(m, n)
-        is_flagged = _row_lhs_cmp(core, arch, threshold, cfg.precision) > 0
+        is_flagged = _row_lhs_cmp(core, arch, threshold) > 0
         row = ScanRow(m, n, core, arch, is_flagged)
         if is_flagged:
             flagged.append(row)
@@ -226,7 +216,7 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
             rows.append(row)
 
     clusters, assignment, sporadic = _cluster_flagged(
-        flagged, cfg.tube_max_ab, cfg.tube_kappa, cfg.precision
+        flagged, cfg.tube_max_ab, cfg.tube_kappa
     )
     # rewrite rows with cluster ids (rows are frozen; rebuild the flagged ones)
     flagged = [
@@ -294,9 +284,6 @@ class SampleConfig:
     count: int = 50
     generator_exponent_bound: int = 6
     perturbation_bound: int = 1
-    max_retries: int = 200
-    signed_units: bool = True
-    precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
         object.__setattr__(self, "delta", Fraction(self.delta))
@@ -320,9 +307,9 @@ class SampleRow:
     lhs_outside: LogReal
     lhs_within: LogReal
     lhs_total: LogReal
-    main_ok: bool | None      # None when the comparison was degenerate-zero
-    spart_ok: bool | None
-    combined_ok: bool | None
+    main_ok: bool
+    spart_ok: bool | None     # None when f and g both vanish at the origin
+    combined_ok: bool | None  # likewise
     note: str = ""
 
 
@@ -338,31 +325,35 @@ class PolyGcdReport:
 
 
 def _sqrt_scaled_cmp(lhs: LogReal, coeff: Fraction, delta: Fraction,
-                     H: LogReal, precision: int):
-    """Certified sign of lhs - coeff * sqrt(delta) * H; None only in the
-    (never observed) case the interval refuses to separate."""
+                     H: LogReal) -> int:
+    """Certified sign of lhs - coeff * sqrt(delta) * H for coeff > 0.  With
+    sqrt(delta) irrational the value vanishes only when lhs and H both do
+    (linear independence of logarithms), so the interval ladder runs only
+    on nonzero values."""
     root = sqrt_fraction_exact(delta)
     if root is not None:
-        return (lhs - (coeff * root) * H).sign(precision)
+        return (lhs - (coeff * root) * H).sign()
     if lhs.is_zero and H.is_zero:
         return 0
 
-    def fn(prec):
+    def fn():
         iv = mpmath.iv
-        return lhs.interval(prec) - fraction_interval(coeff, prec) * iv.sqrt(
-            fraction_interval(delta, prec)
-        ) * H.interval(prec)
+        return lhs.interval() - fraction_interval(coeff) * iv.sqrt(
+            fraction_interval(delta)
+        ) * H.interval()
 
-    return escalating_sign(fn, precision)
+    return escalating_sign(fn)
+
+
+SAMPLE_RETRIES = 200
 
 
 def sample_almost_unit_point(rng, nvars: int, S: PlaceSet, delta: Fraction,
-                             exp_bound: int, pert_bound: int,
-                             signed: bool = True, max_retries: int = 200,
-                             precision: int = DEFAULT_PRECISION):
-    """An exact member of the almost-(S, delta) class: S-unit core times a
-    perturbation supported outside S, rejection-filtered by the exact
-    predicate.  None if the filter never passed."""
+                             exp_bound: int, pert_bound: int):
+    """An exact member of the almost-(S, delta) class: signed S-unit core
+    times a perturbation supported outside S, rejection-filtered by the
+    exact predicate.  None if the filter passed none of SAMPLE_RETRIES
+    draws."""
     primes = S.finite_primes
     cfg = AlmostUnitConfig(S, delta)
     s_set = set(primes)
@@ -375,19 +366,19 @@ def sample_almost_unit_point(rng, nvars: int, S: PlaceSet, delta: Fraction,
         )
         if s_set.isdisjoint(support_primes(q))
     ]
-    for _ in range(max_retries):
+    for _ in range(SAMPLE_RETRIES):
         coords = []
         for _ in range(nvars):
             val = Fraction(1)
             for p in primes:
                 val *= Fraction(p) ** rng.randint(-exp_bound, exp_bound)
-            if signed and rng.random() < 0.5:
+            if rng.random() < 0.5:
                 val = -val
             if pert_choices:
                 val *= rng.choice(pert_choices)
             coords.append(val)
         u = TorusPoint(coords)
-        if is_almost_unit(u, cfg, precision):
+        if is_almost_unit(u, cfg):
             return u
     return None
 
@@ -415,8 +406,7 @@ def run_poly_gcd_experiment(cfg: SampleConfig, seed: int = 0) -> PolyGcdReport:
     for idx in range(cfg.count):
         u = sample_almost_unit_point(
             rng, n, cfg.S, cfg.delta, cfg.generator_exponent_bound,
-            cfg.perturbation_bound, cfg.signed_units, cfg.max_retries,
-            cfg.precision,
+            cfg.perturbation_bound,
         )
         if u is None:
             failures += 1
@@ -428,22 +418,20 @@ def run_poly_gcd_experiment(cfg: SampleConfig, seed: int = 0) -> PolyGcdReport:
             )
             continue
         H = logreal_sum(height(c) for c in u.coords)
-        lhs_out = log_gcd_outside(fv, gv, cfg.S).value
-        lhs_in = log_gcd_within(fv, gv, cfg.S).value
-        lhs_tot = log_gcd(fv, gv).value
-        s_main = _sqrt_scaled_cmp(lhs_out, Fraction(consts.C_main), cfg.delta, H, cfg.precision)
-        main_ok = None if s_main is None else s_main < 0
+        lhs_out = log_gcd_outside(fv, gv, cfg.S)
+        lhs_in = log_gcd_within(fv, gv, cfg.S)
+        lhs_tot = log_gcd(fv, gv)
+        main_ok = _sqrt_scaled_cmp(lhs_out, Fraction(consts.C_main), cfg.delta, H) < 0
         if spart_poly is not None:
             spart_rhs = Fraction(4 * n * spart_degree) * cfg.delta * H
             lhs_single = -_neg_log_within(spart_poly.eval(u.coords), cfg.S)
-            spart_ok = (spart_rhs - lhs_single).sign(cfg.precision) > 0
+            spart_ok = (spart_rhs - lhs_single).sign() > 0
         else:
             spart_ok = None
         if combined_available:
-            s_comb = _sqrt_scaled_cmp(
-                lhs_tot, Fraction(consts.C_combined), cfg.delta, H, cfg.precision
-            )
-            combined_ok = None if s_comb is None else s_comb < 0
+            combined_ok = _sqrt_scaled_cmp(
+                lhs_tot, Fraction(consts.C_combined), cfg.delta, H
+            ) < 0
         else:
             combined_ok = None
         row = SampleRow(
@@ -550,14 +538,13 @@ def pk_sequences(p: int) -> tuple[PowerSum, PowerSum]:
     return F, G
 
 
-def run_example_pk(p: int, epsilon: Fraction, kmax: int,
-                   precision: int = DEFAULT_PRECISION) -> PkReport:
+def run_example_pk(p: int, epsilon: Fraction, kmax: int) -> PkReport:
     from .arith import is_prime
 
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     epsilon = Fraction(epsilon)
-    if LogReal({p: Fraction(1)}).cmp(epsilon, precision) <= 0:
+    if LogReal({p: Fraction(1)}).cmp(epsilon) <= 0:
         raise DomainError("epsilon must be smaller than log p")
     F, G = pk_sequences(p)
     rows = []
@@ -567,9 +554,9 @@ def run_example_pk(p: int, epsilon: Fraction, kmax: int,
         m = p**k
         n = p**k + k
         fv, gv = F.eval(m), G.eval(n)
-        lhs = log_gcd(fv, gv).value
+        lhs = log_gcd(fv, gv)
         threshold = epsilon * n
-        flagged = lhs.cmp(threshold, precision) > 0
+        flagged = lhs.cmp(threshold) > 0
         # |m - n| = k <= 2 log2 max = exact integer check 2^k <= max^2
         in_tube = 2 ** abs(m - n) <= max(m, n) ** 2
         rows.append(PkRow(k, m, n, fv == gv, lhs, threshold, flagged, in_tube))
@@ -618,8 +605,7 @@ class SharpnessReport:
     skipped: list[tuple[int, str]]
 
 
-def sharpness_window_holds(p: int, m: int, n: int, delta: Fraction,
-                           precision: int = DEFAULT_PRECISION):
+def sharpness_window_holds(p: int, m: int, n: int, delta: Fraction):
     """Exact check of delta/2 * h(P) <= h_sbar(P) <= delta * h(P) for
     P = (p^m, p^n (p^m + 1)) with S = {oo, p}."""
     S = PlaceSet.of(p)
@@ -627,14 +613,16 @@ def sharpness_window_holds(p: int, m: int, n: int, delta: Fraction,
     P = TorusPoint([x, Fraction(p) ** n * (x + 1)])
     hP = torus_height(P)
     hbar = h_sbar(P, S)
-    upper = (Fraction(delta) * hP - hbar).sign(precision) >= 0
-    lower = (hbar - Fraction(delta) / 2 * hP).sign(precision) >= 0
+    upper = (Fraction(delta) * hP - hbar).sign() >= 0
+    lower = (hbar - Fraction(delta) / 2 * hP).sign() >= 0
     return lower and upper, P, hP, hbar
 
 
-def run_sharpness(p: int, delta: Fraction, trials: int, m_start: int = 4,
-                  n_cap: int = 10_000,
-                  precision: int = DEFAULT_PRECISION) -> SharpnessReport:
+SHARPNESS_N_CAP = 10_000  # the window walk in n gives up past this
+
+
+def run_sharpness(p: int, delta: Fraction, trials: int,
+                  m_start: int = 4) -> SharpnessReport:
     from .arith import is_prime
 
     if not is_prime(p):
@@ -651,13 +639,13 @@ def run_sharpness(p: int, delta: Fraction, trials: int, m_start: int = 4,
         # walk n upward from below with the exact predicate
         n = max(1, int(m * (1 - delta) / delta) - 2)
         found = None
-        while n <= n_cap:
-            ok, P, hP, hbar = sharpness_window_holds(p, m, n, delta, precision)
+        while n <= SHARPNESS_N_CAP:
+            ok, P, hP, hbar = sharpness_window_holds(p, m, n, delta)
             if ok:
                 found = (n, P, hP, hbar)
                 break
             # past the upper end of the window: h_sbar < delta/2 h(P)
-            if (hbar - delta / 2 * hP).sign(precision) < 0:
+            if (hbar - delta / 2 * hP).sign() < 0:
                 break
             n += 1
         if found is None:
@@ -667,8 +655,8 @@ def run_sharpness(p: int, delta: Fraction, trials: int, m_start: int = 4,
         n, P, hP, hbar = found
         fv = P.coords[0] + 1
         gv = P.coords[1]
-        lhs = log_gcd(fv, gv).value
-        bound_ok = (lhs - delta / 2 * hP).sign(precision) >= 0
+        lhs = log_gcd(fv, gv)
+        bound_ok = (lhs - delta / 2 * hP).sign() >= 0
         denom = (delta * hP).to_float()
         rows.append(
             SharpnessRow(m, n, hP, hbar, lhs, bound_ok,
@@ -691,8 +679,7 @@ class Rec1Report:
     zero_indices: list[int]
 
 
-def run_rec1_scan(F: PowerSum, v, epsilon: Fraction, N: int,
-                  precision: int = DEFAULT_PRECISION) -> Rec1Report:
+def run_rec1_scan(F: PowerSum, v, epsilon: Fraction, N: int) -> Rec1Report:
     """All n <= N with -log|F(n)|_v >= epsilon * n (the decay inequality
     violators); the hypothesis needs some root with |root|_v >= 1 and a
     nondegenerate F."""
@@ -723,7 +710,7 @@ def run_rec1_scan(F: PowerSum, v, epsilon: Fraction, N: int,
         else:
             w = valuation(val, v.prime)
             neg_log = LogReal({v.prime: Fraction(w)})
-        if neg_log.cmp(epsilon * n, precision) >= 0:
+        if neg_log.cmp(epsilon * n) >= 0:
             violators.append(n)
     return Rec1Report(epsilon, N, violators,
                       max(violators) if violators else None, zeros)
@@ -769,13 +756,17 @@ def _proper_subsum_vanishes(x: tuple[Fraction, ...]) -> bool:
 # combinatorial self-verification sweep
 # ---------------------------------------------------------------------
 
-def random_form(rng, nvars: int, degree: int, max_terms: int = 4) -> MultiPoly:
-    """Sparse random homogeneous form with small nonzero integer
-    coefficients."""
+FORM_MAX_TERMS = 4
+COPRIME_TRIES = 200
+
+
+def random_form(rng, nvars: int, degree: int) -> MultiPoly:
+    """Sparse random homogeneous form with 2 to FORM_MAX_TERMS terms and
+    small nonzero integer coefficients."""
     from .hilbert import monomials_exact
 
     monos = monomials_exact(nvars, degree)
-    count = min(len(monos), rng.randint(2, max_terms))
+    count = min(len(monos), rng.randint(2, FORM_MAX_TERMS))
     chosen = rng.sample(monos, count)
     terms = {}
     for e in chosen:
@@ -784,11 +775,11 @@ def random_form(rng, nvars: int, degree: int, max_terms: int = 4) -> MultiPoly:
     return MultiPoly(nvars, terms)
 
 
-def random_coprime_forms(rng, nvars: int, d1: int, d2: int,
-                         tries: int = 200) -> tuple[MultiPoly, MultiPoly]:
+def random_coprime_forms(rng, nvars: int, d1: int,
+                         d2: int) -> tuple[MultiPoly, MultiPoly]:
     from .multipoly import coprime
 
-    for _ in range(tries):
+    for _ in range(COPRIME_TRIES):
         F1 = random_form(rng, nvars, d1)
         F2 = random_form(rng, nvars, d2)
         if F1.is_zero or F2.is_zero:
@@ -809,8 +800,11 @@ class VerifyCheck:
         return self.failures == 0
 
 
-def run_hilbert_verify(seed: int = 0, pairs_per_cell: int = 5,
-                       greedy_instances: int = 50) -> list[VerifyCheck]:
+HILBERT_PAIRS_PER_CELL = 5
+GREEDY_INSTANCES = 50
+
+
+def run_hilbert_verify(seed: int = 0) -> list[VerifyCheck]:
     """The combinatorial oracle sweep: enumeration vs closed form for the
     multi-index sum, quotient dimension formula vs brute-force rank (with
     order-sum bounds on a quotient monomial basis), and greedy dominance on
@@ -846,7 +840,7 @@ def run_hilbert_verify(seed: int = 0, pairs_per_cell: int = 5,
     for n in (1, 2, 3):
         for d1 in (1, 2, 3):
             for d2 in (1, 2, 3):
-                for _ in range(pairs_per_cell):
+                for _ in range(HILBERT_PAIRS_PER_CELL):
                     F1, F2 = random_coprime_forms(rng, n + 1, d1, d2)
                     for l in range(d1 + d2 + 4):
                         count += 1
@@ -872,7 +866,7 @@ def run_hilbert_verify(seed: int = 0, pairs_per_cell: int = 5,
     count = fail = 0
     places = [Place.archimedean(), Place.finite(2), Place.finite(3)]
     made = 0
-    while made < greedy_instances:
+    while made < GREEDY_INSTANCES:
         d1, d2 = rng.randint(1, 2), rng.randint(1, 2)
 
         def rand_affine(d):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .logreal import DEFAULT_PRECISION, LogReal, logreal_sum
+from .logreal import LogReal, logreal_sum
 from .places import DomainError, Place, PlaceSet, support_primes, valuation
 
 
@@ -180,19 +180,17 @@ def h_sbar_standard(u, S: PlaceSet) -> LogReal:
     return total
 
 
-def is_almost_unit(u, cfg: AlmostUnitConfig,
-                   precision: int = DEFAULT_PRECISION) -> bool:
+def is_almost_unit(u, cfg: AlmostUnitConfig) -> bool:
     """Whether h_sbar(u) <= delta * h(u), decided by an exact sign test.
     Accepts a scalar (uses the scalar height) or a torus point (uses the
     projective torus height)."""
     pt = _as_torus(u)
     h = torus_height(pt) if isinstance(u, TorusPoint) else height(Fraction(u))
     diff = cfg.delta * h - h_sbar(u, cfg.S)
-    return diff.sign(precision) >= 0
+    return diff.sign() >= 0
 
 
-def is_quasi_s_integer(x: Fraction, S: PlaceSet, eps: Fraction,
-                       precision: int = DEFAULT_PRECISION) -> bool:
+def is_quasi_s_integer(x: Fraction, S: PlaceSet, eps: Fraction) -> bool:
     """sum_{v in S} lambda_v(x) >= eps * h(x).
 
     The published comparison point uses max{|x|_v, 0}, which reads as an
@@ -206,7 +204,7 @@ def is_quasi_s_integer(x: Fraction, S: PlaceSet, eps: Fraction,
         local_height(x, v) for v in relevant_places(x) if v in S
     )
     diff = lhs - Fraction(eps) * height(x)
-    return diff.sign(precision) >= 0
+    return diff.sign() >= 0
 
 
 def hypersurface_local_height(F, P: ProjPoint, v: Place) -> LogReal:

@@ -17,7 +17,7 @@ import mpmath
 
 from .heights import TorusPoint
 from .linalg import LinearSpan, rational_rank
-from .logreal import LogReal, PrecisionExhausted
+from .logreal import LogReal, escalating_sign
 from .multipoly import MultiPoly
 from .places import DomainError, Place, log_abs
 
@@ -27,14 +27,19 @@ from .places import DomainError, Place, log_abs
 # ---------------------------------------------------------------------
 
 def monomials_exact(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of the given total degree, graded-lex sorted."""
-    out = [
-        e
-        for e in itertools.product(range(degree + 1), repeat=nvars)
-        if sum(e) == degree
+    """All exponent tuples of the given total degree, lexicographically
+    sorted.  Stars and bars: the nvars - 1 bar positions among
+    degree + nvars - 1 slots, taken in lexicographic order, give the
+    exponents (the gaps between bars) in lexicographic order."""
+    if degree < 0 or (nvars == 0 and degree > 0):
+        return []
+    if nvars == 0:
+        return [()]
+    slots = degree + nvars - 1
+    return [
+        tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
+        for bars in itertools.combinations(range(slots), nvars - 1)
     ]
-    out.sort()
-    return out
 
 
 def monomials_upto(nvars: int, m: int) -> list[tuple[int, ...]]:
@@ -332,28 +337,24 @@ def floor_scaled_inv_sqrt(a: int, delta: Fraction) -> int:
 
 
 def ceil_spart_degree(n: int, d: int) -> int:
-    """ceil((n - 2^(1/d) + 1) / (d (2^(1/d) - 1)) + 1), certified by interval
-    arithmetic when 2^(1/d) is irrational (d >= 2)."""
+    """ceil(x) for x = (n - 2^(1/d) + 1) / (d (2^(1/d) - 1)) + 1.  For d >= 2
+    and n >= 1, x is irrational, so x - k never vanishes at an integer k and
+    the signs that pin k - 1 < x < k are certified by escalating_sign."""
     if d == 1:
         return n  # the expression is exactly (n - 1) + 1
-    iv = mpmath.iv
-    saved = iv.prec
-    try:
-        prec = 64
-        while prec <= 1 << 14:
-            iv.prec = prec
-            t = iv.mpf(2) ** (iv.mpf(1) / d)
-            expr = (iv.mpf(n) - t + 1) / (iv.mpf(d) * (t - 1)) + 1
-            lo = mpmath.mpf(expr.a)
-            hi = mpmath.mpf(expr.b)
-            clo = int(mpmath.ceil(lo))
-            chi = int(mpmath.ceil(hi))
-            if clo == chi and lo != mpmath.floor(lo):
-                return clo
-            prec *= 2
-    finally:
-        iv.prec = saved
-    raise PrecisionExhausted("could not certify the ceiling")
+
+    def x():
+        iv = mpmath.iv
+        t = iv.mpf(2) ** (iv.mpf(1) / d)
+        return (iv.mpf(n) - t + 1) / (iv.mpf(d) * (t - 1)) + 1
+
+    t = 2 ** (1 / d)
+    k = math.ceil((n - t + 1) / (d * (t - 1)) + 1)
+    while escalating_sign(lambda: x() - k) > 0:
+        k += 1
+    while escalating_sign(lambda: x() - (k - 1)) < 0:
+        k -= 1
+    return k
 
 
 def i_spart(n: int, d: int, m: int) -> int:

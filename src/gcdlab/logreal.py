@@ -224,8 +224,8 @@ class LogReal:
     def __ge__(self, other):
         return (self - other).sign() >= 0
 
-    def interval(self, prec: int):
-        """Enclosure of the value as an mpmath interval; caller must have set
+    def interval(self):
+        """Enclosure of the value as an mpmath interval at the current
         mpmath.iv.prec."""
         iv = mpmath.iv
         total = iv.mpf(0)
@@ -233,25 +233,25 @@ class LogReal:
             total += iv.mpf(c.numerator) / iv.mpf(c.denominator) * iv.log(iv.mpf(b))
         return total
 
-    def sign(self, precision: int = DEFAULT_PRECISION) -> int:
+    def sign(self) -> int:
         """Certified sign: -1, 0, or +1.  Zero is exact (canonical map is
-        empty); a nonzero canonical value is irrational, so the interval
-        escalation terminates."""
+        empty); a nonzero canonical value is irrational, so escalating_sign
+        separates it from zero or raises PrecisionExhausted."""
         if not self._refined():
             return 0
-        return self._cmp_nonzero(Fraction(0), precision)
+        return self._cmp_nonzero(Fraction(0))
 
-    def cmp(self, const, precision: int = DEFAULT_PRECISION) -> int:
+    def cmp(self, const) -> int:
         """Certified sign of (self - const) for a rational const."""
         const = _as_fraction(const)
         if const == 0:
-            return self.sign(precision)
+            return self.sign()
         if not self._coeffs:
             return -1 if const > 0 else 1
         # value is either 0 or irrational, never equal to const != 0
-        return self._cmp_nonzero(const, precision)
+        return self._cmp_nonzero(const)
 
-    def _cmp_nonzero(self, const: Fraction, precision: int) -> int:
+    def _cmp_nonzero(self, const: Fraction) -> int:
         # fast float path with a crude but generous error budget
         mid = 0.0
         budget = 1e-12
@@ -268,23 +268,7 @@ class LogReal:
             ok = False
         if ok and abs(mid) > budget:
             return 1 if mid > 0 else -1
-        iv = mpmath.iv
-        saved = iv.prec
-        try:
-            prec = max(precision, 16)
-            while prec <= MAX_PRECISION:
-                iv.prec = prec
-                diff = self.interval(prec) - fraction_interval(const, prec)
-                if diff.a > 0:
-                    return 1
-                if diff.b < 0:
-                    return -1
-                prec *= 2
-        finally:
-            iv.prec = saved
-        raise PrecisionExhausted(
-            f"sign of ({self}) - ({const}) not separated below {MAX_PRECISION} bits"
-        )
+        return escalating_sign(lambda: self.interval() - fraction_interval(const))
 
     def to_float(self) -> float:
         total = 0.0
@@ -338,25 +322,22 @@ def logreal_sum(values: Iterable[LogReal]) -> LogReal:
     return total
 
 
-def logreal_sign(a: LogReal, precision: int = DEFAULT_PRECISION) -> int:
-    """Sign of an exact log-combination: -1, 0 or +1, never a guess."""
-    return a.sign(precision)
+def escalating_sign(interval_fn) -> int:
+    """Certified sign, -1 or +1, of a nonzero quantity known through
+    enclosures: the package's one interval precision ladder.
 
-
-def escalating_sign(interval_fn, start_prec: int = DEFAULT_PRECISION,
-                    max_prec: int = MAX_PRECISION):
-    """Generic certified sign for quantities only available as intervals.
-
-    ``interval_fn(prec)`` must return an mpmath.iv enclosure computed at that
-    precision (mpmath.iv.prec is set before each call).  Returns -1/+1, or
-    None when the enclosure still straddles zero at ``max_prec``."""
+    ``interval_fn()`` must return an mpmath.iv enclosure computed at the
+    current mpmath.iv.prec, which is set before each call and restored
+    after the last.  The precision starts at DEFAULT_PRECISION and doubles
+    up to MAX_PRECISION; an enclosure that still contains zero there raises
+    PrecisionExhausted.  Callers rule out an exact zero first."""
     iv = mpmath.iv
     saved = iv.prec
     try:
-        prec = max(start_prec, 16)
-        while prec <= max_prec:
+        prec = DEFAULT_PRECISION
+        while prec <= MAX_PRECISION:
             iv.prec = prec
-            val = interval_fn(prec)
+            val = interval_fn()
             if val.a > 0:
                 return 1
             if val.b < 0:
@@ -364,10 +345,12 @@ def escalating_sign(interval_fn, start_prec: int = DEFAULT_PRECISION,
             prec *= 2
     finally:
         iv.prec = saved
-    return None
+    raise PrecisionExhausted(
+        f"sign not separated from 0 at {MAX_PRECISION} bits"
+    )
 
 
-def fraction_interval(q, prec: int):
-    """mpmath.iv enclosure of a rational (iv.prec must be set by caller)."""
+def fraction_interval(q):
+    """mpmath.iv enclosure of a rational at the current mpmath.iv.prec."""
     q = _as_fraction(q)
     return mpmath.iv.mpf(q.numerator) / mpmath.iv.mpf(q.denominator)

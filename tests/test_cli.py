@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from gcdlab.cli import main
+from gcdlab import harness
+from gcdlab.cli import EXIT_UNDECIDED, main
+from gcdlab.logreal import PrecisionExhausted
 
 
 def run_cli(capsys, *argv):
@@ -113,3 +115,20 @@ def test_bad_config_is_precondition_failure(capsys, tmp_path):
     cfg_path.write_text(json.dumps({"epsilon": "1/2"}))
     code, _, err = run_cli(capsys, "lrs-scan", "--config", str(cfg_path))
     assert code == 2
+
+
+def test_uncertified_sign_is_exit_undecided(capsys, monkeypatch):
+    def undecided(*args, **kwargs):
+        raise PrecisionExhausted("sign not separated from 0")
+
+    monkeypatch.setattr(harness, "run_example_pk", undecided)
+    code, _, err = run_cli(capsys, "example-pk", "--out", "-")
+    assert code == EXIT_UNDECIDED == 4
+    assert err.startswith("error: sign not separated")
+
+
+def test_prec_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["poly-gcd", "--prec", "128"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --prec" in capsys.readouterr().err

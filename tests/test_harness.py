@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -45,9 +44,9 @@ def test_scan_row_partition_and_height_bound():
         if row.note:
             continue
         a, b = F.eval(row.m), G.eval(row.n)
-        total = log_gcd(a, b).value
-        assert total == log_gcd_outside(a, b, S).value + log_gcd_within(a, b, S).value
-        assert row.lhs == log_gcd_outside(a, b, S).value
+        total = log_gcd(a, b)
+        assert total == log_gcd_outside(a, b, S) + log_gcd_within(a, b, S)
+        assert row.lhs == log_gcd_outside(a, b, S)
         # scan value never exceeds either height
         assert (height(a) - row.lhs).sign() >= 0
         assert (height(b) - row.lhs).sign() >= 0
@@ -138,6 +137,22 @@ def test_poly_gcd_experiment_perturbed_irrational_delta():
     rep = run_poly_gcd_experiment(cfg, seed=11)
     assert rep.rows
     assert all(r.main_ok for r in rep.rows)
+
+
+def test_poly_gcd_non_square_delta_decides_every_row():
+    # sqrt(1/5) is irrational, so main and combined go through the interval
+    # ladder; both must come back decided
+    cfg = SampleConfig(
+        f=parse_poly("x1 + 1", nvars=2),
+        g=parse_poly("x2", nvars=2),
+        S=PlaceSet.of(2),
+        delta=Fraction(1, 5),
+        count=4,
+    )
+    rep = run_poly_gcd_experiment(cfg, seed=0)
+    assert len(rep.rows) == 4
+    assert all(r.main_ok is True and r.combined_ok is True for r in rep.rows)
+    assert rep.violations == []
 
 
 def test_poly_gcd_determinism():

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
 
+import mpmath
 import pytest
 
 from gcdlab.harness import random_coprime_forms
@@ -16,6 +18,7 @@ from gcdlab.hilbert import (
     greedy_monomial_basis,
     i_spart,
     inequality_constants,
+    monomials_exact,
     monomials_upto,
     multiindex_sum,
     multiindex_sum_closed_form,
@@ -25,9 +28,18 @@ from gcdlab.hilbert import (
     veronese_basis,
     veronese_rank,
 )
-from gcdlab.logreal import LogReal
 from gcdlab.multipoly import MultiPoly, parse_poly
 from gcdlab.places import DomainError, Place
+
+
+def test_monomials_exact_matches_product_filter():
+    for nvars in range(6):
+        for degree in range(-1, 9):
+            oracle = sorted(
+                e for e in itertools.product(range(degree + 1), repeat=nvars)
+                if sum(e) == degree
+            )
+            assert monomials_exact(nvars, degree) == oracle, (nvars, degree)
 
 
 def test_multiindex_sum_examples():
@@ -206,6 +218,15 @@ def test_constants_examples():
         inequality_constants(2, 1, 1, Fraction(2))
 
 
+def test_ceil_spart_degree_against_mp_oracle():
+    with mpmath.workdps(60):
+        for n in range(1, 9):
+            for d in range(1, 9):
+                t = mpmath.mpf(2) ** (mpmath.mpf(1) / d)
+                x = (n - t + 1) / (d * (t - 1)) + 1
+                assert ceil_spart_degree(n, d) == int(mpmath.ceil(x)), (n, d)
+
+
 def test_floor_scaled_inv_sqrt():
     assert floor_scaled_inv_sqrt(4, Fraction(1, 4)) == 8
     # irrational case against a high-precision check: 5/sqrt(1/10)=15.811...
@@ -246,8 +267,6 @@ def test_veronese_full_rank_and_I_identity():
         d = rng.randint(1, 2)
         m = rng.randint(1, 3)
         terms = {tuple([d] + [0] * n): Fraction(rng.choice([1, 2]))}
-        from gcdlab.hilbert import monomials_exact
-
         for e in rng.sample(monomials_exact(n + 1, d), min(3, comb(n + d, n))):
             terms.setdefault(e, Fraction(rng.choice([-2, -1, 1, 2])))
         F = MultiPoly(n + 1, terms)

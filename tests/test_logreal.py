@@ -1,9 +1,17 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from gcdlab.logreal import LogReal, logreal_sign, logreal_sum
+from gcdlab.logreal import (
+    DEFAULT_PRECISION,
+    MAX_PRECISION,
+    LogReal,
+    PrecisionExhausted,
+    escalating_sign,
+    logreal_sum,
+)
 
 
 def test_zero_and_power_collapse():
@@ -25,9 +33,9 @@ def test_canonical_coeffs_are_prime_based_at_desk_scale():
 
 
 def test_signs():
-    assert logreal_sign(LogReal({3: 1, 2: -1})) == 1   # log(3/2) > 0
-    assert logreal_sign(LogReal({2: 1, 3: -1})) == -1
-    assert logreal_sign(LogReal({4: 1, 2: -2})) == 0
+    assert LogReal({3: 1, 2: -1}).sign() == 1   # log(3/2) > 0
+    assert LogReal({2: 1, 3: -1}).sign() == -1
+    assert LogReal({4: 1, 2: -2}).sign() == 0
     # a deliberately tiny difference: 2^1000000 vs 3^630929 (close ratio)
     a = LogReal({2: 1000000, 3: -630929})
     assert a.sign() in (-1, 1)
@@ -100,3 +108,31 @@ def test_sum_helper():
 def test_unhashable_by_design():
     with pytest.raises(TypeError):
         hash(LogReal({2: 1}))
+
+
+def test_escalating_sign_ladder():
+    seen = []
+
+    def straddles_zero():
+        seen.append(mpmath.iv.prec)
+        return mpmath.iv.mpf([-1, 1])
+
+    before = mpmath.iv.prec
+    with pytest.raises(PrecisionExhausted):
+        escalating_sign(straddles_zero)
+    assert mpmath.iv.prec == before
+    assert seen[0] == DEFAULT_PRECISION and seen[-1] == MAX_PRECISION
+    assert all(b == 2 * a for a, b in zip(seen, seen[1:]))
+    # log(2) exceeds 0.69314718055994530941723212145817656807550013436 by
+    # about 2.6e-49, below what 128 bits resolve and above what 256 bits do
+    seen.clear()
+
+    def tiny():
+        seen.append(mpmath.iv.prec)
+        iv = mpmath.iv
+        digits = 69314718055994530941723212145817656807550013436
+        return iv.log(2) - iv.mpf(digits) / iv.mpf(10) ** 47
+
+    assert escalating_sign(tiny) == 1
+    assert seen == [DEFAULT_PRECISION, 2 * DEFAULT_PRECISION]
+    assert mpmath.iv.prec == before

@@ -6,7 +6,6 @@ import pytest
 from gcdlab.logreal import LogReal
 from gcdlab.lrs import (
     PowerSum,
-    RootGroup,
     compute_S0,
     empirical_height_ratio,
     from_recurrence,

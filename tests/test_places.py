@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcdlab.logreal import LogReal, logreal_sign, logreal_sum
+from gcdlab.logreal import LogReal, logreal_sum
 from gcdlab.places import (
     DomainError,
     Place,
@@ -43,9 +43,9 @@ def test_log_abs_examples():
 
 
 def test_logreal_sign_examples():
-    assert logreal_sign(LogReal({3: 1, 2: -1}), 64) == 1
-    assert logreal_sign(LogReal({2: 2, 4: -1})) == 0
-    assert logreal_sign(LogReal({2: 1, 3: -1}), 64) == -1
+    assert LogReal({3: 1, 2: -1}).sign() == 1
+    assert LogReal({2: 2, 4: -1}).sign() == 0
+    assert LogReal({2: 1, 3: -1}).sign() == -1
 
 
 def test_support_examples():
