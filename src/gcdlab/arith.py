@@ -110,17 +110,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def factorize_fraction(q: Fraction) -> dict[int, int]:
-    """Exponents of the prime factorization of a nonzero rational (negative
-    exponents from the denominator).  Sign is discarded."""
-    if q == 0:
-        raise ValueError("zero has no factorization")
-    out = factorize(abs(q.numerator)) if abs(q.numerator) != 1 else {}
-    for p, e in factorize(q.denominator).items():
-        out[p] = out.get(p, 0) - e
-    return {p: e for p, e in out.items() if e != 0}
-
-
 def perfect_power(n: int) -> tuple[int, int]:
     """Largest k with n = r**k for n >= 2; returns (r, k), k = 1 if none.
     Only prime exponents are probed; composite exponents fall out of the
@@ -155,19 +144,6 @@ def _iroot(n: int, k: int) -> int:
     return lo
 
 
-def iroot(n: int, k: int) -> int:
-    return _iroot(n, k)
-
-
-def floor_sqrt_fraction(q: Fraction) -> int:
-    """floor(sqrt(q)) for a nonnegative rational, exactly."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    # sqrt(a/b) = sqrt(a*b)/b
-    a, b = q.numerator, q.denominator
-    return math.isqrt(a * b) // b
-
-
 def sqrt_fraction_exact(q: Fraction):
     """Exact square root of a nonnegative rational, or None if irrational."""
     if q < 0:
@@ -177,21 +153,6 @@ def sqrt_fraction_exact(q: Fraction):
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (x, y, g) with x*a + y*b == g = gcd(a, b) >= 0."""
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
 
 
 def hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:

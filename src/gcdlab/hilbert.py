@@ -50,15 +50,24 @@ def monomials_upto(nvars: int, m: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _coordinate_rows(monomials, products) -> list[list]:
-    """Coordinate rows over the monomial list of the products x^a * F, given
-    as (a, F) pairs; zero entries are plain 0."""
-    col = {e: j for j, e in enumerate(monomials)}
+def _column_index(monomials) -> dict[tuple[int, ...], int]:
+    return {e: j for j, e in enumerate(monomials)}
+
+
+def _unit(n: int, j: int) -> list[int]:
+    vec = [0] * n
+    vec[j] = 1
+    return vec
+
+
+def _coordinate_rows(column: dict, products) -> list[list]:
+    """Coordinate rows, under a monomial -> column index, of the products
+    x^a * F, given as (a, F) pairs; zero entries are plain 0."""
     rows = []
     for a, F in products:
-        row = [0] * len(col)
+        row = [0] * len(column)
         for e, c in F.terms.items():
-            row[col[tuple(x + y for x, y in zip(a, e))]] = c
+            row[column[tuple(x + y for x, y in zip(a, e))]] = c
         rows.append(row)
     return rows
 
@@ -107,7 +116,7 @@ def _graded_multiple_rows(F1: MultiPoly, F2: MultiPoly, l: int) -> list[list]:
     """Rows of the degree-l monomial multiples of F1, then of F2."""
     nvars = F1.nvars
     return _coordinate_rows(
-        monomials_exact(nvars, l),
+        _column_index(monomials_exact(nvars, l)),
         ((a, F) for F in (F1, F2) for a in monomials_exact(nvars, l - F.degree())),
     )
 
@@ -122,9 +131,7 @@ def quotient_monomial_basis(F1: MultiPoly, F2: MultiPoly, m: int) -> list[tuple[
         span.add(row)
     basis = []
     for j, e in enumerate(monomials):
-        unit = [0] * len(monomials)
-        unit[j] = 1
-        if span.add(unit):
+        if span.add(_unit(len(monomials), j)):
             basis.append(e)
     return basis
 
@@ -161,13 +168,14 @@ def ord_sum_check(B, var_index: int, d1: int, d2: int, m: int, n: int) -> bool:
 @dataclass
 class TruncatedIdeal:
     """The vector space {f*p + g*q : deg f*p, deg g*q <= m} inside the
-    polynomials of degree <= m, held as a reduced echelon span over the
-    graded-lex monomial coordinates."""
+    polynomials of degree <= m, held as an echelon span over the
+    graded-lex monomial coordinates, with its monomial -> column index."""
 
     f: MultiPoly
     g: MultiPoly
     m: int
     monomials: list[tuple[int, ...]]
+    column: dict[tuple[int, ...], int]
     span: LinearSpan
     N: int
     Nprime: int
@@ -179,7 +187,7 @@ class TruncatedIdeal:
     def _vector(self, p: MultiPoly) -> list:
         if p.degree() > self.m:
             raise DomainError("degree exceeds the truncation bound")
-        return _coordinate_rows(self.monomials, [((0,) * self.nvars, p)])[0]
+        return _coordinate_rows(self.column, [((0,) * self.nvars, p)])[0]
 
     def contains(self, p: MultiPoly) -> bool:
         """Membership of a degree-<= m polynomial, by exact reduction."""
@@ -197,13 +205,14 @@ def truncated_ideal(f: MultiPoly, g: MultiPoly, m: int) -> TruncatedIdeal:
         raise DomainError("truncation bound below the degrees")
     nvars = f.nvars
     monomials = monomials_upto(nvars, m)
+    column = _column_index(monomials)
     span = LinearSpan(len(monomials))
     for row in _coordinate_rows(
-        monomials, ((a, h) for h in (f, g) for a in monomials_upto(nvars, m - h.degree()))
+        column, ((a, h) for h in (f, g) for a in monomials_upto(nvars, m - h.degree()))
     ):
         span.add(row)
     N = span.rank
-    return TruncatedIdeal(f, g, m, monomials, span, N, len(monomials) - N)
+    return TruncatedIdeal(f, g, m, monomials, column, span, N, len(monomials) - N)
 
 
 # ---------------------------------------------------------------------
@@ -221,16 +230,15 @@ class GreedyBasis:
     monomials: list[tuple[int, ...]]
     ideal: TruncatedIdeal
     _span: LinearSpan = field(repr=False)
+    _logs: list[LogReal] = field(repr=False)
 
     def monomial_log(self, e) -> LogReal:
-        return monomial_log_abs(self.point, e, self.place)
+        return _monomial_log(self._logs, e)
 
     def reduce_monomial(self, e) -> dict[tuple[int, ...], Fraction]:
         """Coefficients c with x^e == sum c_j x^(i_j) modulo the ideal."""
-        col = {mono: j for j, mono in enumerate(self.ideal.monomials)}
-        vec = [Fraction(0)] * len(self.ideal.monomials)
-        vec[col[tuple(e)]] = Fraction(1)
-        residual, tag = self._span.reduce(vec)
+        T = self.ideal
+        residual, tag = self._span.reduce(_unit(len(T.monomials), T.column[tuple(e)]))
         if any(residual):
             raise DomainError("monomial independent of ideal + basis")
         return {
@@ -238,12 +246,12 @@ class GreedyBasis:
         }
 
 
-def monomial_log_abs(u: TorusPoint, exponents, v: Place) -> LogReal:
-    """Exact log|u^e|_v."""
+def _monomial_log(logs: list[LogReal], exponents) -> LogReal:
+    """Exact log|u^e|_v from the coordinate logs log|u_i|_v."""
     total = LogReal.zero()
-    for c, k in zip(u.coords, exponents):
+    for lg, k in zip(logs, exponents):
         if k:
-            total = total + log_abs(c, v) * k
+            total = total + lg * k
     return total
 
 
@@ -251,39 +259,29 @@ def greedy_monomial_basis(T: TruncatedIdeal, u: TorusPoint, v: Place) -> GreedyB
     if len(u.coords) != T.nvars:
         raise DomainError("point dimension mismatch")
     logs = [log_abs(c, v) for c in u.coords]
-
-    def mono_log(e) -> LogReal:
-        total = LogReal.zero()
-        for lg, k in zip(logs, e):
-            if k:
-                total = total + lg * k
-        return total
+    mono_logs = {e: _monomial_log(logs, e) for e in T.monomials}
 
     def compare(e1, e2) -> int:
-        s = (mono_log(e1) - mono_log(e2)).sign()
+        s = (mono_logs[e1] - mono_logs[e2]).sign()
         if s:
             return s
         k1, k2 = (sum(e1), e1), (sum(e2), e2)
         return -1 if k1 < k2 else (1 if k1 > k2 else 0)
 
     candidates = sorted(T.monomials, key=cmp_to_key(compare))
-    col = {e: j for j, e in enumerate(T.monomials)}
-    span = LinearSpan(len(T.monomials), ntags=T.Nprime)
-    for row, _ in T.span.rows:
-        span.add(list(row))
+    n = len(T.monomials)
+    span = LinearSpan(n, ntags=T.Nprime)
+    for row in T.span.rows:
+        span.add(row)
     chosen: list[tuple[int, ...]] = []
     for e in candidates:
         if len(chosen) == T.Nprime:
             break
-        vec = [Fraction(0)] * len(T.monomials)
-        vec[col[e]] = Fraction(1)
-        tag = [Fraction(0)] * T.Nprime
-        tag[len(chosen)] = Fraction(1)
-        if span.add(vec, tag):
+        if span.add(_unit(n, T.column[e]), _unit(T.Nprime, len(chosen))):
             chosen.append(e)
     if len(chosen) != T.Nprime:
         raise ArithmeticError("quotient basis construction failed")
-    return GreedyBasis(v, u, chosen, T, span)
+    return GreedyBasis(v, u, chosen, T, span, logs)
 
 
 def greedy_dominance_violations(gb: GreedyBasis):
@@ -444,7 +442,7 @@ def veronese_rank(basis: PowerBasis) -> int:
     origin = (0,) * nvars
     return rational_rank(
         _coordinate_rows(
-            monomials_exact(nvars, basis.m * basis.F.degree()),
+            _column_index(monomials_exact(nvars, basis.m * basis.F.degree())),
             ((origin, p) for p in basis.elements),
         )
     )

@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 from .arith import hnf_with_transform, integer_kernel, solve_in_row_lattice
 from .heights import height
+from .linalg import LinearSpan
 from .logreal import LogReal
 from .multipoly import LaurentPoly
 from .places import (
@@ -296,33 +297,21 @@ def from_recurrence(relation: Sequence, initial: Sequence) -> PowerSum:
     mult: dict[Fraction, int] = {}
     for r in roots:
         mult[r] = mult.get(r, 0) + 1
-    # solve for coefficient polynomials from the initial values
+    # solve for the coefficient polynomials from the initial values: the
+    # columns n -> n^j root^n, tagged with unit vectors, span Q^d, and
+    # reducing init to zero leaves minus its coordinates in the tag
     unknown_slots = [(root, j) for root in sorted(mult) for j in range(mult[root])]
-    rows = []
-    for n in range(d):
-        rows.append([Fraction(n) ** j * root**n for root, j in unknown_slots])
-    sol = _solve_square(rows, init)
-    terms: dict[Fraction, list[Fraction]] = {r: [Fraction(0)] * mult[r] for r in mult}
-    for (root, j), c in zip(unknown_slots, sol):
-        terms[root][j] = c
-    return PowerSum([(cs, r) for r, cs in terms.items()])
-
-
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rows)
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
+    span = LinearSpan(d, ntags=d)
+    for k, (root, j) in enumerate(unknown_slots):
+        unit = [0] * d
+        unit[k] = 1
+        if not span.add([Fraction(n) ** j * root**n for n in range(d)], unit):
             raise ArithmeticError("singular system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    _, tag = span.reduce(init)
+    terms: dict[Fraction, list[Fraction]] = {r: [Fraction(0)] * mult[r] for r in mult}
+    for (root, j), c in zip(unknown_slots, tag):
+        terms[root][j] = -c
+    return PowerSum([(cs, r) for r, cs in terms.items()])
 
 
 # ---------------------------------------------------------------------

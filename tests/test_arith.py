@@ -2,20 +2,15 @@ import math
 import random
 from fractions import Fraction
 
-import pytest
-
 from gcdlab.arith import (
+    _iroot,
     factorize,
-    factorize_fraction,
-    floor_sqrt_fraction,
     hnf_with_transform,
     integer_kernel,
-    iroot,
     is_prime,
     perfect_power,
     solve_in_row_lattice,
     sqrt_fraction_exact,
-    xgcd,
 )
 
 
@@ -48,13 +43,6 @@ def test_factorize_roundtrip():
         assert prod == n
 
 
-def test_factorize_fraction():
-    assert factorize_fraction(Fraction(12, 5)) == {2: 2, 3: 1, 5: -1}
-    assert factorize_fraction(Fraction(-1)) == {}
-    with pytest.raises(ValueError):
-        factorize_fraction(Fraction(0))
-
-
 def test_perfect_power():
     assert perfect_power(64) == (2, 6)
     assert perfect_power(8) == (2, 3)
@@ -69,24 +57,13 @@ def test_iroot():
     for _ in range(200):
         n = rng.randint(0, 10**18)
         k = rng.randint(1, 40)
-        r = iroot(n, k)
+        r = _iroot(n, k)
         assert r**k <= n < (r + 1) ** k
 
 
 def test_sqrt_helpers():
-    assert floor_sqrt_fraction(Fraction(17, 4)) == 2
-    assert floor_sqrt_fraction(Fraction(16, 4)) == 2
     assert sqrt_fraction_exact(Fraction(9, 4)) == Fraction(3, 2)
     assert sqrt_fraction_exact(Fraction(1, 2)) is None
-
-
-def test_xgcd():
-    rng = random.Random(3)
-    for _ in range(500):
-        a, b = rng.randint(-999, 999), rng.randint(-999, 999)
-        x, y, g = xgcd(a, b)
-        assert g == math.gcd(a, b)
-        assert x * a + y * b == g
 
 
 def test_hnf_preserves_row_lattice():

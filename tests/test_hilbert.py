@@ -184,6 +184,30 @@ def test_greedy_dominance_battery():
         made += 1
 
 
+def test_reduce_monomial_tags_are_expressions_modulo_the_ideal():
+    rng = random.Random(61)
+    places = [Place.archimedean(), Place.finite(2), Place.finite(3)]
+    for nvars, d1, d2 in [(2, 1, 1), (2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 2)]:
+        F1, F2 = random_coprime_forms(rng, nvars, d1, d2)
+        m = max(d1, d2) + rng.randint(0, 1)
+        T = truncated_ideal(F1, F2, m)
+        u = TorusPoint([Fraction(rng.choice([-3, -2, 2, 3]), rng.randint(1, 4))
+                        for _ in range(nvars)])
+        gb = greedy_monomial_basis(T, u, rng.choice(places))
+        assert len(gb.monomials) == T.Nprime
+        basis = set(gb.monomials)
+        for e in T.monomials:
+            if e in basis:
+                continue
+            terms = {e: Fraction(1)}
+            for mono, c in gb.reduce_monomial(e).items():
+                assert mono in basis
+                terms[mono] = -c
+            p = MultiPoly(nvars, terms)
+            assert T.contains(p)
+            assert not any(T.reduce(p))
+
+
 def _rand_affine(rng, d):
     monos = monomials_upto(2, d)
     return MultiPoly(

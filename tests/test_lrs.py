@@ -222,6 +222,25 @@ def test_from_recurrence():
         from_recurrence([1, 1], [0, 1])  # golden-ratio roots
 
 
+def test_from_recurrence_matches_direct_iteration():
+    rng = random.Random(31)
+    for _ in range(40):
+        # characteristic polynomial prod (X - r)^mult over rational roots,
+        # repeated roots included: X^d - rel[0] X^(d-1) - ... - rel[d-1]
+        char = [Fraction(1)]  # descending coefficients
+        for _ in range(rng.randint(1, 3)):
+            root = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 2)):
+                char = [a - root * b for a, b in zip(char + [0], [0] + char)]
+        rel = [-c for c in char[1:]]
+        d = len(rel)
+        seq = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
+        while len(seq) < 30:
+            seq.append(sum(c * a for c, a in zip(rel, reversed(seq[-d:]))))
+        ps = from_recurrence(rel, seq[:d])
+        assert [ps.eval(n) for n in range(30)] == seq
+
+
 def test_json_roundtrip():
     F = PowerSum.of(([0, 1], 2), ([1], 1))
     blob = power_sum_to_json(F)
