@@ -15,9 +15,11 @@ from .logreal import LogReal
 from .places import DomainError, PlaceSet
 
 
-def _finite_core(a: Fraction, b: Fraction) -> tuple[int, int]:
+def _finite_core(a: int | Fraction, b: int | Fraction) -> tuple[int, int]:
     """(M, L): the finite-place part of the generalized gcd is log(M), and L
-    is the common denominator used (needed to restrict by valuations)."""
+    is the common denominator used (needed to restrict by valuations).  Each
+    operand is an int or a Fraction; both have .numerator and .denominator,
+    so a scan can pass integral values as plain ints."""
     L = a.denominator // igcd(a.denominator, b.denominator) * b.denominator
     A = abs(a.numerator) * (L // a.denominator)
     B = abs(b.numerator) * (L // b.denominator)

@@ -14,7 +14,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as igcd
+from math import floor, gcd as igcd
 
 import mpmath
 
@@ -29,7 +29,7 @@ from .heights import (
 )
 from .hilbert import inequality_constants
 from .logreal import LogReal, escalating_sign, fraction_interval, logreal_sum
-from .lrs import PowerSum, compute_S0, zero_scan
+from .lrs import PowerSum, _zero_structure, compute_S0
 from .multipoly import MultiPoly
 from .places import DomainError, PlaceSet, format_rational, support_primes
 from .arith import sqrt_fraction_exact
@@ -111,17 +111,16 @@ class ScanReport:
         return [(r.m, r.n) for r in self.flagged]
 
 
-def _scan_row(m, n, a: Fraction, b: Fraction, s_primes, s_arch: bool):
+def _scan_row(a: int | Fraction, b: int | Fraction, s_primes, s_arch: bool):
     """Compact per-row data for the gcd outside S: integer core and the
     optional archimedean term."""
-    M, _ = _finite_core(a, b)
-    _, rest = _split_primes(M, s_primes)
+    core, _ = _finite_core(a, b)
+    if s_primes:
+        _, core = _split_primes(core, s_primes)
     arch = None
-    if not s_arch:
-        mx = max(abs(a), abs(b))
-        if mx < 1:
-            arch = 1 / mx
-    return rest, arch
+    if not s_arch and -1 < a < 1 and -1 < b < 1:
+        arch = 1 / max(abs(a), abs(b))
+    return core, arch
 
 
 def _row_lhs_cmp(core: int, arch: Fraction | None, threshold: Fraction) -> int:
@@ -129,6 +128,17 @@ def _row_lhs_cmp(core: int, arch: Fraction | None, threshold: Fraction) -> int:
     if arch is not None:
         lhs = lhs + LogReal.log_of_fraction(arch)
     return lhs.cmp(threshold)
+
+
+# a rational upper bound for ln 2 = 0.693147180559...; tests check it with mpmath
+LN2_UPPER = Fraction(6931472, 10**7)
+
+
+def _unflagged_bits(eps: Fraction, mx: int) -> int:
+    """The largest b with b * LN2_UPPER <= eps * mx.  A core of at most b
+    bits has log core < b ln 2 < eps * mx, so a row with that core and no
+    archimedean term is not flagged; no LogReal is needed to prove it."""
+    return floor(eps * mx / LN2_UPPER)
 
 
 def tube_inequality_holds(a: int, b: int, kappa: int, m: int, n: int) -> bool:
@@ -182,8 +192,13 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
     s_primes = S_used.finite_primes
     s_arch = S_used.contains_archimedean
     N = cfg.N
-    F_vals = [None] + [cfg.F.eval(i) for i in range(1, N + 1)]
-    G_vals = [None] + [cfg.G.eval(i) for i in range(1, N + 1)]
+    F_vals = [cfg.F.eval(i) for i in range(N + 1)]
+    G_vals = [cfg.G.eval(i) for i in range(N + 1)]
+    zero_structure_F = _zero_structure(cfg.F, F_vals)
+    zero_structure_G = _zero_structure(cfg.G, G_vals)
+    # integral values as plain ints: the gcd core then does no Fraction work
+    F_vals = [v.numerator if v.denominator == 1 else v for v in F_vals]
+    G_vals = [v.numerator if v.denominator == 1 else v for v in G_vals]
 
     if cfg.mode == "diagonal":
         grid = ((i, i) for i in range(1, N + 1))
@@ -194,6 +209,7 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
     flagged: list[ScanRow] = []
     zero_rows: list[tuple[int, int, str]] = []
     eps = cfg.epsilon
+    max_bits = [_unflagged_bits(eps, mx) for mx in range(N + 1)]
     nrows = 0
     for m, n in grid:
         a, b = F_vals[m], G_vals[n]
@@ -206,14 +222,18 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
                 rows.append(ScanRow(m, n, 1, None, False, None, which))
             continue
         nrows += 1
-        core, arch = _scan_row(m, n, a, b, s_primes, s_arch)
-        threshold = eps * max(m, n)
-        is_flagged = _row_lhs_cmp(core, arch, threshold) > 0
-        row = ScanRow(m, n, core, arch, is_flagged)
-        if is_flagged:
-            flagged.append(row)
-        if rows is not None:
-            rows.append(row)
+        core, arch = _scan_row(a, b, s_primes, s_arch)
+        mx = m if m > n else n
+        is_flagged = (
+            (arch is not None or core.bit_length() > max_bits[mx])
+            and _row_lhs_cmp(core, arch, eps * mx) > 0
+        )
+        if is_flagged or rows is not None:
+            row = ScanRow(m, n, core, arch, is_flagged)
+            if is_flagged:
+                flagged.append(row)
+            if rows is not None:
+                rows.append(row)
 
     clusters, assignment, sporadic = _cluster_flagged(
         flagged, cfg.tube_max_ab, cfg.tube_kappa
@@ -237,8 +257,8 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
         clusters=clusters,
         sporadic=sporadic,
         zero_rows=zero_rows,
-        zero_structure_F=zero_scan(cfg.F, N),
-        zero_structure_G=zero_scan(cfg.G, N),
+        zero_structure_F=zero_structure_F,
+        zero_structure_G=zero_structure_G,
         max_flagged_extent=max((max(r.m, r.n) for r in flagged), default=0),
         rows=rows,
     )

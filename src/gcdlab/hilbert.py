@@ -289,13 +289,13 @@ def greedy_dominance_violations(gb: GreedyBasis):
     basis monomial of strictly larger |u^.|_v.  Always empty for a correctly
     built greedy basis; returned for auditing."""
     out = []
-    basis_set = set(gb.monomials)
+    basis_logs = {mono: gb.monomial_log(mono) for mono in gb.monomials}
     for e in gb.ideal.monomials:
-        if e in basis_set:
+        if e in basis_logs:
             continue
         target = gb.monomial_log(e)
         for mono, coeff in gb.reduce_monomial(e).items():
-            if coeff and (gb.monomial_log(mono) - target).sign() > 0:
+            if coeff and (basis_logs[mono] - target).sign() > 0:
                 out.append((e, mono))
     return out
 

@@ -331,7 +331,14 @@ class ZeroStructure:
 
 
 def zero_scan(F: PowerSum, N: int) -> ZeroStructure:
-    zeros = tuple(n for n in range(N + 1) if F.eval(n) == 0)
+    return _zero_structure(F, [F.eval(n) for n in range(N + 1)])
+
+
+def _zero_structure(F: PowerSum, values: list) -> ZeroStructure:
+    """zero_scan(F, N) from values[n] == F(n) for n = 0..N, so a caller that
+    has already evaluated F does not evaluate it again."""
+    N = len(values) - 1
+    zeros = tuple(n for n, v in enumerate(values) if v == 0)
     pairs = sum(
         1 for i, r in enumerate(F.roots) for s in F.roots[i + 1 :] if r == -s
     )

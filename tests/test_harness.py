@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from gcdlab.gengcd import log_gcd, log_gcd_outside, log_gcd_within
 from gcdlab.harness import (
+    LN2_UPPER,
     SampleConfig,
     ScanConfig,
     pk_sequences,
@@ -14,10 +16,12 @@ from gcdlab.harness import (
     run_sharpness,
     sharpness_window_holds,
     solve_unit_equation,
+    _unflagged_bits,
     tube_inequality_holds,
 )
 from gcdlab.heights import height
-from gcdlab.lrs import PowerSum
+from gcdlab.logreal import LogReal
+from gcdlab.lrs import PowerSum, zero_scan
 from gcdlab.multipoly import parse_poly
 from gcdlab.places import DomainError, Place, PlaceSet
 
@@ -104,6 +108,91 @@ def test_scan_determinism():
     b = list(scan_csv_rows(run_lrs_scan(ScanConfig(F, G, Fraction(3, 5), 25))))
     assert a == b
     assert len(SCAN_CSV_HEADER) == len(a[0])
+
+
+def _oracle_scans():
+    """Small scans whose every row the oracle below recomputes: rational
+    roots, extra primes and the archimedean place in S, zero rows, a family
+    whose every row has an archimedean term, one where that term alone can
+    flag a row, and one where only F(m) lies inside the unit interval."""
+    F, G = pk_sequences(2)
+    R1 = PowerSum.of(([1], Fraction(3, 2)), ([1], Fraction(-1, 5)))
+    R2 = PowerSum.of(([2], Fraction(2, 7)), ([1], 4))
+    Z1 = PowerSum.of(([1], 2), ([-4], 1))     # zero at n = 2
+    Z2 = PowerSum.of(([1], 2), ([1], -2))     # zero at every odd n
+    H2 = PowerSum.of(([1], 1), ([-1], Fraction(1, 2)))   # 1 - 2^-n
+    H3 = PowerSum.of(([1], 1), ([-1], Fraction(1, 3)))   # 1 - 3^-n
+    T1 = PowerSum.of(([1], Fraction(1, 2)), ([1], Fraction(1, 3)))
+    U1 = PowerSum.of(([-5, 1], 1), ([1], Fraction(1, 2)))   # n - 5 + 2^-n
+    U2 = PowerSum.of(([-7, 1], 1), ([1], Fraction(1, 3)))   # n - 7 + 3^-n
+    yield ScanConfig(F, G, Fraction(3, 5), 30)
+    yield ScanConfig(F, G, Fraction(1, 4), 40, mode="diagonal", extra_S=PlaceSet.of(3))
+    yield ScanConfig(R1, R2, Fraction(1, 4), 25)
+    yield ScanConfig(R1, R2, Fraction(1, 4), 25, extra_S=PlaceSet(False, (11, 13)))
+    yield ScanConfig(R1, R2, Fraction(1, 8), 60, mode="diagonal")
+    yield ScanConfig(Z1, Z2, Fraction(1, 3), 20)
+    yield ScanConfig(Z2, Z2, Fraction(1, 2), 30, mode="diagonal")
+    yield ScanConfig(H2, H3, Fraction(1, 100), 40)
+    yield ScanConfig(H2, H3, Fraction(1, 100), 20, extra_S=PlaceSet(True, (7,)))
+    yield ScanConfig(H2, H3, Fraction(1, 100), 40, mode="diagonal")
+    yield ScanConfig(U1, U2, Fraction(1, 4), 12)   # (5, 7): core 1, arch 32
+    yield ScanConfig(T1, R1, Fraction(1, 4), 20)
+
+
+def test_scan_rows_match_log_gcd_outside_oracle():
+    saw_arch = False
+    for cfg in _oracle_scans():
+        rep = run_lrs_scan(cfg)
+        N = cfg.N
+        if cfg.mode == "diagonal":
+            grid = [(i, i) for i in range(1, N + 1)]
+        else:
+            grid = [(m, n) for m in range(1, N + 1) for n in range(1, N + 1)]
+        assert [(r.m, r.n) for r in rep.rows] == grid
+        flagged = []
+        for row in rep.rows:
+            a, b = cfg.F.eval(row.m), cfg.G.eval(row.n)
+            if a == 0 or b == 0:
+                assert row.note and not row.flagged
+                continue
+            lhs = log_gcd_outside(a, b, rep.S_used)
+            assert row.lhs == lhs
+            assert row.flagged == (lhs.cmp(cfg.epsilon * max(row.m, row.n)) > 0)
+            saw_arch = saw_arch or row.arch is not None
+            if row.flagged:
+                flagged.append((row.m, row.n))
+        assert rep.flagged_pairs() == flagged
+        assert rep.nrows == len(grid) - len(rep.zero_rows)
+        assert rep.zero_structure_F == zero_scan(cfg.F, N)
+        assert rep.zero_structure_G == zero_scan(cfg.G, N)
+    assert saw_arch
+
+
+def test_ln2_upper_bound_exceeds_ln2():
+    with mpmath.workdps(60):
+        gap = mpmath.mpf(LN2_UPPER.numerator) / LN2_UPPER.denominator - mpmath.log(2)
+        assert gap > 0
+
+
+def test_bit_length_prefilter_never_hides_a_flagged_row():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        eps=st.fractions(min_value=Fraction(1, 1000), max_value=5, max_denominator=1000),
+        mx=st.integers(1, 1200),
+        shift=st.integers(-2, 1),
+        delta=st.sampled_from((-1, 0, 1)),
+    )
+    def check(eps, mx, shift, delta):
+        bits = _unflagged_bits(eps, mx)
+        # 2^k - 1, 2^k and 2^k + 1 around the largest accepted bit length
+        core = max(2 ** max(bits + shift, 0) + delta, 1)
+        if core.bit_length() <= bits:
+            assert LogReal.log_of_int(core).cmp(eps * mx) <= 0
+
+    check()
 
 
 def test_poly_gcd_experiment_pure_units():
