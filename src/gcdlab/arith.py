@@ -21,14 +21,19 @@ def _sieve_primes(bound: int) -> list[int]:
 
 SMALL_PRIMES = _sieve_primes(_SMALL_PRIME_BOUND)
 
-# Deterministic Miller-Rabin witness set, valid for n < 3317044064679887385961981.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as witnesses is deterministic below
+# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all of
+# them (Sorenson and Webster, Math. Comp. 2017).  Twelve do not suffice:
+# psi_12 = 318665857834031151167461 is composite and passes 2..37.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin below 3.3e24, trial
-    division beyond)."""
+    """Deterministic primality test: Miller-Rabin with the first 13 primes as
+    witnesses.  A witness proves compositeness at any size; a number of at
+    least 3.3e24 that no witness rejects raises ValueError, since its
+    primality is not certified."""
     if n < 2:
         return False
     for p in SMALL_PRIMES[:60]:
@@ -36,29 +41,26 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < _MR_DETERMINISTIC_BOUND:
-        d = n - 1
-        r = 0
-        while d % 2 == 0:
-            d //= 2
-            r += 1
-        for a in _MR_WITNESSES:
-            x = pow(a, d, n)
-            if x in (1, n - 1):
-                continue
-            for _ in range(r - 1):
-                x = x * x % n
-                if x == n - 1:
-                    break
-            else:
-                return False
-        return True
-    # desk scale should never reach this; keep it correct anyway
-    f = SMALL_PRIMES[-1]
-    while f * f <= n:
-        if n % f == 0:
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= _MR_DETERMINISTIC_BOUND:
+        raise ValueError(
+            f"primality of {n} is not certified: no Miller-Rabin witness "
+            f"rejects it and it is at least {_MR_DETERMINISTIC_BOUND}"
+        )
     return True
 
 

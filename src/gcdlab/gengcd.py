@@ -9,7 +9,7 @@ factorization), so the operands may be astronomically large."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as igcd
+from math import gcd as igcd, lcm as ilcm
 
 from .logreal import LogReal
 from .places import DomainError, PlaceSet
@@ -17,14 +17,12 @@ from .places import DomainError, PlaceSet
 
 def _finite_core(a: int | Fraction, b: int | Fraction) -> tuple[int, int]:
     """(M, L): the finite-place part of the generalized gcd is log(M), and L
-    is the common denominator used (needed to restrict by valuations).  Each
-    operand is an int or a Fraction; both have .numerator and .denominator,
-    so a scan can pass integral values as plain ints."""
-    L = a.denominator // igcd(a.denominator, b.denominator) * b.denominator
-    A = abs(a.numerator) * (L // a.denominator)
-    B = abs(b.numerator) * (L // b.denominator)
-    g = igcd(A, B)  # gcd(x, 0) == |x|, so single-zero inputs come for free
-    return g // igcd(g, L), L
+    is the lcm of the denominators.  For reduced a = p/q and b = r/s,
+    max(0, min(v_l(a), v_l(b))) = min(v_l(p), v_l(r)) at every prime l, so
+    M = gcd(p, r); gcd(x, 0) == |x| covers a single zero operand.  Each
+    operand is an int or a Fraction, so a scan can pass integral values as
+    plain ints."""
+    return igcd(a.numerator, b.numerator), ilcm(a.denominator, b.denominator)
 
 
 def _arch_term(a: Fraction, b: Fraction) -> LogReal:

@@ -270,15 +270,18 @@ def scan_csv_rows(report: ScanReport, digits: int = 12):
     if report.rows is None:
         raise DomainError("scan was run without keep_rows")
     eps = report.config.epsilon
+    thresholds = [
+        mpmath.nstr(mpmath.mpf(t.numerator) / t.denominator, digits)
+        for t in (eps * mx for mx in range(report.config.N + 1))
+    ]
     for r in report.rows:
         lhs = r.lhs
-        threshold = eps * max(r.m, r.n)
         yield (
             r.m,
             r.n,
             str(lhs),
             lhs.decimal(digits),
-            mpmath.nstr(mpmath.mpf(threshold.numerator) / threshold.denominator, digits),
+            thresholds[max(r.m, r.n)],
             int(r.flagged),
             r.cluster if r.cluster is not None else "",
             r.note,

@@ -3,7 +3,14 @@ height, and the almost-unit predicates built on it.
 
 All values are exact LogReals; the local-global identity
 sum_v local_height(x, v) == height(x) holds with zero discrepancy because we
-work with the canonical local heights at every place."""
+work with the canonical local heights at every place.
+
+The heights of torus points, the non-S heights and the quasi-S-integer test
+sum their finite places in closed form, without factoring anything: over Q
+the finite part of a height is log lcm(denominators), that of the height of
+the inverse is log lcm(|numerators|), and the places of S are divided out of
+those integers with the known primes of S.  Only tuple_heights, whose output
+is the per-place table, walks the places one by one."""
 
 from __future__ import annotations
 
@@ -11,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .gengcd import _split_primes
 from .logreal import LogReal, logreal_sum
 from .places import DomainError, Place, PlaceSet, support_primes, valuation
 
@@ -119,17 +127,25 @@ def proj_height(P: ProjPoint) -> LogReal:
     return LogReal.log_of_int(max(abs(c.numerator) for c in P.coords))
 
 
+def _arch_height(coords) -> LogReal:
+    """log max(1, |c_1|, ..., |c_n|) at the archimedean place."""
+    m = max(Fraction(1), *(abs(c) for c in coords))
+    return LogReal.log_of_fraction(m) if m > 1 else LogReal.zero()
+
+
 def torus_local_height(u: TorusPoint, v: Place) -> LogReal:
     """log max(1, |u_1|_v, ..., |u_n|_v)."""
     if v.is_archimedean:
-        m = max(Fraction(1), *(abs(c) for c in u.coords))
-        return LogReal.log_of_fraction(m) if m > 1 else LogReal.zero()
+        return _arch_height(u.coords)
     w = min(valuation(c, v.prime) for c in u.coords)
     return LogReal({v.prime: Fraction(-w)}) if w < 0 else LogReal.zero()
 
 
 def torus_height(u: TorusPoint) -> LogReal:
-    return logreal_sum(torus_local_height(u, v) for v in relevant_places(*u.coords))
+    """log lcm(denominators) + log max(1, |u_1|, ..., |u_n|): the local
+    height at a prime p is v_p of that lcm times log p."""
+    D = lcm(*(c.denominator for c in u.coords))
+    return LogReal.log_of_int(D) + _arch_height(u.coords)
 
 
 def standard_height(u: TorusPoint) -> LogReal:
@@ -157,27 +173,25 @@ def _as_torus(u) -> TorusPoint:
 
 def h_sbar(u, S: PlaceSet) -> LogReal:
     """Non-S height: sum over v not in S of lambda_v(u) + lambda_v(1/u),
-    for a scalar or a torus point.  Zero exactly on S-unit points."""
-    pt = _as_torus(u)
-    inv = pt.inverse()
-    total = LogReal.zero()
-    for v in relevant_places(*pt.coords):
-        if v in S:
-            continue
-        total = total + torus_local_height(pt, v) + torus_local_height(inv, v)
+    for a scalar or a torus point.  Zero exactly on S-unit points.
+
+    The finite places give log of lcm(denominators) * lcm(|numerators|) with
+    the primes of S divided out; the archimedean terms of u and 1/u count
+    only when oo is not in S."""
+    coords = _as_torus(u).coords
+    D = lcm(*(c.denominator for c in coords))
+    N = lcm(*(c.numerator for c in coords))
+    _, rest = _split_primes(D * N, S.finite_primes)
+    total = LogReal.log_of_int(rest)
+    if not S.contains_archimedean:
+        total = total + _arch_height(coords) + _arch_height([1 / c for c in coords])
     return total
 
 
 def h_sbar_standard(u, S: PlaceSet) -> LogReal:
-    """Non-S height in the standard (coordinate-sum) normalization."""
-    pt = _as_torus(u)
-    total = LogReal.zero()
-    for v in relevant_places(*pt.coords):
-        if v in S:
-            continue
-        for c in pt.coords:
-            total = total + local_height(c, v) + local_height(1 / c, v)
-    return total
+    """Non-S height in the standard (coordinate-sum) normalization: the sum
+    of the coordinates' non-S heights."""
+    return logreal_sum(h_sbar(c, S) for c in _as_torus(u).coords)
 
 
 def is_almost_unit(u, cfg: AlmostUnitConfig) -> bool:
@@ -200,9 +214,12 @@ def is_quasi_s_integer(x: Fraction, S: PlaceSet, eps: Fraction) -> bool:
     x = Fraction(x)
     if x == 0:
         raise DomainError("quasi-S-integer test needs nonzero input")
-    lhs = logreal_sum(
-        local_height(x, v) for v in relevant_places(x) if v in S
-    )
+    # lambda_p(x) = v_p(denominator) log p, so the finite places of S sum to
+    # the log of the S-part of the denominator
+    _, rest = _split_primes(x.denominator, S.finite_primes)
+    lhs = LogReal.log_of_int(x.denominator // rest)
+    if S.contains_archimedean:
+        lhs = lhs + _arch_height([x])
     diff = lhs - Fraction(eps) * height(x)
     return diff.sign() >= 0
 

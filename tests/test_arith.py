@@ -2,6 +2,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from gcdlab.arith import (
     _iroot,
     factorize,
@@ -12,6 +14,7 @@ from gcdlab.arith import (
     solve_in_row_lattice,
     sqrt_fraction_exact,
 )
+from gcdlab.places import DomainError, PlaceSet
 
 
 def naive_is_prime(n):
@@ -90,3 +93,45 @@ def test_integer_kernel():
             sum(k[i] * rows[i][c] for i in range(3)) == 0 for c in range(2)
         )
     assert integer_kernel([[1, 0], [0, 1]]) == []
+
+
+# psi_t: the least strong pseudoprime to all of the first t prime bases
+# (Sorenson and Webster, Math. Comp. 2017)
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(81)
+    cases = [2047, 1373653, 25326001, 3215031751, 2152302898747,
+             3474749660383, 341550071728321, 3825123056546413051, PSI_12,
+             PSI_13 - 2, 2**61 - 1]
+    cases += [rng.randrange(2**81) for _ in range(300)]
+    cases += [sympy.randprime(2, 2**81) for _ in range(50)]
+    cases += [sympy.randprime(2, 2**40) * sympy.randprime(2, 2**41) for _ in range(50)]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_psi_12_is_composite():
+    assert not is_prime(PSI_12)
+    with pytest.raises(DomainError):
+        PlaceSet.of(PSI_12)
+
+
+def test_uncertified_primality_raises():
+    # psi_13 passes all 13 witnesses: above the bound that proves nothing
+    with pytest.raises(ValueError, match="not certified"):
+        is_prime(PSI_13)
+    with pytest.raises(ValueError, match="not certified"):
+        factorize(2**89 - 1)
+    with pytest.raises(ValueError, match="not certified"):
+        factorize(3 * (2**107 - 1))
+
+
+def test_factorize_beyond_the_witness_bound():
+    # composites above the bound are still split: a witness proves them
+    # composite at any size
+    assert factorize(10007**9) == {10007: 9}
+    assert factorize(2**103 + 1) == {3: 1, 415141630193: 1, 8142767081771726171: 1}

@@ -110,6 +110,16 @@ def test_unit_eq_cli_and_truncation(capsys, tmp_path):
     assert "TRUNCATED" in stdout
 
 
+def test_uncertified_prime_is_precondition_failure(capsys, tmp_path):
+    # 2^89 - 1 is prime but above the Miller-Rabin bound: reported, not hung
+    code, _, err = run_cli(
+        capsys, "unit-eq", "--primes", "2,618970019642690137449562111",
+        "--out", str(tmp_path / "ue.csv"),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "not certified" in err
+
+
 def test_bad_config_is_precondition_failure(capsys, tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"epsilon": "1/2"}))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcdlab.gengcd import log_gcd, log_gcd_outside, log_gcd_within
+from gcdlab.gengcd import _finite_core, log_gcd, log_gcd_outside, log_gcd_within
 from gcdlab.heights import height
 from gcdlab.logreal import LogReal
 from gcdlab.places import DomainError, PlaceSet
@@ -106,3 +106,44 @@ def test_nonnegativity():
         assert log_gcd(a, b).sign() >= 0
         assert log_gcd_within(a, b, PlaceSet.of(2)).sign() >= 0
         assert log_gcd_outside(a, b, PlaceSet.of(2)).sign() >= 0
+
+
+def test_finite_core_matches_valuation_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+
+    def v(x, p):
+        # p-adic valuation; infinite for zero
+        if x == 0:
+            return math.inf
+        return sympy.multiplicity(p, x.numerator) - sympy.multiplicity(p, x.denominator)
+
+    smooth = st.builds(
+        lambda e2, e3, e5, k: 2**e2 * 3**e3 * 5**e5 * k,
+        st.integers(0, 12), st.integers(0, 8), st.integers(0, 6), st.integers(1, 10**4),
+    )
+    rationals = st.builds(
+        lambda sign, num, den: Fraction(sign * num, den),
+        st.sampled_from((-1, 0, 1)), smooth, smooth,
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(a=rationals, b=rationals)
+    def check(a, b):
+        hypothesis.assume(a != 0 or b != 0)
+        primes = set()
+        for x in (a, b):
+            primes.update(sympy.factorint(x.numerator))
+            primes.update(sympy.factorint(x.denominator))
+        primes.discard(-1)
+        primes.discard(0)
+        M = 1
+        for p in primes:
+            M *= p ** max(0, min(v(a, p), v(b, p)))
+        L = math.lcm(a.denominator, b.denominator)
+        assert _finite_core(a, b) == (M, L)
+        if a.denominator == b.denominator == 1:
+            assert _finite_core(a.numerator, b.numerator) == (M, 1)
+
+    check()

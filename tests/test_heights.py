@@ -17,6 +17,7 @@ from gcdlab.heights import (
     proj_height,
     relevant_places,
     standard_height,
+    torus_local_height,
     torus_height,
     tuple_heights,
 )
@@ -232,3 +233,83 @@ def _log_abs_global(value):
     # sum over all places of log|value|_v is zero; the global height pairing
     # leaves d*h(P) plus nothing, so the expected correction term is zero
     return LogReal.zero()
+
+
+def _outside(S, places):
+    return [v for v in places if v not in S]
+
+
+def test_closed_forms_match_per_place_sums():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rationals = st.builds(
+        Fraction,
+        st.integers(-10**8, 10**8).filter(bool),
+        st.integers(1, 10**8),
+    )
+    place_sets = st.builds(
+        lambda primes, arch: PlaceSet.of(*primes, archimedean=arch),
+        st.sets(st.sampled_from((2, 3, 5, 7, 11))),
+        st.booleans(),
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        coords=st.lists(rationals, min_size=1, max_size=4),
+        S=place_sets,
+        eps=st.fractions(min_value=0, max_value=2, max_denominator=50),
+    )
+    def check(coords, S, eps):
+        u = TorusPoint(coords)
+        places = relevant_places(*coords)
+        assert torus_height(u) == logreal_sum(torus_local_height(u, v) for v in places)
+        inv = u.inverse()
+        assert h_sbar(u, S) == logreal_sum(
+            torus_local_height(u, v) + torus_local_height(inv, v)
+            for v in _outside(S, places)
+        )
+        assert h_sbar_standard(u, S) == logreal_sum(
+            local_height(c, v) + local_height(1 / c, v)
+            for v in _outside(S, places) for c in coords
+        )
+        x = coords[0]
+        in_S = logreal_sum(local_height(x, v) for v in relevant_places(x) if v in S)
+        assert is_quasi_s_integer(x, S, eps) == ((in_S - eps * height(x)).sign() >= 0)
+
+    check()
+
+
+def test_sharpness_at_m_start_120_finishes():
+    # P = (2^m, 2^n (2^m + 1)) with S = {oo, 2}: h(P) = n log 2 + log(2^m + 1)
+    # and h_sbar(P) = log(2^m + 1); the finite parts were once found by
+    # factoring 2^m + 1
+    from gcdlab.harness import run_sharpness
+
+    report = run_sharpness(2, Fraction(1, 5), 1, m_start=120)
+    [row] = report.rows
+    tail = LogReal.log_of_int(2**row.m + 1)
+    assert (row.m, row.bound_ok) == (120, True)
+    assert row.h_P == LogReal({2: row.n}) + tail
+    assert row.h_sbar_P == tail
+
+
+def test_heights_with_200_bit_prime_factors():
+    sympy = pytest.importorskip("sympy")
+    p = sympy.nextprime(2**200)
+    q = sympy.nextprime(2**199)
+    r = sympy.nextprime(2**199 + 2**198)
+    u = TorusPoint([Fraction(4 * p, 3 * q), Fraction(r, 8)])
+    S = PlaceSet.of(2)
+    # lcm(3q, 8) * lcm(4p, r) = 96pqr; r/8 is the largest coordinate
+    assert torus_height(u) == LogReal({3: 1, q: 1, r: 1})
+    assert h_sbar(u, S) == LogReal({3: 1, p: 1, q: 1, r: 1})
+    assert h_sbar_standard(u, S) == LogReal({3: 1, p: 1, q: 1, r: 1})
+    # without oo in S the archimedean terms of u and 1/u join: log(r/8) + 0
+    no_oo = PlaceSet.of(2, archimedean=False)
+    assert h_sbar(u, no_oo) == LogReal({2: -3, 3: 1, p: 1, q: 1, r: 2})
+    assert h_sbar(Fraction(9 * p, 2 * q), PlaceSet.of(3)) == LogReal({2: 1, p: 1, q: 1})
+    # the S-part of the denominator of x = r / (8q) is 8, and h(x) = log 8q
+    x = Fraction(r, 8 * q)
+    assert is_quasi_s_integer(x, S, Fraction(1, 100))
+    assert not is_quasi_s_integer(x, S, Fraction(1, 50))
