@@ -64,16 +64,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Inner rho iterations allowed per composite, summed over restarts.  The
+# 2^38.6 factor of 2^103 + 1 takes about 553k; a factor near 2^64 would take
+# billions, so such an input raises instead of running for hours.
+RHO_STEP_BUDGET = 1 << 21
+
+
 def _pollard_rho(n: int) -> int:
     # n odd composite, not a prime power of a small prime
     if n % 2 == 0:
         return 2
     x0 = 2
     c = 1
+    steps = 0
     while True:
         x = y = x0
         d = 1
         while d == 1:
+            if steps == RHO_STEP_BUDGET:
+                raise ValueError(
+                    f"factorization of {n} exceeded {RHO_STEP_BUDGET} "
+                    "Pollard rho steps"
+                )
+            steps += 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
@@ -84,8 +97,25 @@ def _pollard_rho(n: int) -> int:
         c += 2
 
 
+def _split_primes(n: int, primes) -> tuple[dict[int, int], int]:
+    """Divide the given primes out of a nonzero integer n: returns
+    ({p: v_p(n)} for the primes that divide n, in the order given, and the
+    cofactor of n prime to all of them)."""
+    exponents: dict[int, int] = {}
+    for p in primes:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            exponents[p] = e
+    return exponents, n
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer as {prime: exponent}."""
+    """Prime factorization of a positive integer as {prime: exponent}.
+    Raises ValueError when a composite part outlasts RHO_STEP_BUDGET or a
+    prime part cannot be certified (see is_prime)."""
     if n <= 0:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: lrs-scan, poly-gcd, example-pk, sharpness, rec1-scan, unit-eq,
-hilbert-verify.  Each takes --config <json> (schema documented in the
-README) and/or direct flags, writes CSV to --out (path or '-'), and prints a
-short summary.  Exit codes: 0 success, 2 precondition failure, 3 budget
+hilbert-verify.  Each but hilbert-verify takes --config <json> (schema
+documented in the README) and/or direct flags; poly-gcd and hilbert-verify
+also take --seed.  Each writes CSV to --out (path or '-') and prints a short
+summary.  Exit codes: 0 success, 2 precondition failure, 3 budget
 truncation, 4 a sign that interval arithmetic left undecided."""
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def cmd_example_pk(args) -> int:
     header = ("k", "m", "n", "value_equal", "lhs_decimal", "threshold_decimal",
               "flagged", "in_tube")
     rows = [
-        (r.k, r.m, r.n, int(r.value_equal), r.lhs.decimal(12),
+        (r.k, r.m, r.n, int(r.value_equal), r.lhs.decimal(harness.CSV_DIGITS),
          f"{float(r.threshold):.6f}", int(r.flagged), int(r.in_tube))
         for r in report.rows
     ]
@@ -159,8 +160,9 @@ def cmd_sharpness(args) -> int:
     header = ("m", "n", "h_decimal", "h_sbar_decimal", "lhs_decimal",
               "bound_ok", "ratio")
     rows = [
-        (r.m, r.n, r.h_P.decimal(12), r.h_sbar_P.decimal(12),
-         r.lhs.decimal(12), int(r.bound_ok), f"{r.ratio:.6f}")
+        (r.m, r.n, r.h_P.decimal(harness.CSV_DIGITS),
+         r.h_sbar_P.decimal(harness.CSV_DIGITS), r.lhs.decimal(harness.CSV_DIGITS),
+         int(r.bound_ok), f"{r.ratio:.6f}")
         for r in report.rows
     ]
     _write_csv(args.out, header, rows)
@@ -199,10 +201,8 @@ def cmd_unit_eq(args) -> int:
     S = PlaceSet(True, tuple(int(p) for p in primes))
     n = int(cfg.get("n", args.n))
     bound = int(cfg.get("bound", args.bound))
-    delta = cfg.get("delta")
-    delta = parse_rational(str(delta)) if delta is not None else None
     budget = int(cfg.get("budget", 2_000_000))
-    report = harness.solve_unit_equation(S, n, bound, delta, budget)
+    report = harness.solve_unit_equation(S, n, bound, budget=budget)
     header = tuple(f"x{i}" for i in range(n + 1)) + ("degenerate",)
     rows = [
         tuple(format_rational(c) for c in x) + ("0",) for x in report.solutions
@@ -245,9 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    def out(p):
+        p.add_argument("--out", default="-", help="CSV output path or '-'")
+
     def common(p):
         p.add_argument("--config", help="JSON config path or '-' for stdin")
-        p.add_argument("--out", default="-", help="CSV output path or '-'")
+        out(p)
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
     p = sub.add_parser("lrs-scan", help="gcd grid scan of two recurrences")
@@ -256,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poly-gcd", help="sampled polynomial gcd inequality audit")
     common(p)
+    seed(p)
     p.set_defaults(fn=cmd_poly_gcd)
 
     p = sub.add_parser("example-pk", help="prime-power coincidence family")
@@ -284,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_unit_eq)
 
     p = sub.add_parser("hilbert-verify", help="combinatorial oracle sweep")
-    common(p)
+    out(p)
+    seed(p)
     p.set_defaults(fn=cmd_hilbert_verify)
 
     return ap

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as igcd, lcm as ilcm
 
+from .arith import _split_primes
 from .logreal import LogReal
 from .places import DomainError, PlaceSet
 
@@ -30,18 +31,6 @@ def _arch_term(a: Fraction, b: Fraction) -> LogReal:
     if mx < 1:
         return LogReal.log_of_fraction(1 / mx)
     return LogReal.zero()
-
-
-def _split_primes(M: int, primes) -> tuple[dict[int, int], int]:
-    parts: dict[int, int] = {}
-    for p in primes:
-        e = 0
-        while M % p == 0:
-            M //= p
-            e += 1
-        if e:
-            parts[p] = e
-    return parts, M
 
 
 def log_gcd(a: Fraction, b: Fraction) -> LogReal:

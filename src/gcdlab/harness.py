@@ -18,7 +18,7 @@ from math import floor, gcd as igcd
 
 import mpmath
 
-from .gengcd import _finite_core, _split_primes, log_gcd, log_gcd_outside, log_gcd_within
+from .gengcd import _finite_core, log_gcd, log_gcd_outside, log_gcd_within
 from .heights import (
     AlmostUnitConfig,
     TorusPoint,
@@ -32,7 +32,7 @@ from .logreal import LogReal, escalating_sign, fraction_interval, logreal_sum
 from .lrs import PowerSum, _zero_structure, compute_S0
 from .multipoly import MultiPoly
 from .places import DomainError, PlaceSet, format_rational, support_primes
-from .arith import sqrt_fraction_exact
+from .arith import _split_primes, sqrt_fraction_exact
 
 
 # ---------------------------------------------------------------------
@@ -183,7 +183,7 @@ def _cluster_flagged(flagged: list[ScanRow], max_ab: int, kappa: int):
         unassigned = [r for r in unassigned if (r.m, r.n) not in assignment]
         if not unassigned:
             break
-    return clusters, assignment, unassigned
+    return clusters, assignment
 
 
 def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
@@ -235,7 +235,7 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
             if rows is not None:
                 rows.append(row)
 
-    clusters, assignment, sporadic = _cluster_flagged(
+    clusters, assignment = _cluster_flagged(
         flagged, cfg.tube_max_ab, cfg.tube_kappa
     )
     # rewrite rows with cluster ids (rows are frozen; rebuild the flagged ones)
@@ -264,14 +264,18 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
     )
 
 
-def scan_csv_rows(report: ScanReport, digits: int = 12):
+# significant digits of every decimal column in the CLI's CSVs
+CSV_DIGITS = 12
+
+
+def scan_csv_rows(report: ScanReport):
     """Rows for the scan CSV: m, n, lhs_logreal, lhs_decimal,
     threshold_decimal, flagged, cluster_id, notes."""
     if report.rows is None:
         raise DomainError("scan was run without keep_rows")
     eps = report.config.epsilon
     thresholds = [
-        mpmath.nstr(mpmath.mpf(t.numerator) / t.denominator, digits)
+        mpmath.nstr(mpmath.mpf(t.numerator) / t.denominator, CSV_DIGITS)
         for t in (eps * mx for mx in range(report.config.N + 1))
     ]
     for r in report.rows:
@@ -280,7 +284,7 @@ def scan_csv_rows(report: ScanReport, digits: int = 12):
             r.m,
             r.n,
             str(lhs),
-            lhs.decimal(digits),
+            lhs.decimal(CSV_DIGITS),
             thresholds[max(r.m, r.n)],
             int(r.flagged),
             r.cluster if r.cluster is not None else "",
@@ -472,16 +476,12 @@ def _neg_log_within(value: Fraction, S: PlaceSet) -> LogReal:
     """sum over v in S of log^- |value|_v (a nonpositive LogReal)."""
     if value == 0:
         raise DomainError("zero value")
-    from .places import valuation as val
-
     total = LogReal.zero()
     if S.contains_archimedean and abs(value) < 1:
         total = total + LogReal.log_of_fraction(value)  # log|value| < 0
-    for p in S.finite_primes:
-        w = val(value, p)
-        if w > 0:  # |value|_p < 1
-            total = total + LogReal({p: Fraction(-w)})
-    return total
+    # |value|_p < 1 exactly at the primes of the numerator
+    exps, _ = _split_primes(abs(value.numerator), S.finite_primes)
+    return total + LogReal({p: Fraction(-w) for p, w in exps.items()})
 
 
 POLY_GCD_CSV_HEADER = (
@@ -491,34 +491,34 @@ POLY_GCD_CSV_HEADER = (
 )
 
 
-def poly_gcd_csv_rows(report: PolyGcdReport, digits: int = 12):
+def poly_gcd_csv_rows(report: PolyGcdReport):
     cfg = report.config
     consts = report.constants
-    with mpmath.workdps(digits + 10):
+    with mpmath.workdps(CSV_DIGITS + 10):
         sqrt_delta = mpmath.sqrt(
             mpmath.mpf(cfg.delta.numerator) / cfg.delta.denominator
         )
         for r in report.rows:
-            h = mpmath.mpf(r.h_sum.decimal(digits + 5)) if not r.h_sum.is_zero else mpmath.mpf(0)
-            rhs_main = mpmath.nstr(consts.C_main * sqrt_delta * h, digits)
-            rhs_comb = mpmath.nstr(consts.C_combined * sqrt_delta * h, digits)
+            h = mpmath.mpf(r.h_sum.decimal(CSV_DIGITS + 5)) if not r.h_sum.is_zero else mpmath.mpf(0)
+            rhs_main = mpmath.nstr(consts.C_main * sqrt_delta * h, CSV_DIGITS)
+            rhs_comb = mpmath.nstr(consts.C_combined * sqrt_delta * h, CSV_DIGITS)
             if report.spart_degree is not None:
                 rhs_spart = mpmath.nstr(
                     4 * cfg.f.nvars * report.spart_degree
                     * mpmath.mpf(cfg.delta.numerator) / cfg.delta.denominator * h,
-                    digits,
+                    CSV_DIGITS,
                 )
             else:
                 rhs_spart = ""
             yield (
                 r.index,
                 "(" + ", ".join(format_rational(c) for c in r.u) + ")",
-                r.h_sum.decimal(digits),
-                r.lhs_outside.decimal(digits),
+                r.h_sum.decimal(CSV_DIGITS),
+                r.lhs_outside.decimal(CSV_DIGITS),
                 rhs_main,
-                r.lhs_within.decimal(digits),
+                r.lhs_within.decimal(CSV_DIGITS),
                 rhs_spart,
-                r.lhs_total.decimal(digits),
+                r.lhs_total.decimal(CSV_DIGITS),
                 rhs_comb,
                 _tri(r.main_ok), _tri(r.spart_ok), _tri(r.combined_ok),
                 r.note,

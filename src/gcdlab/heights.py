@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .gengcd import _split_primes
+from .arith import _split_primes
 from .logreal import LogReal, logreal_sum
 from .places import DomainError, Place, PlaceSet, support_primes, valuation
 

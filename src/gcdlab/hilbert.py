@@ -308,7 +308,7 @@ def greedy_dominance_violations(gb: GreedyBasis):
 class InequalityConstants:
     """The explicit constants of the polynomial gcd inequalities for a pair
     of degrees (d1, d2) in n variables at a rational delta, plus the
-    single-form S-part data for a form of degree d."""
+    single-form S-part data for a form of degree d = min(d1, d2)."""
 
     n: int
     d1: int
@@ -360,15 +360,14 @@ def i_spart(n: int, d: int, m: int) -> int:
 
 
 def inequality_constants(
-    n: int, d1: int, d2: int, delta: Fraction, d: int | None = None
+    n: int, d1: int, d2: int, delta: Fraction
 ) -> InequalityConstants:
     if min(n, d1, d2) < 1:
         raise DomainError("n, d1, d2 must be positive")
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise DomainError("delta must lie in (0, 1)")
-    if d is None:
-        d = min(d1, d2)
+    d = min(d1, d2)
     m_spart = ceil_spart_degree(n, d)
     if m_spart > 2 * n:
         raise ArithmeticError("degree choice exceeded 2n")

@@ -17,9 +17,10 @@ from typing import Iterable, Mapping
 
 import mpmath
 
-from .arith import SMALL_PRIMES, factorize, perfect_power
+from .arith import SMALL_PRIMES, _split_primes, factorize, perfect_power
 
 _SPLIT_BOUND = 1000  # bases get their prime factors below this split off
+_SPLIT_PRIMES = tuple(p for p in SMALL_PRIMES if p < _SPLIT_BOUND)
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1 << 16
@@ -97,16 +98,12 @@ def _canonicalize(items: dict[int, Fraction]) -> dict[int, Fraction]:
             base = root
             coeff = coeff * k
         if base < _SPLIT_BOUND * _SPLIT_BOUND:
-            for p, e in factorize(base).items():
-                push(out, p, coeff * e)
+            parts, base = factorize(base), 1
         else:
-            for p in SMALL_PRIMES:
-                if p >= _SPLIT_BOUND:
-                    break
-                while base % p == 0:
-                    base //= p
-                    push(out, p, coeff)
-            push(out, base, coeff)
+            parts, base = _split_primes(base, _SPLIT_PRIMES)
+        for p, e in parts.items():
+            push(out, p, coeff * e)
+        push(out, base, coeff)
     return out
 
 

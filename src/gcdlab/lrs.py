@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .arith import hnf_with_transform, integer_kernel, solve_in_row_lattice
+from .arith import _split_primes, hnf_with_transform, integer_kernel, solve_in_row_lattice
 from .heights import height
 from .linalg import LinearSpan
 from .logreal import LogReal
@@ -381,19 +381,11 @@ class RootGroup:
         x = Fraction(x)
         if x == 0:
             raise DomainError("zero is not in the multiplicative group")
-        vec = []
-        for p in self.primes:
-            vec.append(valuation(x, p))
-        num = abs(x.numerator)
-        den = x.denominator
-        for p, e in zip(self.primes, vec):
-            if e > 0:
-                num //= p**e
-            elif e < 0:
-                den //= p ** (-e)
+        up, num = _split_primes(abs(x.numerator), self.primes)
+        down, den = _split_primes(x.denominator, self.primes)
         if num != 1 or den != 1:
             raise DomainError(f"{x} is not supported on the group primes")
-        return vec
+        return [up.get(p, 0) - down.get(p, 0) for p in self.primes]
 
     def express(self, x: Fraction) -> list[int]:
         """Integer exponents e with x == prod generators^e, exactly."""
@@ -479,11 +471,8 @@ def compute_S0(roots_f: Iterable[Fraction], roots_g: Iterable[Fraction]) -> Plac
     if not roots:
         return PlaceSet(False, ())
     arch = all(abs(r) < 1 for r in roots)
-    # a prime of the first root's denominator has negative valuation there,
-    # so the filter keeps only primes of its numerator
-    primes = [
-        p for p in support_primes(roots[0]) if all(valuation(r, p) > 0 for r in roots)
-    ]
+    # v_p(r) > 0 exactly when p divides r's numerator
+    primes = support_primes(math.gcd(*(r.numerator for r in roots)))
     return PlaceSet(arch, tuple(primes))
 
 
@@ -518,26 +507,15 @@ def laurent_identity_holds(F: PowerSum, group: RootGroup, upto: int = 5) -> bool
     return True
 
 
-def lrs_coprime(F: PowerSum, G: PowerSum, split_torsion: bool = False) -> bool:
+def lrs_coprime(F: PowerSum, G: PowerSum) -> bool:
     """Coprimality of the Laurent polynomials attached to F and G over the
-    combined root group.  With torsion (some ratio of roots is -1), the
-    sequences are split over even/odd indices first when ``split_torsion``
-    is set, and both classes must be coprime; otherwise torsion is an error."""
+    combined root group.  A group with torsion (some ratio of roots is -1)
+    raises DomainError."""
     from .multipoly import coprime as poly_coprime
 
     if F.is_zero or G.is_zero:
         raise DomainError("coprimality with the zero sequence is undefined")
     combined = root_group(F.roots + G.roots)
-    if combined.has_torsion:
-        if not split_torsion:
-            raise DomainError("root group has torsion; pass split_torsion=True")
-        for r in (0, 1):
-            Fr, Gr = F.compose_ap(2, r), G.compose_ap(2, r)
-            if Fr.is_zero or Gr.is_zero:
-                return False
-            if not lrs_coprime(Fr, Gr, split_torsion=False):
-                return False
-        return True
     f = to_laurent(F, combined)
     g = to_laurent(G, combined)
     _, f0 = f.normalize()

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import factorize, is_prime
+from .arith import _split_primes, factorize, is_prime
 from .logreal import LogReal
 
 
@@ -99,16 +99,9 @@ def valuation(x: Fraction, p: int) -> int:
         raise DomainError("valuation of zero is undefined")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    v = 0
-    n = abs(x.numerator)
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = x.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    up, _ = _split_primes(abs(x.numerator), (p,))
+    down, _ = _split_primes(x.denominator, (p,))
+    return up.get(p, 0) - down.get(p, 0)
 
 
 def log_abs(x: Fraction, v: Place) -> LogReal:

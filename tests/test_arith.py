@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from gcdlab.arith import (
+    RHO_STEP_BUDGET,
     _iroot,
+    _split_primes,
     factorize,
     hnf_with_transform,
     integer_kernel,
@@ -135,3 +137,41 @@ def test_factorize_beyond_the_witness_bound():
     # composite at any size
     assert factorize(10007**9) == {10007: 9}
     assert factorize(2**103 + 1) == {3: 1, 415141630193: 1, 8142767081771726171: 1}
+
+
+def test_split_primes_matches_sympy_multiplicity():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    primes = (2, 3, 5, 7, 11, 13, 10007)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        exps=st.lists(st.integers(0, 9), min_size=len(primes), max_size=len(primes)),
+        k=st.integers(-10**6, 10**6).filter(bool),
+        chosen=st.lists(st.sampled_from(primes + (17, 19, 23)), unique=True),
+    )
+    def check(exps, k, chosen):
+        n = k
+        for p, e in zip(primes, exps):
+            n *= p**e
+        got, rest = _split_primes(n, chosen)
+        want = {p: sympy.multiplicity(p, n) for p in chosen}
+        assert got == {p: e for p, e in want.items() if e}
+        assert list(got) == [p for p in chosen if want[p]]
+        divisor = 1
+        for p, e in got.items():
+            divisor *= p**e
+        assert rest * divisor == n
+        assert all(rest % p for p in chosen)
+
+    check()
+
+
+def test_factorize_step_budget_raises():
+    # two primes near 2^64: rho would need billions of steps
+    p = 18446744073709551629  # the least prime above 2^64
+    q = 18446744073709551653  # the next one
+    assert is_prime(p) and is_prime(q)
+    with pytest.raises(ValueError, match=f"exceeded {RHO_STEP_BUDGET} Pollard rho steps"):
+        factorize(p * q)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gcdlab import harness
+from gcdlab import arith, harness
 from gcdlab.cli import EXIT_UNDECIDED, main
 from gcdlab.logreal import PrecisionExhausted
 
@@ -142,3 +142,49 @@ def test_prec_flag_is_gone(capsys):
         main(["poly-gcd", "--prec", "128"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --prec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[sub, "--seed", "1"] for sub in ("lrs-scan", "example-pk", "sharpness", "rec1-scan", "unit-eq")]
+    + [["hilbert-verify", "--config", "cfg.json"]],
+)
+def test_unread_flags_are_gone(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+
+def test_unit_eq_does_not_classify_almost_units(capsys, tmp_path, monkeypatch):
+    # the CSV and summary print no almost-unit flags, so none are computed
+    def unused(*args, **kwargs):
+        raise AssertionError("is_almost_unit called")
+
+    monkeypatch.setattr(harness, "is_almost_unit", unused)
+    cfg_path = tmp_path / "ue.json"
+    cfg_path.write_text(json.dumps({"primes": [2, 3], "n": 1, "bound": 2, "delta": "1/3"}))
+    code, _, _ = run_cli(
+        capsys, "unit-eq", "--config", str(cfg_path), "--out", str(tmp_path / "ue.csv")
+    )
+    assert code == 0
+
+
+def test_rho_budget_is_precondition_failure(capsys, tmp_path, monkeypatch):
+    # every root numerator is a product of two primes near 2^64, so S0 needs
+    # a factorization that Pollard rho cannot finish within its budget; a
+    # smaller budget keeps the test quick and takes the same path
+    monkeypatch.setattr(arith, "RHO_STEP_BUDGET", 1 << 12)
+    pq = 18446744073709551629 * 18446744073709551653
+    cfg = {
+        "F": {"terms": [{"coeff": ["1"], "root": str(pq)}]},
+        "G": {"terms": [{"coeff": ["1"], "root": f"{pq}/3"}]},
+        "N": 3,
+    }
+    cfg_path = tmp_path / "scan.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(
+        capsys, "lrs-scan", "--config", str(cfg_path), "--out", str(tmp_path / "s.csv")
+    )
+    assert code == 2
+    assert err.startswith("error: factorization of") and "Pollard rho steps" in err

@@ -16,6 +16,7 @@ from gcdlab.harness import (
     run_sharpness,
     sharpness_window_holds,
     solve_unit_equation,
+    _neg_log_within,
     _unflagged_bits,
     tube_inequality_holds,
 )
@@ -23,7 +24,7 @@ from gcdlab.heights import height
 from gcdlab.logreal import LogReal
 from gcdlab.lrs import PowerSum, zero_scan
 from gcdlab.multipoly import parse_poly
-from gcdlab.places import DomainError, Place, PlaceSet
+from gcdlab.places import DomainError, Place, PlaceSet, log_abs
 
 
 def test_scan_pk_small_grid():
@@ -370,3 +371,30 @@ def test_unit_equation_delta_classification():
     assert rep.almost_unit_flags is not None
     for x, flags in rep.almost_unit_flags.items():
         assert all(flags)  # exact S-units are almost units at any delta
+
+
+def test_neg_log_within_matches_log_abs_sum():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    smooth = st.builds(
+        lambda e2, e3, e5, k: 2**e2 * 3**e3 * 5**e5 * k,
+        st.integers(0, 10), st.integers(0, 6), st.integers(0, 4), st.integers(1, 500),
+    )
+    place_sets = st.builds(
+        lambda arch, primes: PlaceSet(arch, tuple(primes)),
+        st.booleans(), st.lists(st.sampled_from((2, 3, 5, 7, 11)), unique=True),
+    )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(num=smooth, den=smooth, sign=st.sampled_from((-1, 1)), S=place_sets)
+    def check(num, den, sign, S):
+        x = Fraction(sign * num, den)
+        # sum over v in S of min(0, log|x|_v)
+        want = LogReal.zero()
+        for v in S.places():
+            term = log_abs(x, v)
+            if term.sign() < 0:
+                want = want + term
+        assert _neg_log_within(x, S) == want
+
+    check()

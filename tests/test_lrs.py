@@ -150,6 +150,55 @@ def test_compute_S0_examples():
     assert compute_S0([Fraction(2, 3), Fraction(4, 5)], [Fraction(2, 7)]) == PlaceSet(True, (2,))
 
 
+def test_compute_S0_matches_definition():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(480)
+    for _ in range(200):
+        roots_f, roots_g = (
+            [Fraction(rng.choice((-1, 1)) * rng.randint(1, 400), rng.randint(1, 60))
+             for _ in range(rng.randint(1, 3))]
+            for _ in range(2)
+        )
+        roots = roots_f + roots_g
+        candidates = set()
+        for r in roots:
+            candidates.update(sympy.primefactors(r.numerator))
+            candidates.update(sympy.primefactors(r.denominator))
+        # every root has |r|_p < 1, that is v_p(r) > 0
+        want = sorted(
+            p for p in candidates
+            if all(sympy.multiplicity(p, r.numerator) > sympy.multiplicity(p, r.denominator)
+                   for r in roots)
+        )
+        arch = all(abs(r) < 1 for r in roots)
+        assert compute_S0(roots_f, roots_g) == PlaceSet(arch, tuple(want))
+
+
+def test_exponent_vector_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(384)
+    for _ in range(100):
+        roots = [
+            Fraction(rng.randint(-30, 30) or 7, rng.randint(1, 30))
+            for _ in range(rng.randint(1, 3))
+        ]
+        rg = root_group(roots)
+        for _ in range(5):
+            x = Fraction(rng.choice((-1, 1)))
+            for p in rg.primes:
+                x *= Fraction(p) ** rng.randint(-6, 6)
+            want = [
+                sympy.multiplicity(p, x.numerator) - sympy.multiplicity(p, x.denominator)
+                for p in rg.primes
+            ]
+            assert rg.exponent_vector(x) == want
+            # a prime outside the support, in the numerator or denominator
+            outside = next(q for q in (31, 37, 41) if q not in rg.primes)
+            for y in (x * outside, x / outside):
+                with pytest.raises(DomainError, match="not supported"):
+                    rg.exponent_vector(y)
+
+
 def test_to_laurent_examples():
     rg = root_group([Fraction(2)])
     f = to_laurent(PowerSum.of(([0, 1], 2), ([1], 1)), rg)

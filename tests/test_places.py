@@ -34,6 +34,28 @@ def test_valuation_examples():
         valuation(Fraction(3), 4)
 
 
+def test_valuation_matches_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    smooth = st.builds(
+        lambda e2, e3, e7, k: 2**e2 * 3**e3 * 7**e7 * k,
+        st.integers(0, 20), st.integers(0, 9), st.integers(0, 5), st.integers(1, 10**5),
+    )
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        num=smooth, den=smooth, sign=st.sampled_from((-1, 1)),
+        p=st.sampled_from((2, 3, 5, 7, 101)),
+    )
+    def check(num, den, sign, p):
+        x = Fraction(sign * num, den)
+        want = sympy.multiplicity(p, x.numerator) - sympy.multiplicity(p, x.denominator)
+        assert valuation(x, p) == want
+
+    check()
+
+
 def test_log_abs_examples():
     assert log_abs(Fraction(6), Place.finite(2)) == LogReal({2: -1})
     assert log_abs(Fraction(6), Place.archimedean()) == LogReal({2: 1, 3: 1})
