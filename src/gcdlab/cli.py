@@ -132,14 +132,9 @@ def cmd_example_pk(args) -> int:
     epsilon = parse_rational(str(cfg.get("epsilon", args.epsilon)))
     kmax = int(cfg.get("kmax", args.kmax))
     report = harness.run_example_pk(p, epsilon, kmax)
-    header = ("k", "m", "n", "value_equal", "lhs_decimal", "threshold_decimal",
-              "flagged", "in_tube")
-    rows = [
-        (r.k, r.m, r.n, int(r.value_equal), r.lhs.decimal(harness.CSV_DIGITS),
-         f"{float(r.threshold):.6f}", int(r.flagged), int(r.in_tube))
-        for r in report.rows
-    ]
-    _write_csv(args.out, header, rows)
+    _write_csv(
+        args.out, harness.EXAMPLE_PK_CSV_HEADER, harness.example_pk_csv_rows(report)
+    )
     all_ok = all(r.value_equal and r.flagged and r.in_tube for r in report.rows)
     _summary(
         f"example-pk p={p}: {len(report.rows)} coincidences, all flagged+in-tube: "
@@ -157,15 +152,9 @@ def cmd_sharpness(args) -> int:
     trials = int(cfg.get("trials", args.trials))
     m_start = int(cfg.get("m_start", 4))
     report = harness.run_sharpness(p, delta, trials, m_start)
-    header = ("m", "n", "h_decimal", "h_sbar_decimal", "lhs_decimal",
-              "bound_ok", "ratio")
-    rows = [
-        (r.m, r.n, r.h_P.decimal(harness.CSV_DIGITS),
-         r.h_sbar_P.decimal(harness.CSV_DIGITS), r.lhs.decimal(harness.CSV_DIGITS),
-         int(r.bound_ok), f"{r.ratio:.6f}")
-        for r in report.rows
-    ]
-    _write_csv(args.out, header, rows)
+    _write_csv(
+        args.out, harness.SHARPNESS_CSV_HEADER, harness.sharpness_csv_rows(report)
+    )
     _summary(
         f"sharpness p={p} delta={delta}: {len(report.rows)} window-certified "
         f"pairs, all >= delta/2*h: {all(r.bound_ok for r in report.rows)}; "

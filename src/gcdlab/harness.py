@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd as igcd
+from typing import NamedTuple
 
 import mpmath
 
@@ -61,8 +62,9 @@ class ScanConfig:
             raise DomainError(f"unknown scan mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
+    """One grid cell; a tuple, because a full-grid scan builds N^2 of them."""
+
     m: int
     n: int
     core: int                # finite-place gcd part outside S, an integer
@@ -207,6 +209,7 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
 
     rows: list[ScanRow] | None = [] if cfg.keep_rows else None
     flagged: list[ScanRow] = []
+    flagged_at: list[int] = []   # index in rows of each flagged row
     zero_rows: list[tuple[int, int, str]] = []
     eps = cfg.epsilon
     max_bits = [_unflagged_bits(eps, mx) for mx in range(N + 1)]
@@ -233,20 +236,21 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
             if is_flagged:
                 flagged.append(row)
             if rows is not None:
+                if is_flagged:
+                    flagged_at.append(len(rows))
                 rows.append(row)
 
     clusters, assignment = _cluster_flagged(
         flagged, cfg.tube_max_ab, cfg.tube_kappa
     )
-    # rewrite rows with cluster ids (rows are frozen; rebuild the flagged ones)
     flagged = [
         ScanRow(r.m, r.n, r.core, r.arch, True, assignment.get((r.m, r.n)),
                 "" if (r.m, r.n) in assignment else "sporadic")
         for r in flagged
     ]
     if rows is not None:
-        by_key = {(r.m, r.n): r for r in flagged}
-        rows = [by_key.get((r.m, r.n), r) for r in rows]
+        for i, r in zip(flagged_at, flagged):
+            rows[i] = r
     sporadic = [r for r in flagged if r.cluster is None]
     return ScanReport(
         config=cfg,
@@ -278,13 +282,18 @@ def scan_csv_rows(report: ScanReport):
         mpmath.nstr(mpmath.mpf(t.numerator) / t.denominator, CSV_DIGITS)
         for t in (eps * mx for mx in range(report.config.N + 1))
     ]
+    # rows repeat few (core, arch) values: render each of them once
+    rendered: dict[tuple[int, Fraction | None], tuple[str, str]] = {}
     for r in report.rows:
-        lhs = r.lhs
+        key = (r.core, r.arch)
+        text = rendered.get(key)
+        if text is None:
+            lhs = r.lhs
+            text = rendered[key] = (str(lhs), lhs.decimal(CSV_DIGITS))
         yield (
             r.m,
             r.n,
-            str(lhs),
-            lhs.decimal(CSV_DIGITS),
+            *text,
             thresholds[max(r.m, r.n)],
             int(r.flagged),
             r.cluster if r.cluster is not None else "",
@@ -589,6 +598,20 @@ def run_example_pk(p: int, epsilon: Fraction, kmax: int) -> PkReport:
     return PkReport(p, epsilon, rows, max_col, kappa_hat)
 
 
+EXAMPLE_PK_CSV_HEADER = (
+    "k", "m", "n", "value_equal", "lhs_decimal", "threshold_decimal",
+    "flagged", "in_tube",
+)
+
+
+def example_pk_csv_rows(report: PkReport):
+    for r in report.rows:
+        yield (
+            r.k, r.m, r.n, int(r.value_equal), r.lhs.decimal(CSV_DIGITS),
+            f"{float(r.threshold):.6f}", int(r.flagged), int(r.in_tube),
+        )
+
+
 def _max_collinear(points: list[tuple[int, int]]) -> int:
     if len(points) < 3:
         return len(points)
@@ -687,6 +710,19 @@ def run_sharpness(p: int, delta: Fraction, trials: int,
         )
         m += 1
     return SharpnessReport(p, delta, rows, skipped)
+
+
+SHARPNESS_CSV_HEADER = (
+    "m", "n", "h_decimal", "h_sbar_decimal", "lhs_decimal", "bound_ok", "ratio",
+)
+
+
+def sharpness_csv_rows(report: SharpnessReport):
+    for r in report.rows:
+        yield (
+            r.m, r.n, r.h_P.decimal(CSV_DIGITS), r.h_sbar_P.decimal(CSV_DIGITS),
+            r.lhs.decimal(CSV_DIGITS), int(r.bound_ok), f"{r.ratio:.6f}",
+        )
 
 
 # ---------------------------------------------------------------------

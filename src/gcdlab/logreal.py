@@ -274,13 +274,20 @@ class LogReal:
         return total
 
     def decimal(self, digits: int = 20) -> str:
-        """Decimal approximation, deterministic for a given digit count."""
+        """Decimal approximation, deterministic for a given digit count;
+        "0" for every representation of zero."""
         if not self._coeffs:
             return "0"
         with mpmath.workdps(digits + 10):
-            total = mpmath.mpf(0)
+            total = size = mpmath.mpf(0)
             for b, c in sorted(self._coeffs.items()):
-                total += mpmath.mpf(c.numerator) / c.denominator * mpmath.log(b)
+                term = mpmath.mpf(c.numerator) / c.denominator * mpmath.log(b)
+                total += term
+                size += abs(term)
+            # a sum lost in its rounding error may be an exact zero whose
+            # bases are not yet coprime, like log(8) - 3*log(2)
+            if abs(total) <= size * mpmath.mpf(10) ** -digits and self.is_zero:
+                return "0"
             return mpmath.nstr(total, digits)
 
     def __str__(self) -> str:

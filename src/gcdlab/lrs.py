@@ -26,7 +26,6 @@ from .places import (
     format_rational,
     parse_rational,
     support_primes,
-    valuation,
 )
 
 Coeffs = tuple[Fraction, ...]
@@ -381,11 +380,7 @@ class RootGroup:
         x = Fraction(x)
         if x == 0:
             raise DomainError("zero is not in the multiplicative group")
-        up, num = _split_primes(abs(x.numerator), self.primes)
-        down, den = _split_primes(x.denominator, self.primes)
-        if num != 1 or den != 1:
-            raise DomainError(f"{x} is not supported on the group primes")
-        return [up.get(p, 0) - down.get(p, 0) for p in self.primes]
+        return _exponent_vector(x, self.primes)
 
     def express(self, x: Fraction) -> list[int]:
         """Integer exponents e with x == prod generators^e, exactly."""
@@ -412,14 +407,23 @@ class RootGroup:
             return False
 
 
+def _exponent_vector(x: Fraction, primes: tuple[int, ...]) -> list[int]:
+    """[v_p(x) for p in primes] for a nonzero rational x, from one split of
+    |numerator| and one of the denominator; DomainError if a prime outside
+    primes divides x."""
+    up, num = _split_primes(abs(x.numerator), primes)
+    down, den = _split_primes(x.denominator, primes)
+    if num != 1 or den != 1:
+        raise DomainError(f"{x} is not supported on the group primes")
+    return [up.get(p, 0) - down.get(p, 0) for p in primes]
+
+
 def root_group(roots: Iterable[Fraction]) -> RootGroup:
     roots = tuple(Fraction(r) for r in roots)
     if any(r == 0 for r in roots):
         raise DomainError("roots must be nonzero")
     primes = tuple(support_primes(*roots)) if roots else ()
-    rows = []
-    for r in roots:
-        rows.append([valuation(r, p) for p in primes])
+    rows = [_exponent_vector(r, primes) for r in roots]
     if rows:
         H, T = hnf_with_transform(rows)
         nonzero = [i for i in range(len(rows)) if any(H[i])]

@@ -175,3 +175,22 @@ def test_factorize_step_budget_raises():
     assert is_prime(p) and is_prime(q)
     with pytest.raises(ValueError, match=f"exceeded {RHO_STEP_BUDGET} Pollard rho steps"):
         factorize(p * q)
+
+
+def test_factorize_matches_sympy_factorint():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    # below 2^62 every composite has a factor under 2^31, which rho finds in
+    # about 2^16 steps, far inside RHO_STEP_BUDGET
+    prime = st.integers(2, 2**31).map(sympy.nextprime)
+    semiprime = st.tuples(prime, prime).map(lambda pq: pq[0] * pq[1])
+    power = st.tuples(prime, st.integers(1, 5)).filter(
+        lambda pe: pe[0] ** pe[1] < 2**62).map(lambda pe: pe[0] ** pe[1])
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.one_of(st.integers(1, 2**62), semiprime, power))
+    def check(n):
+        assert factorize(n) == sympy.factorint(n)
+
+    check()

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,3 +190,47 @@ def test_rho_budget_is_precondition_failure(capsys, tmp_path, monkeypatch):
     )
     assert code == 2
     assert err.startswith("error: factorization of") and "Pollard rho steps" in err
+
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parent.parent / "bench" / "reference.json").read_text()
+)
+
+
+def _csv_digest(capsys, tmp_path, *argv):
+    out = tmp_path / "out.csv"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    return code, hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def test_csvs_match_the_benchmark_reference_digests(capsys, tmp_path):
+    """Byte identity of the README scan, every example-pk input and three
+    sharpness inputs against the digests the benchmark checks."""
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({
+        "F": {"terms": [{"coeff": ["0", "1"], "root": "2"}, {"coeff": ["1"], "root": "1"}]},
+        "G": {"terms": [{"coeff": ["1"], "root": "2"}, {"coeff": ["1"], "root": "1"}]},
+        "epsilon": "3/5",
+        "N": 150,
+        "mode": "full-grid",
+        "extra_S": {"archimedean": False, "primes": []},
+        "tube_max_ab": 8,
+        "tube_kappa": 16,
+    }))
+    assert _csv_digest(capsys, tmp_path, "lrs-scan", "--config", str(cfg)) == (
+        0, REFERENCE["scan_csv"]["lrs-scan p=2 eps=3/5 N=150"]
+    )
+    audit = REFERENCE["audit"]
+    pk_labels = [label for label in audit if label.startswith("example-pk ")]
+    assert len(pk_labels) == 16
+    for label in pk_labels:
+        fields = dict(part.split("=") for part in label.split()[1:])
+        got = _csv_digest(capsys, tmp_path, "example-pk", "--p", fields["p"],
+                          "--epsilon", fields["eps"], "--kmax", fields["kmax"])
+        assert got == (audit[label]["exit"], audit[label]["sha256"]), label
+    for m_start in (6, 50, 126):
+        label = f"sharpness p=2 delta=1/5 m_start={m_start}"
+        cfg.write_text(json.dumps({"m_start": m_start}))
+        got = _csv_digest(capsys, tmp_path, "sharpness", "--config", str(cfg),
+                          "--p", "2", "--delta", "1/5", "--trials", "1")
+        assert got == (audit[label]["exit"], audit[label]["sha256"]), label

@@ -169,6 +169,50 @@ def test_scan_rows_match_log_gcd_outside_oracle():
     assert saw_arch
 
 
+def test_scan_csv_rows_match_per_row_rendering():
+    from gcdlab.harness import CSV_DIGITS, scan_csv_rows
+
+    F, G = pk_sequences(2)
+    # a tube too narrow for most flagged pairs, so some rows are sporadic
+    narrow = ScanConfig(F, G, Fraction(3, 5), 30, tube_max_ab=1, tube_kappa=1)
+    saw_arch = saw_zero = saw_sporadic = False
+    for cfg in (*_oracle_scans(), narrow):
+        rep = run_lrs_scan(cfg)
+        rendered = list(scan_csv_rows(rep))
+        assert len(rendered) == len(rep.rows)
+        for out, r in zip(rendered, rep.rows):
+            lhs = r.lhs
+            t = cfg.epsilon * max(r.m, r.n)
+            assert out == (
+                r.m, r.n, str(lhs), lhs.decimal(CSV_DIGITS),
+                mpmath.nstr(mpmath.mpf(t.numerator) / t.denominator, CSV_DIGITS),
+                int(r.flagged), "" if r.cluster is None else r.cluster, r.note,
+            )
+        saw_arch = saw_arch or any(r.arch is not None for r in rep.rows)
+        saw_zero = saw_zero or bool(rep.zero_rows)
+        saw_sporadic = saw_sporadic or bool(rep.sporadic)
+    assert saw_arch and saw_zero and saw_sporadic
+
+
+def test_kept_rows_carry_the_flagged_rows_cluster_ids():
+    F, G = pk_sequences(2)
+    narrow = ScanConfig(F, G, Fraction(3, 5), 30, tube_max_ab=1, tube_kappa=1)
+    for cfg in (*_oracle_scans(), narrow):
+        rep = run_lrs_scan(cfg)
+        by_key = {(r.m, r.n): r for r in rep.flagged}
+        assert rep.rows == [by_key.get((r.m, r.n), r) for r in rep.rows]
+        assert [r for r in rep.rows if r.flagged] == rep.flagged
+        cluster_of = {mn: c.cluster_id for c in rep.clusters for mn in c.members}
+        for r in rep.flagged:
+            assert r.cluster == cluster_of.get((r.m, r.n))
+            assert r.note == ("sporadic" if r.cluster is None else "")
+        assert rep.sporadic == [r for r in rep.flagged if r.cluster is None]
+        zero_notes = {(m, n): note for m, n, note in rep.zero_rows}
+        for r in rep.rows:
+            if not r.flagged:
+                assert r.cluster is None and r.note == zero_notes.get((r.m, r.n), "")
+
+
 def test_ln2_upper_bound_exceeds_ln2():
     with mpmath.workdps(60):
         gap = mpmath.mpf(LN2_UPPER.numerator) / LN2_UPPER.denominator - mpmath.log(2)

@@ -136,3 +136,77 @@ def test_escalating_sign_ladder():
     assert escalating_sign(tiny) == 1
     assert seen == [DEFAULT_PRECISION, 2 * DEFAULT_PRECISION]
     assert mpmath.iv.prec == before
+
+
+def _logreal_cases(st):
+    """(LogReal, its terms): a few c*log(b) terms plus some exact zeros
+    written non-canonically as c*log(b^k) - k*c*log(b)."""
+    term = st.tuples(st.integers(2, 200),
+                     st.fractions(-20, 20, max_denominator=12))
+    power = st.tuples(st.integers(2, 20), st.integers(2, 4),
+                      st.fractions(-9, 9, max_denominator=5))
+
+    def build(terms, powers):
+        terms = list(terms) + [t for b, k, c in powers for t in ((b**k, c), (b, -k * c))]
+        x = LogReal.zero()
+        for b, c in terms:
+            x = x + LogReal({b: c})
+        return x, terms
+
+    return st.builds(build, st.lists(term, max_size=4), st.lists(power, max_size=2))
+
+
+def _mp_sum(terms, logs):
+    """sum c * log(b) at the current mpmath precision, logs cached by base."""
+    total = mpmath.mpf(0)
+    for b, c in terms:
+        if b not in logs:
+            logs[b] = mpmath.log(b)
+        total += mpmath.mpf(c.numerator) / c.denominator * logs[b]
+    return total
+
+
+def test_sign_and_cmp_match_mpmath_at_4096_bits():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    logs = {}
+
+    @hypothesis.settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(case=_logreal_cases(st),
+                      const=st.fractions(-60, 60, max_denominator=20),
+                      near=st.booleans())
+    def check(case, const, near):
+        x, terms = case
+        with mpmath.workprec(4096):
+            value = _mp_sum(terms, logs)
+            # a nonzero value here is irrational and far above 2^-4000
+            value_sign = 0 if abs(value) < mpmath.mpf(2) ** -4000 else int(mpmath.sign(value))
+            if near and value_sign:   # a constant within 1e-20 of the value
+                const = Fraction(mpmath.nstr(value, 20, min_fixed=-1, max_fixed=-1))
+            diff = value - mpmath.mpf(const.numerator) / const.denominator
+        want = int(mpmath.sign(diff)) if value_sign else (const < 0) - (const > 0)
+        assert x.cmp(const) == want
+        assert x.sign() == value_sign
+
+    check()
+
+
+def test_decimal_matches_mpmath_nstr():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    logs = {}
+
+    @hypothesis.settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(case=_logreal_cases(st), canonical=st.booleans())
+    def check(case, canonical):
+        x, terms = case
+        if canonical:
+            str(x)
+        got = x.decimal(12)
+        if x.is_zero:
+            assert float(got) == 0
+            return
+        with mpmath.workprec(4096):
+            assert got == mpmath.nstr(_mp_sum(terms, logs), 12)
+
+    check()

@@ -303,3 +303,34 @@ def test_json_roundtrip():
     assert power_sum_from_json({"terms": []}).is_zero
     G = PowerSum.of(([Fraction(1, 2)], Fraction(3, 2)))
     assert power_sum_from_json(power_sum_to_json(G)) == G
+
+
+def test_root_group_rows_match_sympy_multiplicity():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    from gcdlab.arith import hnf_with_transform
+    from gcdlab.lrs import _exponent_vector
+
+    nonzero = st.integers(-5000, 5000).filter(bool)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.lists(st.tuples(nonzero, st.integers(1, 3000)), min_size=1, max_size=5))
+    def check(pairs):
+        roots = [Fraction(a, b) for a, b in pairs]
+        rg = root_group(roots)
+        want_primes = set()
+        for r in roots:
+            want_primes.update(sympy.primefactors(r.numerator))
+            want_primes.update(sympy.primefactors(r.denominator))
+        assert set(rg.primes) == want_primes
+        rows = [
+            [sympy.multiplicity(p, r.numerator) - sympy.multiplicity(p, r.denominator)
+             for p in rg.primes]
+            for r in roots
+        ]
+        assert [_exponent_vector(r, rg.primes) for r in roots] == rows
+        H, _ = hnf_with_transform(rows)
+        assert rg.basis == tuple(tuple(h) for h in H if any(h))
+
+    check()

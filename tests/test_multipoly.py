@@ -213,3 +213,26 @@ def test_vanishes_at_origin():
     assert parse_poly("x1 + x2", nvars=2).vanishes_at_origin()
     assert not parse_poly("x1 + 1", nvars=2).vanishes_at_origin()
     assert MultiPoly.zero(2).vanishes_at_origin()
+
+
+def test_poly_gcd_matches_sympy_up_to_a_unit():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1729)
+    for _ in range(60):
+        nvars = rng.randint(1, 3)
+        common = rand_poly(rng, nvars, 2, terms=3)
+        f = rand_poly(rng, nvars, 2, terms=3) * common
+        g = rand_poly(rng, nvars, 2, terms=3) * common
+        if f.is_zero or g.is_zero:
+            continue
+        xs = sympy.symbols(f"x1:{nvars + 1}")
+
+        def to_sympy(p):
+            expr = sum(
+                sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**k for x, k in zip(xs, e)))
+                for e, c in p.terms.items()
+            )
+            return sympy.Poly(expr, *xs, domain="QQ")
+
+        want = sympy.gcd(to_sympy(f), to_sympy(g))
+        assert to_sympy(poly_gcd(f, g)).monic() == want.monic()
