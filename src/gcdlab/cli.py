@@ -42,10 +42,10 @@ def _place_set(data, default_arch=True) -> PlaceSet:
         return PlaceSet(default_arch, ())
     if isinstance(data, list):
         return PlaceSet(default_arch, tuple(int(p) for p in data))
-    return PlaceSet(
-        bool(data.get("archimedean", default_arch)),
-        tuple(int(p) for p in data.get("primes", ())),
-    )
+    arch = data.get("archimedean", default_arch)
+    if not isinstance(arch, bool):
+        raise DomainError(f"'archimedean' must be a JSON true or false, not {arch!r}")
+    return PlaceSet(arch, tuple(int(p) for p in data.get("primes", ())))
 
 
 @contextmanager

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
@@ -54,22 +55,17 @@ def _column_index(monomials) -> dict[tuple[int, ...], int]:
     return {e: j for j, e in enumerate(monomials)}
 
 
-def _unit(n: int, j: int) -> list[int]:
-    vec = [0] * n
-    vec[j] = 1
-    return vec
-
-
-def _coordinate_rows(column: dict, products) -> list[list]:
-    """Coordinate rows, under a monomial -> column index, of the products
-    x^a * F, given as (a, F) pairs; zero entries are plain 0."""
-    rows = []
-    for a, F in products:
-        row = [0] * len(column)
-        for e, c in F.terms.items():
-            row[column[tuple(x + y for x, y in zip(a, e))]] = c
-        rows.append(row)
-    return rows
+def _multiple_rows(column: dict, F: MultiPoly, multipliers) -> list[dict[int, int]]:
+    """Sparse {column: int} coordinate rows, under a monomial -> column
+    index, of the products x^a * F for a in multipliers, with F scaled by
+    the lcm of its coefficient denominators: an integral generator of the
+    same span."""
+    s = math.lcm(*(c.denominator for c in F.terms.values()))
+    terms = [(e, c.numerator * (s // c.denominator)) for e, c in F.terms.items()]
+    return [
+        {column[tuple(map(operator.add, a, e))]: c for e, c in terms}
+        for a in multipliers
+    ]
 
 
 def multiindex_sum(n: int, m: int) -> tuple[int, ...]:
@@ -112,13 +108,15 @@ def graded_ideal_rank(F1: MultiPoly, F2: MultiPoly, l: int) -> int:
     return rational_rank(rows) if rows else 0
 
 
-def _graded_multiple_rows(F1: MultiPoly, F2: MultiPoly, l: int) -> list[list]:
+def _graded_multiple_rows(F1: MultiPoly, F2: MultiPoly, l: int) -> list[dict[int, int]]:
     """Rows of the degree-l monomial multiples of F1, then of F2."""
     nvars = F1.nvars
-    return _coordinate_rows(
-        _column_index(monomials_exact(nvars, l)),
-        ((a, F) for F in (F1, F2) for a in monomials_exact(nvars, l - F.degree())),
-    )
+    column = _column_index(monomials_exact(nvars, l))
+    return [
+        row
+        for F in (F1, F2)
+        for row in _multiple_rows(column, F, monomials_exact(nvars, l - F.degree()))
+    ]
 
 
 def quotient_monomial_basis(F1: MultiPoly, F2: MultiPoly, m: int) -> list[tuple[int, ...]]:
@@ -131,7 +129,7 @@ def quotient_monomial_basis(F1: MultiPoly, F2: MultiPoly, m: int) -> list[tuple[
         span.add(row)
     basis = []
     for j, e in enumerate(monomials):
-        if span.add(_unit(len(monomials), j)):
+        if span.add({j: 1}):
             basis.append(e)
     return basis
 
@@ -184,10 +182,11 @@ class TruncatedIdeal:
     def nvars(self) -> int:
         return self.f.nvars
 
-    def _vector(self, p: MultiPoly) -> list:
+    def _vector(self, p: MultiPoly) -> dict[int, Fraction]:
+        """p's coordinates, unscaled: the residual of p itself is returned."""
         if p.degree() > self.m:
             raise DomainError("degree exceeds the truncation bound")
-        return _coordinate_rows(self.column, [((0,) * self.nvars, p)])[0]
+        return {self.column[e]: c for e, c in p.terms.items()}
 
     def contains(self, p: MultiPoly) -> bool:
         """Membership of a degree-<= m polynomial, by exact reduction."""
@@ -207,10 +206,9 @@ def truncated_ideal(f: MultiPoly, g: MultiPoly, m: int) -> TruncatedIdeal:
     monomials = monomials_upto(nvars, m)
     column = _column_index(monomials)
     span = LinearSpan(len(monomials))
-    for row in _coordinate_rows(
-        column, ((a, h) for h in (f, g) for a in monomials_upto(nvars, m - h.degree()))
-    ):
-        span.add(row)
+    for h in (f, g):
+        for row in _multiple_rows(column, h, monomials_upto(nvars, m - h.degree())):
+            span.add(row)
     N = span.rank
     return TruncatedIdeal(f, g, m, monomials, column, span, N, len(monomials) - N)
 
@@ -238,7 +236,7 @@ class GreedyBasis:
     def reduce_monomial(self, e) -> dict[tuple[int, ...], Fraction]:
         """Coefficients c with x^e == sum c_j x^(i_j) modulo the ideal."""
         T = self.ideal
-        residual, tag = self._span.reduce(_unit(len(T.monomials), T.column[tuple(e)]))
+        residual, tag = self._span.reduce({T.column[tuple(e)]: 1})
         if any(residual):
             raise DomainError("monomial independent of ideal + basis")
         return {
@@ -271,13 +269,13 @@ def greedy_monomial_basis(T: TruncatedIdeal, u: TorusPoint, v: Place) -> GreedyB
     candidates = sorted(T.monomials, key=cmp_to_key(compare))
     n = len(T.monomials)
     span = LinearSpan(n, ntags=T.Nprime)
-    for row in T.span.rows:
-        span.add(row)
+    # the ideal's rows, untagged: adding them again would reduce each to itself
+    span.rows = dict(T.span.rows)
     chosen: list[tuple[int, ...]] = []
     for e in candidates:
         if len(chosen) == T.Nprime:
             break
-        if span.add(_unit(n, T.column[e]), _unit(T.Nprime, len(chosen))):
+        if span.add({T.column[e]: 1}, {len(chosen): 1}):
             chosen.append(e)
     if len(chosen) != T.Nprime:
         raise ArithmeticError("quotient basis construction failed")
@@ -438,10 +436,8 @@ def veronese_rank(basis: PowerBasis) -> int:
     """Exact rank of the power basis inside the degree m*d forms (full rank
     equals C(n + m*d, n))."""
     nvars = basis.F.nvars
-    origin = (0,) * nvars
+    column = _column_index(monomials_exact(nvars, basis.m * basis.F.degree()))
+    origin = [(0,) * nvars]
     return rational_rank(
-        _coordinate_rows(
-            _column_index(monomials_exact(nvars, basis.m * basis.F.degree())),
-            ((origin, p) for p in basis.elements),
-        )
+        [row for p in basis.elements for row in _multiple_rows(column, p, origin)]
     )

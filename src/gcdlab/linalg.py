@@ -1,98 +1,141 @@
 """Exact linear algebra over Q by one fraction-free elimination: an echelon
-span of integer rows with expression tracking (for quotient-space work),
-which also gives the ranks of the brute-force dimension checks.  The step
-w <- a*w - c*row with content division is Bareiss's integer-preserving
-elimination (Math. Comp. 22, 1968); no Fraction is built inside it."""
+span of sparse integer rows with expression tracking (for quotient-space
+work), which also gives the ranks of the brute-force dimension checks.  A
+row is one {column: int} dict of its nonzero entries, so an elimination
+touches only those.  The step w <- a*w - c*row with content division is
+Bareiss's integer-preserving elimination (Math. Comp. 22, 1968); no Fraction
+is built inside it."""
 
 from __future__ import annotations
 
-from bisect import bisect
+from collections.abc import Mapping
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Sequence
+
+# a vector or tag: dense, or sparse as {index: value}
+Vector = Sequence | Mapping
+
+
+def _nonzero(vector: Vector, offset: int = 0) -> dict:
+    """The nonzero entries of a dense or sparse vector, keyed by index + offset."""
+    items = vector.items() if isinstance(vector, Mapping) else enumerate(vector)
+    return {offset + j: x for j, x in items if x}
 
 
 class LinearSpan:
     """Row space in echelon form over Q with optional tag tracking.
 
-    Each stored row is one list of ints, the vector followed by its tag,
-    scaled together to coprime integers with a positive pivot (its first
-    nonzero vector entry).  Eliminations act on vector and tag alike, so a
+    Each stored row is one sparse {column: int} dict, the vector at columns
+    0..ncols-1 followed by its tag at ncols..ncols+ntags-1, scaled together
+    to coprime integers with a positive pivot (its smallest vector column);
+    rows are kept by pivot.  Eliminations act on vector and tag alike, so a
     caller can attach meaning to tags (here: coordinates with respect to a
     chosen set of quotient monomials) and read exact expression
     coefficients back off reductions.  Older rows are not back-eliminated:
     the residual of a reduction is the unique member of v + span that
     vanishes on every pivot, and the tag is a linear function on the
     independent rows added, so both depend only on the vectors added, not
-    on the echelon basis kept."""
+    on the echelon basis kept.
+
+    Vectors and tags may be given dense or as {index: value} mappings."""
 
     def __init__(self, ncols: int, ntags: int = 0):
         self.ncols = ncols
         self.ntags = ntags
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vector: Sequence, tag: Sequence | None) -> tuple[list[int], int]:
-        """(w, s) with w / s the residual followed by the accumulated tag,
-        w integral and gcd(s, *w) == 1."""
-        entries = list(vector) + (list(tag) if tag is not None else [0] * self.ntags)
-        s = lcm(*(x.denominator for x in entries))
-        w = [x.numerator * (s // x.denominator) for x in entries]
-        for row, p in zip(self.rows, self.pivots):
-            c = w[p]
+    def _reduce(self, vector: Vector, tag: Vector | None) -> tuple[dict[int, int], int]:
+        """(w, s) with w / s the nonzero entries of the residual followed by
+        the accumulated tag, w integral and gcd(s, *w.values()) == 1."""
+        w = _nonzero(vector)
+        if tag is not None:
+            w.update(_nonzero(tag, self.ncols))
+        s = lcm(*(x.denominator for x in w.values()))
+        w = {j: x.numerator * (s // x.denominator) for j, x in w.items()}
+        rows = self.rows
+        # pivot columns of w, cleared in increasing order: a row is zero
+        # before its pivot, so clearing one fills in only later columns
+        todo = [j for j in w if j in rows]
+        heapify(todo)
+        while todo:
+            p = heappop(todo)
+            c = w.get(p)
             if not c:
                 continue
+            row = rows[p]
             a = row[p]
             g = gcd(a, c)
             a, c = a // g, c // g
-            w = [a * x - c * y for x, y in zip(w, row)]
-            s *= a
-            g = gcd(s, *w)
-            if g > 1:
-                w = [x // g for x in w]
-                s //= g
+            if a != 1:
+                w = {j: a * x for j, x in w.items()}
+                s *= a
+            for j, y in row.items():
+                if j in w:
+                    x = w[j] - c * y
+                    if x:
+                        w[j] = x
+                    else:
+                        del w[j]
+                else:
+                    w[j] = -c * y
+                    if j in rows:
+                        heappush(todo, j)
+            if s != 1:
+                g = gcd(s, *w.values())
+                if g > 1:
+                    w = {j: x // g for j, x in w.items()}
+                    s //= g
         return w, s
 
-    def reduce(self, vector: Sequence, tag: Sequence | None = None):
-        """Residual of a vector against the span, with the accumulated tag."""
+    def reduce(self, vector: Vector, tag: Vector | None = None):
+        """Residual of a vector against the span, with the accumulated tag,
+        as dense lists of Fractions."""
         w, s = self._reduce(vector, tag)
-        out = [Fraction(x, s) for x in w]
+        zero = Fraction(0)
+        out = [zero] * (self.ncols + self.ntags)
+        for j, x in w.items():
+            out[j] = Fraction(x, s)
         return out[: self.ncols], out[self.ncols :]
 
-    def contains(self, vector: Sequence) -> bool:
+    def contains(self, vector: Vector) -> bool:
         w, _ = self._reduce(vector, None)
-        return not any(w[: self.ncols])
+        return min(w, default=self.ncols) >= self.ncols
 
-    def add(self, vector: Sequence, tag: Sequence | None = None) -> bool:
+    def add(self, vector: Vector, tag: Vector | None = None) -> bool:
         """Insert a vector; returns False if it was already in the span."""
         w, _ = self._reduce(vector, tag)
-        pivot = next((j for j in range(self.ncols) if w[j]), None)
-        if pivot is None:
+        pivot = min(w, default=self.ncols)
+        if pivot >= self.ncols:
             return False
-        g = gcd(*w)
+        g = gcd(*w.values())
         if w[pivot] < 0:
             g = -g
-        at = bisect(self.pivots, pivot)
-        self.rows.insert(at, [x // g for x in w])
-        self.pivots.insert(at, pivot)
+        self.rows[pivot] = {j: x // g for j, x in w.items()}
         return True
 
 
-def int_rank(rows: list[list]) -> int:
-    """Exact rank over Q of a matrix of ints (or Fractions)."""
+def int_rank(rows: list[Vector]) -> int:
+    """Exact rank over Q of a matrix of ints (or Fractions), with rows dense
+    or sparse as {column: value}."""
     if not rows:
         return 0
-    span = LinearSpan(len(rows[0]))
+    if isinstance(rows[0], Mapping):
+        ncols = 1 + max(max(row, default=-1) for row in rows)
+    else:
+        ncols = len(rows[0])
+    span = LinearSpan(ncols)
     for row in rows:
         span.add(row)
     return span.rank
 
 
-def rational_rank(rows: list[list]) -> int:
+def rational_rank(rows: list[Vector]) -> int:
     """Exact rank of a matrix of ints and Fractions over Q (the span clears
     each row's denominators)."""
     return int_rank(rows)

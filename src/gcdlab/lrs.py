@@ -302,9 +302,7 @@ def from_recurrence(relation: Sequence, initial: Sequence) -> PowerSum:
     unknown_slots = [(root, j) for root in sorted(mult) for j in range(mult[root])]
     span = LinearSpan(d, ntags=d)
     for k, (root, j) in enumerate(unknown_slots):
-        unit = [0] * d
-        unit[k] = 1
-        if not span.add([Fraction(n) ** j * root**n for n in range(d)], unit):
+        if not span.add([Fraction(n) ** j * root**n for n in range(d)], {k: 1}):
             raise ArithmeticError("singular system")
     _, tag = span.reduce(init)
     terms: dict[Fraction, list[Fraction]] = {r: [Fraction(0)] * mult[r] for r in mult}

@@ -234,3 +234,22 @@ def test_csvs_match_the_benchmark_reference_digests(capsys, tmp_path):
         got = _csv_digest(capsys, tmp_path, "sharpness", "--config", str(cfg),
                           "--p", "2", "--delta", "1/5", "--trials", "1")
         assert got == (audit[label]["exit"], audit[label]["sha256"]), label
+
+
+def test_archimedean_flag_must_be_a_json_bool(capsys, tmp_path):
+    """The string "false" once read as true through bool() and put oo in S."""
+    cfg = tmp_path / "scan.json"
+    base = {
+        "F": {"terms": [{"coeff": ["0", "1"], "root": "2"}, {"coeff": ["1"], "root": "1"}]},
+        "G": {"terms": [{"coeff": ["1"], "root": "2"}, {"coeff": ["1"], "root": "1"}]},
+        "epsilon": "3/5",
+        "N": 10,
+    }
+    cfg.write_text(json.dumps({**base, "extra_S": {"archimedean": "false", "primes": []}}))
+    code, _, err = run_cli(capsys, "lrs-scan", "--config", str(cfg), "--out", str(tmp_path / "a.csv"))
+    assert code == 2
+    assert "archimedean" in err
+    cfg.write_text(json.dumps({**base, "extra_S": {"archimedean": False, "primes": []}}))
+    code, out, _ = run_cli(capsys, "lrs-scan", "--config", str(cfg), "--out", str(tmp_path / "b.csv"))
+    assert code == 0
+    assert "S={}" in out

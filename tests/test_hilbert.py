@@ -321,3 +321,101 @@ def test_quotient_bound_for_n_at_least_2():
         assert T.Nprime <= bound
         assert T.N * n >= comb(m + n, n)
         done += 1
+
+
+def _sympy_rank(vectors, column):
+    """sympy's rank over QQ of {monomial: coefficient} vectors, under a
+    monomial -> column index; independent of gcdlab's elimination."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    QQ = sympy.QQ
+    entries = {}
+    for i, v in enumerate(vectors):
+        row = {column[e]: QQ(c.numerator, c.denominator) for e, c in v.items() if c}
+        if row:
+            entries[i] = row
+    return DomainMatrix(entries, (len(vectors), len(column)), QQ).rank()
+
+
+def _exponents(nvars, degrees):
+    """All exponent tuples whose total degree is in degrees, lex sorted."""
+    return [e for e in itertools.product(range(max(degrees, default=0) + 1), repeat=nvars)
+            if sum(e) in degrees]
+
+
+def _multiples(nvars, F, degrees):
+    """The terms of x^a * F for every a of total degree in degrees."""
+    return [(MultiPoly.monomial(nvars, a) * F).terms for a in _exponents(nvars, degrees)]
+
+
+def _fraction_poly(rng, nvars, degrees):
+    """2 to 4 terms of the given total degrees with Fraction coefficients,
+    so that generators need their denominators cleared."""
+    monos = _exponents(nvars, degrees)
+    return MultiPoly(nvars, {
+        e: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+        for e in rng.sample(monos, min(len(monos), rng.randint(2, 4)))
+    })
+
+
+def test_reduce_monomial_matches_sympy_membership():
+    """x^e - sum c_j x^(i_j) lies in the span of the truncated ideal's
+    generators, by sympy's rank with and without it."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    places = [Place.archimedean(), Place.finite(2), Place.finite(3)]
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 2**32))
+    def check(seed):
+        rng = random.Random(seed)
+        f, g = (_fraction_poly(rng, 2, range(rng.randint(1, 2) + 1)) for _ in range(2))
+        m = rng.randint(max(f.degree(), g.degree()), 4)
+        T = truncated_ideal(f, g, m)
+        column = {e: j for j, e in enumerate(_exponents(2, range(m + 1)))}
+        generators = [
+            terms for h in (f, g)
+            for terms in _multiples(2, h, range(m - h.degree() + 1))
+        ]
+        rank = _sympy_rank(generators, column)
+        assert rank == T.N
+        u = TorusPoint([Fraction(rng.choice([-3, -2, 2, 3]), rng.randint(1, 4))
+                        for _ in range(2)])
+        gb = greedy_monomial_basis(T, u, rng.choice(places))
+        basis = [{e: Fraction(1)} for e in gb.monomials]
+        assert _sympy_rank(generators + basis, column) == rank + T.Nprime == len(column)
+        for e in column:
+            v = {e: Fraction(1)}
+            for mono, c in gb.reduce_monomial(e).items():
+                v[mono] = v.get(mono, 0) - c
+            assert _sympy_rank(generators + [v], column) == rank, e
+
+    check()
+
+
+def test_quotient_monomial_basis_matches_sympy_greedy_selection():
+    """The graded-lex greedy choice of monomials independent of the degree-m
+    piece of (F1, F2), made with sympy's ranks (coprime or not)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 2**32), st.integers(1, 2), st.integers(1, 2),
+                      st.integers(1, 2), st.integers(0, 5))
+    def check(seed, n, d1, d2, m):
+        rng = random.Random(seed)
+        F1, F2 = _fraction_poly(rng, n + 1, [d1]), _fraction_poly(rng, n + 1, [d2])
+        monomials = _exponents(n + 1, [m])
+        column = {e: j for j, e in enumerate(monomials)}
+        kept = [terms for F in (F1, F2) for terms in _multiples(n + 1, F, [m - F.degree()])]
+        rank = _sympy_rank(kept, column)
+        chosen = []
+        for e in monomials:
+            if _sympy_rank(kept + [{e: Fraction(1)}], column) > rank:
+                kept.append({e: Fraction(1)})
+                chosen.append(e)
+                rank += 1
+        assert quotient_monomial_basis(F1, F2, m) == chosen
+
+    check()

@@ -83,3 +83,93 @@ def test_linear_span_agrees_with_rank():
             for j in range(ncols):
                 combo = sum((tag[i] * rows[i][j] for i in range(len(rows))), Fraction(0))
                 assert v[j] - residual[j] == -combo
+
+
+def _dense(row, ncols):
+    out = [0] * ncols
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _sympy_sparse_rank(rows, ncols):
+    """sympy's rank over QQ of {column: value} rows, by its sparse domain
+    matrices (Matrix.rank is slow on wide matrices)."""
+    from sympy.polys.matrices import DomainMatrix
+
+    QQ = sympy.QQ
+    # the sparse format holds no empty rows
+    entries = {
+        i: {j: QQ(x.numerator, x.denominator) for j, x in r.items() if x}
+        for i, r in enumerate(rows)
+        if any(r.values())
+    }
+    return DomainMatrix(entries, (len(rows), ncols), QQ).rank()
+
+
+def test_sparse_wide_span_matches_sympy():
+    """Wide matrices at most 5% nonzero, given as {column: value} rows whose
+    pivots arrive out of column order, with int and Fraction entries and a
+    unit tag per row."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entry = st.one_of(
+        st.integers(-9, 9).filter(bool),
+        st.fractions(-6, 6, max_denominator=5).filter(bool),
+    )
+
+    @hypothesis.settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        ncols = data.draw(st.integers(120, 200))
+
+        def sparse_row(size):
+            cols = data.draw(st.lists(st.integers(0, ncols - 1), min_size=1,
+                                      max_size=size, unique=True))
+            return {j: data.draw(entry) for j in cols}
+
+        base = [sparse_row(3) for _ in range(data.draw(st.integers(1, 8)))]
+        rows = list(base)
+        # combinations of two base rows (at most 6 <= 5% of ncols nonzero)
+        # make rank deficiency common
+        for _ in range(data.draw(st.integers(0, 4))):
+            r1, r2 = data.draw(st.sampled_from(base)), data.draw(st.sampled_from(base))
+            a, b = data.draw(entry), data.draw(entry)
+            combo = {j: a * r1.get(j, 0) + b * r2.get(j, 0) for j in set(r1) | set(r2)}
+            rows.append({j: x for j, x in combo.items() if x})
+        rows = data.draw(st.permutations(rows))
+        # the row that starts furthest right comes first, so that a later
+        # row takes a smaller pivot
+        first = max(range(len(rows)), key=lambda i: min(rows[i], default=-1))
+        rows.insert(0, rows.pop(first))
+        dense = [_dense(r, ncols) for r in rows]
+
+        span = LinearSpan(ncols, ntags=len(rows))
+        added = sum(span.add(r, {i: 1} if i % 2 else _dense({i: 1}, len(rows)))
+                    for i, r in enumerate(rows))
+        rank = _sympy_sparse_rank(rows, ncols)
+        assert span.rank == added == rank == rational_rank(rows) == int_rank(dense)
+        for p, row in span.rows.items():
+            assert min(row) == p and row[p] > 0
+            assert all(type(x) is int for x in row.values())
+
+        def combination(coefficients):
+            out = {}
+            for c, r in zip(coefficients, rows):
+                for j, x in r.items():
+                    out[j] = out.get(j, 0) + c * x
+            return {j: x for j, x in out.items() if x}
+
+        inside = combination([data.draw(entry) for _ in rows])
+        for v in (inside, sparse_row(6)):
+            v_dense = _dense(v, ncols)
+            residual, tag = span.reduce(v_dense)
+            assert span.reduce(v) == (residual, tag)
+            assert all(residual[p] == 0 for p in span.rows)
+            in_span = _sympy_sparse_rank(rows + [v], ncols) == rank
+            assert span.contains(v) == span.contains(v_dense) == in_span
+            assert (not any(residual)) == in_span
+            combo = combination(tag)
+            assert all(v_dense[j] - residual[j] == -combo.get(j, 0) for j in range(ncols))
+
+    check()
