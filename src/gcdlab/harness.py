@@ -11,6 +11,7 @@ canonical order, so identical configurations produce identical output."""
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +57,10 @@ class ScanConfig:
         object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
+        for key in ("N", "tube_max_ab", "tube_kappa"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DomainError(f"{key} must be an int, not {value!r}")
         if self.N < 1:
             raise DomainError("N must be at least 1")
         if self.mode not in ("full-grid", "diagonal"):
@@ -188,7 +193,45 @@ def _cluster_flagged(flagged: list[ScanRow], max_ab: int, kappa: int):
     return clusters, assignment
 
 
+def _candidate_columns(F_vals, G_vals, max_bits: list[int], s_arch: bool):
+    """For each m in 1..N, the ascending n whose pair (m, n) is a zero row or
+    can be flagged.  The core divides gcd(num F(m), num G(n)), so a pair with
+    no archimedean term whose smaller numerator has at most
+    max_bits[max(m, n)] bits is not flagged (see _unflagged_bits), and it is
+    skipped here without a gcd.  max_bits is non-decreasing."""
+    N = len(F_vals) - 1
+    all_n = range(1, N + 1)
+    bits_G = [v.numerator.bit_length() for v in G_vals]
+    G_zero = [n for n in all_n if G_vals[n] == 0]
+    G_small = [] if s_arch else [n for n in all_n if G_vals[n] != 0 and -1 < G_vals[n] < 1]
+    G_big = [n for n in all_n if bits_G[n] > max_bits[n]]
+    below: list[int] = []   # the n <= m with bits G(n) > max_bits[m]
+    for m in all_n:
+        a = F_vals[m]
+        t = max_bits[m]
+        # t never falls as m grows, so an n dropped here stays out
+        below = [n for n in below if bits_G[n] > t]
+        if bits_G[m] > t:
+            below.append(m)
+        if a == 0:
+            yield m, all_n
+            continue
+        bits_F = a.numerator.bit_length()
+        ns: list[int] = []
+        if bits_F > t:
+            # for n > m the bound is max_bits[n] < bits F(m), so n < hi
+            hi = bisect_left(max_bits, bits_F, m + 1)
+            ns = below + G_big[bisect_right(G_big, m):bisect_left(G_big, hi)]
+        extra = G_zero + G_small if -1 < a < 1 else G_zero
+        if extra:
+            ns = sorted({*ns, *extra})
+        yield m, ns
+
+
 def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
+    """Scan the grid (or the diagonal) of pairs (F(m), G(n)), 1 <= m, n <= N.
+    A full-grid scan without kept rows visits only _candidate_columns; every
+    pair it skips is provably not flagged, so the report is the same."""
     S0 = compute_S0(cfg.F.roots, cfg.G.roots)
     S_used = S0.union(cfg.extra_S)
     s_primes = S_used.finite_primes
@@ -202,43 +245,50 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
     F_vals = [v.numerator if v.denominator == 1 else v for v in F_vals]
     G_vals = [v.numerator if v.denominator == 1 else v for v in G_vals]
 
+    eps = cfg.epsilon
+    max_bits = [_unflagged_bits(eps, mx) for mx in range(N + 1)]
+    all_n = range(1, N + 1)
     if cfg.mode == "diagonal":
-        grid = ((i, i) for i in range(1, N + 1))
+        columns = ((m, (m,)) for m in all_n)
+        nrows = sum(1 for i in all_n if F_vals[i] != 0 and G_vals[i] != 0)
     else:
-        grid = itertools.product(range(1, N + 1), range(1, N + 1))
+        if cfg.keep_rows:
+            columns = ((m, all_n) for m in all_n)
+        else:
+            columns = _candidate_columns(F_vals, G_vals, max_bits, s_arch)
+        nrows = (sum(1 for i in all_n if F_vals[i] != 0)
+                 * sum(1 for i in all_n if G_vals[i] != 0))
 
     rows: list[ScanRow] | None = [] if cfg.keep_rows else None
     flagged: list[ScanRow] = []
     flagged_at: list[int] = []   # index in rows of each flagged row
     zero_rows: list[tuple[int, int, str]] = []
-    eps = cfg.epsilon
-    max_bits = [_unflagged_bits(eps, mx) for mx in range(N + 1)]
-    nrows = 0
-    for m, n in grid:
-        a, b = F_vals[m], G_vals[n]
-        if a == 0 or b == 0:
-            which = "F(m)=0" if a == 0 else "G(n)=0"
-            if a == 0 and b == 0:
-                which = "F(m)=G(n)=0"
-            zero_rows.append((m, n, which))
-            if rows is not None:
-                rows.append(ScanRow(m, n, 1, None, False, None, which))
-            continue
-        nrows += 1
-        core, arch = _scan_row(a, b, s_primes, s_arch)
-        mx = m if m > n else n
-        is_flagged = (
-            (arch is not None or core.bit_length() > max_bits[mx])
-            and _row_lhs_cmp(core, arch, eps * mx) > 0
-        )
-        if is_flagged or rows is not None:
-            row = ScanRow(m, n, core, arch, is_flagged)
-            if is_flagged:
-                flagged.append(row)
-            if rows is not None:
+    for m, ns in columns:
+        a = F_vals[m]
+        for n in ns:
+            b = G_vals[n]
+            if a == 0 or b == 0:
+                which = "F(m)=0" if a == 0 else "G(n)=0"
+                if a == 0 and b == 0:
+                    which = "F(m)=G(n)=0"
+                zero_rows.append((m, n, which))
+                if rows is not None:
+                    rows.append(ScanRow(m, n, 1, None, False, None, which))
+                continue
+            core, arch = _scan_row(a, b, s_primes, s_arch)
+            mx = m if m > n else n
+            is_flagged = (
+                (arch is not None or core.bit_length() > max_bits[mx])
+                and _row_lhs_cmp(core, arch, eps * mx) > 0
+            )
+            if is_flagged or rows is not None:
+                row = ScanRow(m, n, core, arch, is_flagged)
                 if is_flagged:
-                    flagged_at.append(len(rows))
-                rows.append(row)
+                    flagged.append(row)
+                if rows is not None:
+                    if is_flagged:
+                        flagged_at.append(len(rows))
+                    rows.append(row)
 
     clusters, assignment = _cluster_flagged(
         flagged, cfg.tube_max_ab, cfg.tube_kappa
@@ -757,6 +807,8 @@ def run_rec1_scan(F: PowerSum, v, epsilon: Fraction, N: int) -> Rec1Report:
     else:
         if not any(valuation(r, v.prime) <= 0 for r in F.roots):
             raise DomainError(f"every root is small at {v}")
+    # log p < bits(p) ln 2 < bits(p) LN2_UPPER
+    log_p_upper = None if v.is_archimedean else v.prime.bit_length() * LN2_UPPER
     violators = []
     zeros = []
     for n in range(N + 1):
@@ -764,12 +816,19 @@ def run_rec1_scan(F: PowerSum, v, epsilon: Fraction, N: int) -> Rec1Report:
         if val == 0:
             zeros.append(n)
             continue
+        threshold = epsilon * n
+        # for n >= 1 the threshold is positive: a row whose -log|F(n)|_v is
+        # at most 0, or provably below it, is no violator and needs no LogReal
         if v.is_archimedean:
+            if n >= 1 and abs(val) >= 1:
+                continue
             neg_log = -LogReal.log_of_fraction(val)
         else:
             w = valuation(val, v.prime)
+            if n >= 1 and w * log_p_upper < threshold:
+                continue
             neg_log = LogReal({v.prime: Fraction(w)})
-        if neg_log.cmp(epsilon * n) >= 0:
+        if neg_log.cmp(threshold) >= 0:
             violators.append(n)
     return Rec1Report(epsilon, N, violators,
                       max(violators) if violators else None, zeros)
@@ -788,7 +847,6 @@ class UnitEquationReport:
     degenerate: list[tuple[Fraction, ...]]          # some proper subsum vanishes
     truncated: bool
     coordinate_frequency: Counter
-    almost_unit_flags: dict | None                  # per-solution tuple of bools
 
 
 def s_unit_values(S: PlaceSet, bound: int) -> list[Fraction]:
@@ -970,7 +1028,6 @@ def run_hilbert_verify(seed: int = 0) -> list[VerifyCheck]:
 # ---------------------------------------------------------------------
 
 def solve_unit_equation(S: PlaceSet, n: int, exponent_bound: int,
-                        delta: Fraction | None = None,
                         budget: int = 2_000_000) -> UnitEquationReport:
     """Exhaustive tuples (x_0, ..., x_n) of S-units from the exponent box
     with x_0 + ... + x_n = 1; tuples with a vanishing proper subsum are
@@ -1001,12 +1058,6 @@ def solve_unit_equation(S: PlaceSet, n: int, exponent_bound: int,
     freq = Counter()
     for x in solutions:
         freq.update(x)
-    flags = None
-    if delta is not None:
-        cfg = AlmostUnitConfig(S, Fraction(delta))
-        flags = {
-            x: tuple(is_almost_unit(c, cfg) for c in x) for x in solutions
-        }
     return UnitEquationReport(
-        S, n, exponent_bound, solutions, degenerate, truncated, freq, flags
+        S, n, exponent_bound, solutions, degenerate, truncated, freq
     )

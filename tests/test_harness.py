@@ -1,9 +1,12 @@
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from gcdlab.gengcd import log_gcd, log_gcd_outside, log_gcd_within
+from gcdlab import harness
 from gcdlab.harness import (
     LN2_UPPER,
     SampleConfig,
@@ -240,6 +243,143 @@ def test_bit_length_prefilter_never_hides_a_flagged_row():
     check()
 
 
+def _report_summary(rep):
+    """Everything a scan reports besides its configuration and kept rows."""
+    return (rep.flagged, rep.clusters, rep.sporadic, rep.zero_rows, rep.nrows,
+            rep.max_flagged_extent)
+
+
+def test_candidate_scan_matches_full_grid_scan():
+    for cfg in _oracle_scans():
+        full = run_lrs_scan(replace(cfg, keep_rows=True))
+        assert _report_summary(run_lrs_scan(replace(cfg, keep_rows=False))) == \
+            _report_summary(full)
+
+
+def test_candidate_scan_keeps_pairs_one_bit_over_the_bound():
+    # gcd(2^k - 1, 2^j - 1) = 2^gcd(k, j) - 1, which has k bits when j = k and
+    # is flagged at eps = 69/100 from k = 6 on: log(2^k - 1) > 69/100 * k,
+    # though k is only one more than the unflagged bit length k - 1
+    A = PowerSum.of(([1], 2), ([-1], 1))   # 2^n - 1
+    B = PowerSum.of(([2], 2), ([-1], 1))   # 2^(n+1) - 1
+    eps, N = Fraction(69, 100), 60
+    assert all(_unflagged_bits(eps, k) == k - 1 for k in range(1, N + 1))
+    for F, G, pair in ((A, B, lambda k: (k, k - 1)), (B, A, lambda k: (k - 1, k))):
+        cfg = ScanConfig(F, G, eps, N, keep_rows=False)
+        rep = run_lrs_scan(cfg)
+        assert {pair(k) for k in range(6, N + 1)} <= set(rep.flagged_pairs())
+        assert _report_summary(rep) == _report_summary(run_lrs_scan(replace(cfg, keep_rows=True)))
+
+
+def _brute_force_scan(cfg, S):
+    """Flagged pairs, zero rows, nonzero row count and per-pair cores of the
+    scan grid from math.gcd, trial division and log_gcd_outside."""
+    N = cfg.N
+    if cfg.mode == "diagonal":
+        grid = [(i, i) for i in range(1, N + 1)]
+    else:
+        grid = [(m, n) for m in range(1, N + 1) for n in range(1, N + 1)]
+    flagged, zero_rows, cores = [], [], {}
+    for m, n in grid:
+        a, b = cfg.F.eval(m), cfg.G.eval(n)
+        if a == 0 or b == 0:
+            zero_rows.append((m, n))
+            continue
+        core = math.gcd(a.numerator, b.numerator)
+        for p in S.finite_primes:
+            while core % p == 0:
+                core //= p
+        cores[(m, n)] = core
+        if log_gcd_outside(a, b, S).cmp(cfg.epsilon * max(m, n)) > 0:
+            flagged.append((m, n))
+    return flagged, zero_rows, len(cores), cores
+
+
+def test_candidate_scan_matches_brute_force_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    roots = st.sampled_from((
+        1, -1, 2, -2, 3, 4, 6, 10, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3),
+        Fraction(3, 2), Fraction(5, 4), Fraction(-7, 6),
+    ))
+    terms = st.lists(
+        st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=2), roots),
+        min_size=1, max_size=3,
+    )
+
+    def power_sum(draw_terms, zero_at, scale):
+        # a large scale puts the early values inside the unit interval
+        F = PowerSum.of(*(([Fraction(c, scale) for c in cs], r) for cs, r in draw_terms))
+        if zero_at is not None:
+            F = F - PowerSum.constant(F.eval(zero_at))   # F(zero_at) = 0
+        return F
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        F_terms=terms, G_terms=terms,
+        F_zero=st.one_of(st.none(), st.integers(1, 10)),
+        G_zero=st.one_of(st.none(), st.integers(1, 10)),
+        F_scale=st.sampled_from((1, 1000)),
+        G_scale=st.sampled_from((1, 1000)),
+        eps=st.fractions(min_value=Fraction(1, 50), max_value=2, max_denominator=50),
+        N=st.integers(1, 10),
+        arch=st.booleans(),
+        primes=st.lists(st.sampled_from((2, 3, 5, 7, 11)), unique=True, max_size=2),
+        mode=st.sampled_from(("full-grid", "diagonal")),
+    )
+    def check(F_terms, G_terms, F_zero, G_zero, F_scale, G_scale, eps, N, arch, primes,
+              mode):
+        cfg = ScanConfig(power_sum(F_terms, F_zero, F_scale),
+                         power_sum(G_terms, G_zero, G_scale), eps, N,
+                         extra_S=PlaceSet(arch, tuple(primes)), mode=mode)
+        full = run_lrs_scan(cfg)
+        sparse = run_lrs_scan(replace(cfg, keep_rows=False))
+        assert _report_summary(sparse) == _report_summary(full)
+        flagged, zero_rows, nrows, cores = _brute_force_scan(cfg, full.S_used)
+        assert sparse.flagged_pairs() == flagged
+        assert [(m, n) for m, n, _ in sparse.zero_rows] == zero_rows
+        assert sparse.nrows == nrows
+        assert {(r.m, r.n): r.core for r in full.rows if not r.note} == cores
+        seen.update(
+            name for name, hit in (
+                ("zero", zero_rows), ("flagged", flagged),
+                ("arch", any(r.arch is not None for r in full.rows)),
+                ("arch flagged", any(r.arch is not None for r in full.flagged)),
+                ("S core", any(r.core != math.gcd(cfg.F.eval(r.m).numerator,
+                                                  cfg.G.eval(r.n).numerator)
+                               for r in full.rows if not r.note)),
+            ) if hit
+        )
+
+    seen: set[str] = set()
+    check()
+    assert seen == {"zero", "flagged", "arch", "arch flagged", "S core"}
+
+
+def test_candidate_scan_skips_most_pairs_of_the_pk_family(monkeypatch):
+    calls = []
+    scan_row = harness._scan_row
+
+    def counted(*args):
+        calls.append(args)
+        return scan_row(*args)
+
+    monkeypatch.setattr(harness, "_scan_row", counted)
+    F, G = pk_sequences(2)
+    N = 200
+    rep = run_lrs_scan(ScanConfig(F, G, Fraction(3, 5), N, keep_rows=False))
+    assert rep.nrows == N * N
+    assert len(rep.flagged) <= len(calls) < N * N // 4
+
+
+def test_scan_config_sizes_must_be_ints():
+    F, G = pk_sequences(2)
+    for key, value in (("N", 10.0), ("N", True), ("tube_max_ab", 8.0),
+                       ("tube_kappa", "16"), ("tube_kappa", False)):
+        with pytest.raises(DomainError, match=key):
+            ScanConfig(F, G, Fraction(1, 2), **{"N": 10, key: value})
+
+
 def test_poly_gcd_experiment_pure_units():
     cfg = SampleConfig(
         f=parse_poly("x1 + 1", nvars=2),
@@ -375,6 +515,29 @@ def test_rec1_scan():
         run_rec1_scan(PowerSum.of(([1], Fraction(1, 2))), Place.archimedean(), Fraction(1, 10), 10)
 
 
+def test_rec1_scan_matches_log_abs_oracle():
+    cases = (
+        (PowerSum.of(([1], 2), ([-1], 3)), Place.finite(5), Fraction(1, 10), 200),
+        (PowerSum.of(([1], 2), ([-1], 3)), Place.finite(7), Fraction(1, 50), 120),
+        (PowerSum.of(([1], 2), ([-1], 3)), Place.archimedean(), Fraction(1, 10), 60),
+        (PowerSum.of(([1], 6), ([-1], 1)), Place.finite(5), Fraction(1, 40), 150),
+        (PowerSum.of(([3], Fraction(3, 2)), ([-2], Fraction(1, 2))), Place.archimedean(),
+         Fraction(1, 20), 80),
+        (PowerSum.of(([1], Fraction(5, 4)), ([-1], Fraction(-1, 3))), Place.finite(3),
+         Fraction(1, 10), 80),
+        (PowerSum.of(([0, 1], 1), ([-4], 1), ([1], Fraction(1, 2))), Place.archimedean(),
+         Fraction(1, 30), 40),
+    )
+    for F, v, eps, N in cases:
+        want = [
+            n for n in range(N + 1)
+            if F.eval(n) != 0 and (-log_abs(F.eval(n), v)).cmp(eps * n) >= 0
+        ]
+        rep = run_rec1_scan(F, v, eps, N)
+        assert rep.violators == want
+        assert rep.zero_indices == [n for n in range(N + 1) if F.eval(n) == 0]
+
+
 def test_unit_equation_small():
     rep = solve_unit_equation(PlaceSet.of(2, 3), 1, 1)
     expect = {
@@ -408,13 +571,6 @@ def test_unit_equation_degenerate_subsums():
 def test_unit_equation_budget_truncation():
     rep = solve_unit_equation(PlaceSet.of(2, 3, 5), 2, 2, budget=50)
     assert rep.truncated
-
-
-def test_unit_equation_delta_classification():
-    rep = solve_unit_equation(PlaceSet.of(2, 3), 1, 1, delta=Fraction(1, 12))
-    assert rep.almost_unit_flags is not None
-    for x, flags in rep.almost_unit_flags.items():
-        assert all(flags)  # exact S-units are almost units at any delta
 
 
 def test_neg_log_within_matches_log_abs_sum():
