@@ -272,8 +272,8 @@ def test_candidate_scan_keeps_pairs_one_bit_over_the_bound():
 
 
 def _brute_force_scan(cfg, S):
-    """Flagged pairs, zero rows, nonzero row count and per-pair cores of the
-    scan grid from math.gcd, trial division and log_gcd_outside."""
+    """Flagged pairs, zero rows and the core of each nonzero pair of the scan
+    grid, from math.gcd, trial division and log_gcd_outside."""
     N = cfg.N
     if cfg.mode == "diagonal":
         grid = [(i, i) for i in range(1, N + 1)]
@@ -292,7 +292,7 @@ def _brute_force_scan(cfg, S):
         cores[(m, n)] = core
         if log_gcd_outside(a, b, S).cmp(cfg.epsilon * max(m, n)) > 0:
             flagged.append((m, n))
-    return flagged, zero_rows, len(cores), cores
+    return flagged, zero_rows, cores
 
 
 def test_candidate_scan_matches_brute_force_oracle():
@@ -335,10 +335,10 @@ def test_candidate_scan_matches_brute_force_oracle():
         full = run_lrs_scan(cfg)
         sparse = run_lrs_scan(replace(cfg, keep_rows=False))
         assert _report_summary(sparse) == _report_summary(full)
-        flagged, zero_rows, nrows, cores = _brute_force_scan(cfg, full.S_used)
+        flagged, zero_rows, cores = _brute_force_scan(cfg, full.S_used)
         assert sparse.flagged_pairs() == flagged
         assert [(m, n) for m, n, _ in sparse.zero_rows] == zero_rows
-        assert sparse.nrows == nrows
+        assert sparse.nrows == len(cores)
         assert {(r.m, r.n): r.core for r in full.rows if not r.note} == cores
         seen.update(
             name for name, hit in (
