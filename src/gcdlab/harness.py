@@ -193,36 +193,184 @@ def _cluster_flagged(flagged: list[ScanRow], max_ab: int, kappa: int):
     return clusters, assignment
 
 
-def _candidate_columns(F_vals, G_vals, max_bits: list[int], s_arch: bool):
+def _dominant_term(S: PowerSum) -> tuple[int, tuple[int, ...]] | None:
+    """(r, coefficients of the polynomial of r) for the unique root r of
+    largest absolute value, when every root and coefficient of S is an
+    integer; None otherwise."""
+    if not S.terms or any(
+        root.denominator != 1 or any(c.denominator != 1 for c in cs)
+        for cs, root in S.terms
+    ):
+        return None
+    cs, r = max(S.terms, key=lambda term: abs(term[1]))
+    if any(root == -r for root in S.roots):
+        return None
+    return int(r), tuple(int(c) for c in cs)
+
+
+def _int_poly(cs: tuple[int, ...], x: int) -> int:
+    total = 0
+    for c in reversed(cs):
+        total = total * x + c
+    return total
+
+
+class _DominantRootBounds:
+    """Pairs proved unflagged by eliminating a shared dominant root.
+
+    Write F(m) = P(m) r^m + Ft(m) and G(n) = Q(n) r^n + Gt(n), with integer
+    r, |r| >= 2, and integer polynomials P, Q.  For n <= m and k = m - n,
+    gcd(F(m), G(n)) divides Q(n) F(m) - r^k P(m) G(n) = Q(n) Ft(m) - r^k P(m) Gt(n),
+    and one more step against G(n) leaves
+        -P(m) Gt(n)^2 - Q(n)^2 Ft(m) r^(2n-m)    when 2n >= m,
+        Q(n)^2 Ft(m) + P(m) Gt(n)^2 r^(m-2n)     when 2n < m;
+    for n > m swap the roles of (F, P, Ft, m) and (G, Q, Gt, n).  Where such
+    an integer is provably nonzero and has at most max_bits[max(m, n)] bits,
+    the gcd has no more, so the pair is not flagged.  Bit lengths of the factors
+    come from tables: exact for the row, the maximum over the regular
+    columns for the column.  A term with a factor r^j is nonzero, and
+    outweighs the other term, once bits(|r|^j) - 1 reaches the other term's
+    bit bound; the two terms of a second step also cannot cancel when r > 0
+    and their signs agree.  Only regular rows and columns, those where P, Ft
+    (resp. Q, Gt) do not vanish, are excluded.  max_bits[x] =
+    floor(eps x / LN2_UPPER) is superadditive, which bounds it for n > m.
+    F_vals and G_vals are the values at 0..N as ints."""
+
+    def __init__(self, r: int, P, Q, F_vals, G_vals, max_bits: list[int]):
+        N = len(F_vals) - 1
+        self.N = N
+        self.max_bits = max_bits
+        self.bits_r = []            # bits(|r|^j), strictly increasing
+        self.row_ok, self.row_same, self.bits_P, self.bits_Ft = [], [], [], []
+        self.irregular: list[int] = []
+        BQ = BGt = 0
+        col_same = True
+        power = 1
+        for i in range(N + 1):
+            self.bits_r.append(abs(power).bit_length())
+            p, q = _int_poly(P, i), _int_poly(Q, i)
+            ft, gt = F_vals[i] - p * power, G_vals[i] - q * power
+            self.row_ok.append(p != 0 and ft != 0)
+            self.row_same.append((p > 0) == (ft > 0))
+            self.bits_P.append(p.bit_length())
+            self.bits_Ft.append(ft.bit_length())
+            if i:
+                if q != 0 and gt != 0:
+                    BQ = max(BQ, q.bit_length())
+                    BGt = max(BGt, gt.bit_length())
+                    col_same = col_same and (q > 0) == (gt > 0)
+                else:
+                    self.irregular.append(i)
+            power *= r
+        self.BQ, self.BGt = BQ, BGt
+        self.positive = r > 0
+        self.col_same = r > 0 and col_same
+        # prefix maxima of bits(|r|^k) - max_bits[k]: every
+        # k < bisect_right(gap_max, x) has bits(|r|^k) <= x + max_bits[k]
+        self.gap_max = list(itertools.accumulate(
+            (b - t for b, t in zip(self.bits_r, max_bits)), max))
+
+    def excluded(self, m: int) -> list[tuple[int, int]]:
+        """Inclusive n-intervals of row m whose regular columns are not
+        flagged; empty unless row m is regular."""
+        if not self.row_ok[m]:
+            return []
+        N, T, R, gaps = self.N, self.max_bits, self.bits_r, self.gap_max
+        BQ, BGt = self.BQ, self.BGt
+        bp, bft, t = self.bits_P[m], self.bits_Ft[m], T[m]
+        same = self.positive and self.row_same[m]
+        out = []
+        # n <= m, first step: n = m - k
+        k0 = bisect_left(R, BQ + bft + 1)
+        k1 = bisect_right(R, t - 1 - bp - BGt) - 1
+        out.append((max(1, m - k1), m - k0))
+        # n <= m, 2n >= m: j = 2n - m
+        if bp + 2 * BGt + 1 <= t:
+            j0 = 0 if same else bisect_left(R, bp + 2 * BGt + 1)
+            j1 = bisect_right(R, t - 1 - 2 * BQ - bft) - 1
+            out.append((-(-(m + j0) // 2), min(m, (m + j1) // 2)))
+        # 2n < m: j = m - 2n
+        if 2 * BQ + bft + 1 <= t:
+            j0 = 1 if same else max(1, bisect_left(R, 2 * BQ + bft + 1))
+            j1 = bisect_right(R, t - 1 - bp - 2 * BGt) - 1
+            out.append((max(1, -(-(m - j1) // 2)), (m - j0) // 2))
+        # n > m, first step: n = m + k, max_bits[n] >= t + max_bits[k]
+        k0 = max(1, bisect_left(R, bp + BGt + 1))
+        k1 = bisect_right(gaps, t - 1 - BQ - bft) - 1
+        out.append((m + k0, min(N, m + k1)))
+        # m < n <= 2m: j = 2m - n, max_bits[n] >= t
+        if BQ + 2 * bft + 1 <= t:
+            j0 = 0 if self.col_same else bisect_left(R, BQ + 2 * bft + 1)
+            j1 = bisect_right(R, t - 1 - 2 * bp - BGt) - 1
+            out.append((max(m + 1, 2 * m - j1), min(N, 2 * m - j0)))
+        # n > 2m: j = n - 2m, max_bits[n] >= max_bits[2m] + max_bits[j]
+        if 2 * m < N and 2 * bp + BGt + 1 <= T[2 * m]:
+            j0 = 1 if self.col_same else max(1, bisect_left(R, 2 * bp + BGt + 1))
+            j1 = bisect_right(gaps, T[2 * m] - 1 - BQ - 2 * bft) - 1
+            out.append((2 * m + j0, min(N, 2 * m + j1)))
+        return [(lo, hi) for lo, hi in out if lo <= hi]
+
+
+def _elimination(F: PowerSum, G: PowerSum, F_vals, G_vals, max_bits: list[int]):
+    """_DominantRootBounds for F and G when both have integer roots and
+    coefficients and the same dominant root r, |r| >= 2; None otherwise."""
+    dom_F, dom_G = _dominant_term(F), _dominant_term(G)
+    if dom_F is None or dom_G is None or dom_F[0] != dom_G[0] or abs(dom_F[0]) < 2:
+        return None
+    bounds = _DominantRootBounds(dom_F[0], dom_F[1], dom_G[1], F_vals, G_vals, max_bits)
+    return bounds if len(bounds.irregular) < len(F_vals) - 1 else None
+
+
+def _candidate_columns(F_vals, G_vals, max_bits: list[int], s_arch: bool,
+                       elimination: _DominantRootBounds | None = None):
     """For each m in 1..N, the ascending n whose pair (m, n) is a zero row or
-    can be flagged.  The core divides gcd(num F(m), num G(n)), so a pair with
+    may be flagged.  The core divides gcd(num F(m), num G(n)), so a pair with
     no archimedean term whose smaller numerator has at most
     max_bits[max(m, n)] bits is not flagged (see _unflagged_bits), and it is
-    skipped here without a gcd.  max_bits is non-decreasing."""
+    skipped here without a gcd; so are the pairs an ``elimination`` proves
+    unflagged.  max_bits is non-decreasing, so each row's candidates are
+    an interval for n <= m and a slice of one sorted list for n > m."""
     N = len(F_vals) - 1
     all_n = range(1, N + 1)
     bits_G = [v.numerator.bit_length() for v in G_vals]
+    # n <= m needs bits G(n) > max_bits[m]: every n from the first whose
+    # running maximum of bits G exceeds max_bits[m] on (a superset)
+    rising_G = list(itertools.accumulate(bits_G, max))
     G_zero = [n for n in all_n if G_vals[n] == 0]
     G_small = [] if s_arch else [n for n in all_n if G_vals[n] != 0 and -1 < G_vals[n] < 1]
     G_big = [n for n in all_n if bits_G[n] > max_bits[n]]
-    below: list[int] = []   # the n <= m with bits G(n) > max_bits[m]
+    irregular = elimination.irregular if elimination else []
+    irregular_big = sorted(set(irregular).intersection(G_big))
     for m in all_n:
         a = F_vals[m]
-        t = max_bits[m]
-        # t never falls as m grows, so an n dropped here stays out
-        below = [n for n in below if bits_G[n] > t]
-        if bits_G[m] > t:
-            below.append(m)
         if a == 0:
             yield m, all_n
             continue
+        t = max_bits[m]
         bits_F = a.numerator.bit_length()
         ns: list[int] = []
+        extra = G_zero + G_small if -1 < a < 1 else G_zero
         if bits_F > t:
+            lo = bisect_right(rising_G, t, 1, m + 1)
             # for n > m the bound is max_bits[n] < bits F(m), so n < hi
             hi = bisect_left(max_bits, bits_F, m + 1)
-            ns = below + G_big[bisect_right(G_big, m):bisect_left(G_big, hi)]
-        extra = G_zero + G_small if -1 < a < 1 else G_zero
+            upper = G_big[bisect_right(G_big, m):bisect_left(G_big, hi)]
+            cuts = sorted(elimination.excluded(m)) if elimination else []
+            if not cuts:
+                ns = [*range(lo, m + 1), *upper]
+            else:
+                start = 1     # the n in [start, cut_lo) are kept
+                for cut_lo, cut_hi in (*cuts, (N + 1, N + 1)):
+                    if cut_lo > start:
+                        end = cut_lo - 1
+                        ns += range(max(start, lo), min(end, m) + 1)
+                        if end > m:
+                            ns += upper[bisect_left(upper, start):bisect_right(upper, end)]
+                    start = max(start, cut_hi + 1)
+                if irregular:
+                    extra = extra + irregular[bisect_left(irregular, lo):bisect_right(irregular, m)]
+                    extra += irregular_big[bisect_right(irregular_big, m):
+                                           bisect_left(irregular_big, hi)]
         if extra:
             ns = sorted({*ns, *extra})
         yield m, ns
@@ -255,7 +403,8 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
         if cfg.keep_rows:
             columns = ((m, all_n) for m in all_n)
         else:
-            columns = _candidate_columns(F_vals, G_vals, max_bits, s_arch)
+            columns = _candidate_columns(F_vals, G_vals, max_bits, s_arch,
+                                         _elimination(cfg.F, cfg.G, F_vals, G_vals, max_bits))
         nrows = (sum(1 for i in all_n if F_vals[i] != 0)
                  * sum(1 for i in all_n if G_vals[i] != 0))
 

@@ -372,6 +372,155 @@ def test_candidate_scan_skips_most_pairs_of_the_pk_family(monkeypatch):
     assert len(rep.flagged) <= len(calls) < N * N // 4
 
 
+def test_pk_scan_visits_about_the_same_pairs_for_every_epsilon(monkeypatch):
+    # the bit-length bound alone leaves 6.5-56% of the N^2 pairs, more the
+    # smaller eps is; the dominant-root bounds leave a band near the
+    # diagonal, a few pairs wide, whatever eps is
+    calls = []
+    scan_row = harness._scan_row
+
+    def counted(*args):
+        calls.append(args)
+        return scan_row(*args)
+
+    monkeypatch.setattr(harness, "_scan_row", counted)
+    N = 200
+    for p, menu in ((2, ("1/2", "3/5", "2/3", "13/20")), (3, ("1/2", "3/4", "4/5", "1")),
+                    (5, ("1", "6/5", "5/4", "3/2"))):
+        F, G = pk_sequences(p)
+        counts = []
+        for eps in menu:
+            calls.clear()
+            rep = run_lrs_scan(ScanConfig(F, G, Fraction(eps), N, keep_rows=False))
+            counts.append(len(calls))
+            assert rep.flagged_pairs() == run_lrs_scan(
+                ScanConfig(F, G, Fraction(eps), N)).flagged_pairs()
+        assert max(counts) < 10 * N
+        assert max(counts) - min(counts) < 2 * N
+
+
+def test_dominant_term_needs_one_integer_root_of_largest_size():
+    from gcdlab.harness import _dominant_term
+
+    assert _dominant_term(PowerSum.of(([0, 1], 3), ([1], 1))) == (3, (0, 1))
+    assert _dominant_term(PowerSum.of(([1], -2), ([5], 1))) == (-2, (1,))
+    assert _dominant_term(PowerSum.of(([1], 2), ([1], -2))) is None
+    assert _dominant_term(PowerSum.of(([1], Fraction(5, 2)), ([1], 1))) is None
+    assert _dominant_term(PowerSum.of(([Fraction(1, 2)], 2), ([1], 1))) is None
+    assert _dominant_term(PowerSum.zero()) is None
+
+
+def _eliminants(F, G, m, n):
+    """The two integers of _DominantRootBounds for the pair (m, n), from their
+    definition: Q(n) F(m) - r^(m-n) P(m) G(n), or P(m) G(n) - r^(n-m) Q(n) F(m)
+    for n > m, and one more step of the same kind against the value of the
+    smaller index."""
+    from gcdlab.harness import _dominant_term, _int_poly
+
+    (r, P), (_, Q) = _dominant_term(F), _dominant_term(G)
+    a, b = F.eval(m).numerator, G.eval(n).numerator
+    p, q = _int_poly(P, m), _int_poly(Q, n)
+    if n <= m:
+        D = q * a - r**(m - n) * p * b
+        # D = A r^(m-n) + B; eliminate r against b = q r^n + (b - q r^n)
+        A, B, k, C, E, y = -p * (b - q * r**n), q * (a - p * r**m), m - n, q, b - q * r**n, n
+    else:
+        D = p * b - r**(n - m) * q * a
+        A, B, k, C, E, y = -q * (a - p * r**m), p * (b - q * r**n), n - m, p, a - p * r**m, m
+    assert D == A * r**k + B
+    Y = C * r**y + E
+    Z = A * Y - C * r**(y - k) * D if y >= k else C * D - A * r**(k - y) * Y
+    return D, Z
+
+
+def _check_skipped_pairs(F, G, eps, N, seen):
+    """A keep_rows=False scan reports what a visit of every pair reports, and
+    each pair it skips has a numerator within the bit bound or, in a regular
+    row and column, a nonzero eliminant within it."""
+    from gcdlab.harness import _candidate_columns, _elimination
+
+    cfg = ScanConfig(F, G, eps, N, keep_rows=False)
+    sparse = run_lrs_scan(cfg)
+    assert _report_summary(sparse) == _report_summary(run_lrs_scan(replace(cfg, keep_rows=True)))
+    F_vals = [F.eval(i).numerator for i in range(N + 1)]
+    G_vals = [G.eval(i).numerator for i in range(N + 1)]
+    T = [_unflagged_bits(eps, i) for i in range(N + 1)]
+    bounds = _elimination(F, G, F_vals, G_vals, T)
+    visited = {(m, n) for m, ns in _candidate_columns(F_vals, G_vals, T, False, bounds)
+               for n in ns}
+    for m in range(1, N + 1):
+        for n in range(1, N + 1):
+            if (m, n) in visited:
+                continue
+            a, b, t = F_vals[m], G_vals[n], T[max(m, n)]
+            assert a != 0 and b != 0, (m, n)
+            if min(a.bit_length(), b.bit_length()) <= t:
+                continue
+            assert bounds is not None and bounds.row_ok[m], (m, n)
+            assert n not in bounds.irregular, (m, n)
+            D, Z = _eliminants(F, G, m, n)
+            g = math.gcd(a, b)
+            assert D % g == 0 and Z % g == 0
+            assert min(z.bit_length() for z in (D, Z) if z) <= t, (m, n)
+            seen.add("skipped by an eliminant")
+    if bounds is not None and bounds.irregular:
+        seen.add("irregular column")
+    if sparse.flagged:
+        seen.add("flagged")
+
+
+def test_skipped_pairs_are_proven_on_lines_where_an_eliminant_vanishes():
+    # along each line below an eliminant is 0 and G(n) divides F(m) or F(m)
+    # divides G(n): opposite signs of P and Ft (2n - m = 2), of Q and Gt
+    # (2m - n = 2, and n - 2m = 3), and a negative root (2n - m = 1); the
+    # last pair has an irregular column, Gt(20) = 0, inside an excluded
+    # interval
+    two_plus_one = PowerSum.of(([1], 2), ([1], 1))
+    pairs = (
+        (PowerSum.of(([-4], 2), ([1], 1)), two_plus_one),
+        (two_plus_one, PowerSum.of(([-4], 2), ([1], 1))),
+        (two_plus_one, PowerSum.of(([1], 2), ([-8], 1))),
+        (PowerSum.of(([2], -2), ([1], 1)), PowerSum.of(([1], -2), ([1], 1))),
+        (two_plus_one, PowerSum.of(([1], 2), ([-20, 1], 1))),
+    )
+    seen: set[str] = set()
+    for F, G in pairs:
+        for eps in (Fraction(1, 4), Fraction(1, 2)):
+            _check_skipped_pairs(F, G, eps, 60, seen)
+    assert seen == {"skipped by an eliminant", "irregular column", "flagged"}
+
+
+def test_skipped_pairs_are_proven_for_shared_dominant_roots():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    coeffs = st.lists(st.integers(-3, 3), min_size=1, max_size=2).filter(any)
+
+    @st.composite
+    def shared_root_pair(draw):
+        r = draw(st.sampled_from((2, 3, 4, -2, -3)))
+        small = [s for s in (1, -1, 2, -2, 3) if abs(s) < abs(r)]
+        tail = st.lists(st.tuples(coeffs, st.sampled_from(small)), max_size=2)
+        F = PowerSum.of((draw(coeffs), r), *draw(tail))
+        G = PowerSum.of((draw(coeffs), r), *draw(tail))
+        return F, G
+
+    # the eliminants beat the bit bound once max_bits exceeds the tables' bit
+    # sums, which takes N of a few dozen
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        pair=shared_root_pair(),
+        eps=st.fractions(min_value=Fraction(1, 20), max_value=2, max_denominator=20),
+        N=st.integers(1, 70),
+    )
+    def check(pair, eps, N):
+        _check_skipped_pairs(*pair, eps, N, seen)
+
+    seen: set[str] = set()
+    check()
+    assert seen == {"skipped by an eliminant", "irregular column", "flagged"}
+
+
 def test_scan_config_sizes_must_be_ints():
     F, G = pk_sequences(2)
     for key, value in (("N", 10.0), ("N", True), ("tube_max_ab", 8.0),
