@@ -5,12 +5,17 @@ hilbert-verify.  Each but hilbert-verify takes --config <json> (schema
 documented in the README) and/or direct flags; poly-gcd and hilbert-verify
 also take --seed.  Each writes CSV to --out (path or '-') and prints a short
 summary.  Exit codes: 0 success, 2 precondition failure, 3 budget
-truncation, 4 a sign that interval arithmetic left undecided."""
+truncation, 4 a sign that interval arithmetic left undecided.
+
+CONFIG_KEYS holds each subcommand's config keys and their converters; each
+key's default is declared by the runner or config dataclass that takes it."""
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import inspect
 import json
 import sys
 from contextlib import contextmanager
@@ -18,7 +23,7 @@ from contextlib import contextmanager
 from . import harness
 from .harness import SampleConfig, ScanConfig
 from .logreal import PrecisionExhausted
-from .lrs import PowerSum, power_sum_from_json
+from .lrs import power_sum_from_json
 from .multipoly import parse_poly
 from .places import DomainError, Place, PlaceSet, format_rational, parse_rational
 
@@ -28,7 +33,7 @@ EXIT_TRUNCATED = 3
 EXIT_UNDECIDED = 4
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None):
     if not path:
         return {}
     if path == "-":
@@ -37,15 +42,94 @@ def _load_config(path: str | None) -> dict:
         return json.load(fh)
 
 
-def _place_set(data, default_arch=True) -> PlaceSet:
-    if data is None:
-        return PlaceSet(default_arch, ())
-    if isinstance(data, list):
-        return PlaceSet(default_arch, tuple(int(p) for p in data))
-    arch = data.get("archimedean", default_arch)
-    if not isinstance(arch, bool):
-        raise DomainError(f"'archimedean' must be a JSON true or false, not {arch!r}")
-    return PlaceSet(arch, tuple(int(p) for p in data.get("primes", ())))
+# converters: each checks the JSON type of one value and returns what the
+# runner takes; _options names the key in the error
+
+def _is(kind, name: str):
+    def convert(value):
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise DomainError(f"expected a JSON {name}, not {value!r}")
+        return value
+    return convert
+
+
+_int, _str, _list = _is(int, "int"), _is(str, "string"), _is(list, "list")
+
+
+def _primes(value) -> tuple[int, ...]:
+    return tuple(map(_int, _list(value)))
+
+
+def _place_set(default: PlaceSet):
+    """A list of primes, or {"archimedean": bool, "primes": [...]}; a part
+    left out is as in ``default``."""
+    def convert(value) -> PlaceSet:
+        data = {"primes": value} if isinstance(value, list) else value
+        if not isinstance(data, dict) or not set(data) <= {"archimedean", "primes"}:
+            raise DomainError("expected a list of primes or an object with keys "
+                              f"'archimedean' and 'primes', not {value!r}")
+        arch = data.get("archimedean", default.contains_archimedean)
+        if not isinstance(arch, bool):
+            raise DomainError(f"'archimedean' must be a JSON true or false, not {arch!r}")
+        primes = _primes(data["primes"]) if "primes" in data else default.finite_primes
+        return PlaceSet(arch, primes)
+    return convert
+
+
+def _unit_eq_S(value) -> PlaceSet:
+    """oo and a list of primes, or the comma-separated primes of --primes."""
+    if isinstance(value, str):
+        value = [int(p) for p in value.split(",") if p]
+    return PlaceSet(True, _primes(value))
+
+
+def _place(value) -> Place:
+    return Place.archimedean() if value in ("oo", "inf") else Place.finite(_int(value))
+
+
+CONFIG_KEYS = {
+    "lrs-scan": {"F": power_sum_from_json, "G": power_sum_from_json, "epsilon": parse_rational,
+                 "N": _int, "extra_S": _place_set(ScanConfig.extra_S), "mode": _str,
+                 "tube_max_ab": _int, "tube_kappa": _int},
+    "poly-gcd": {"f": _str, "g": _str, "nvars": _int, "S": _place_set(SampleConfig.S),
+                 "delta": parse_rational, "count": _int, "generator_exponent_bound": _int,
+                 "perturbation_bound": _int},
+    "example-pk": {"p": _int, "epsilon": parse_rational, "kmax": _int},
+    "sharpness": {"p": _int, "delta": parse_rational, "trials": _int, "m_start": _int},
+    "rec1-scan": {"F": power_sum_from_json, "place": _place, "epsilon": parse_rational,
+                  "N": _int},
+    "unit-eq": {"primes": _unit_eq_S, "n": _int, "bound": _int, "budget": _int,
+                "delta": parse_rational},
+}
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` that the command line gave."""
+    return {name: getattr(args, name) for name in names if name in args}
+
+
+def _options(args, target) -> dict:
+    """The config keys merged over the flags the command line gave (the
+    config wins), each converted; a key that ``target`` takes without a
+    default must be given."""
+    keys = CONFIG_KEYS[args.command]
+    cfg = _load_config(args.config)
+    if not isinstance(cfg, dict):
+        raise DomainError(f"the config must be a JSON object, not {type(cfg).__name__}")
+    for key in cfg:
+        if key not in keys:
+            raise DomainError(f"unknown config key {key!r}")
+    given = {**_given(args, keys), **cfg}
+    for name, param in inspect.signature(target).parameters.items():
+        if name in keys and name not in given and param.default is param.empty:
+            raise DomainError(f"config is missing {name!r}")
+    opts = {}
+    for key, value in given.items():
+        try:
+            opts[key] = keys[key](value)
+        except ValueError as exc:
+            raise DomainError(f"{key}: {exc}") from None
+    return opts
 
 
 @contextmanager
@@ -71,25 +155,8 @@ def _summary(msg: str, out_path: str | None) -> None:
     print(msg, file=stream)
 
 
-def _powersum(cfg: dict, key: str) -> PowerSum:
-    if key not in cfg:
-        raise DomainError(f"config is missing {key!r}")
-    return power_sum_from_json(cfg[key])
-
-
 def cmd_lrs_scan(args) -> int:
-    cfg = _load_config(args.config)
-    scan = ScanConfig(
-        F=_powersum(cfg, "F"),
-        G=_powersum(cfg, "G"),
-        epsilon=parse_rational(str(cfg.get("epsilon", "1/2"))),
-        N=int(cfg.get("N", 100)),
-        extra_S=_place_set(cfg.get("extra_S"), default_arch=False),
-        mode=cfg.get("mode", "full-grid"),
-        tube_max_ab=int(cfg.get("tube_max_ab", 8)),
-        tube_kappa=int(cfg.get("tube_kappa", 16)),
-    )
-    report = harness.run_lrs_scan(scan)
+    report = harness.run_lrs_scan(ScanConfig(**_options(args, ScanConfig)))
     _write_csv(args.out, harness.SCAN_CSV_HEADER, harness.scan_csv_rows(report))
     _summary(
         f"lrs-scan: {report.nrows} pairs, {len(report.flagged)} flagged, "
@@ -102,18 +169,11 @@ def cmd_lrs_scan(args) -> int:
 
 
 def cmd_poly_gcd(args) -> int:
-    cfg = _load_config(args.config)
-    nvars = cfg.get("nvars")
-    sample = SampleConfig(
-        f=parse_poly(cfg["f"], nvars=nvars),
-        g=parse_poly(cfg["g"], nvars=nvars),
-        S=_place_set(cfg.get("S")),
-        delta=parse_rational(str(cfg.get("delta", "1/25"))),
-        count=int(cfg.get("count", 50)),
-        generator_exponent_bound=int(cfg.get("generator_exponent_bound", 6)),
-        perturbation_bound=int(cfg.get("perturbation_bound", 1)),
-    )
-    report = harness.run_poly_gcd_experiment(sample, seed=args.seed)
+    opts = _options(args, SampleConfig)
+    # the text of f and g is read against nvars, a key of its own
+    nvars = [opts.pop("nvars")] if "nvars" in opts else []
+    opts["f"], opts["g"] = (parse_poly(opts[key], *nvars) for key in ("f", "g"))
+    report = harness.run_poly_gcd_experiment(SampleConfig(**opts), **_given(args, ["seed"]))
     _write_csv(
         args.out, harness.POLY_GCD_CSV_HEADER, harness.poly_gcd_csv_rows(report)
     )
@@ -127,17 +187,13 @@ def cmd_poly_gcd(args) -> int:
 
 
 def cmd_example_pk(args) -> int:
-    cfg = _load_config(args.config)
-    p = int(cfg.get("p", args.p))
-    epsilon = parse_rational(str(cfg.get("epsilon", args.epsilon)))
-    kmax = int(cfg.get("kmax", args.kmax))
-    report = harness.run_example_pk(p, epsilon, kmax)
+    report = harness.run_example_pk(**_options(args, harness.run_example_pk))
     _write_csv(
         args.out, harness.EXAMPLE_PK_CSV_HEADER, harness.example_pk_csv_rows(report)
     )
     all_ok = all(r.value_equal and r.flagged and r.in_tube for r in report.rows)
     _summary(
-        f"example-pk p={p}: {len(report.rows)} coincidences, all flagged+in-tube: "
+        f"example-pk p={report.p}: {len(report.rows)} coincidences, all flagged+in-tube: "
         f"{all_ok}; max collinear {report.max_collinear}; kappa_hat "
         f"{report.kappa_hat:.4f}",
         args.out,
@@ -146,17 +202,12 @@ def cmd_example_pk(args) -> int:
 
 
 def cmd_sharpness(args) -> int:
-    cfg = _load_config(args.config)
-    p = int(cfg.get("p", args.p))
-    delta = parse_rational(str(cfg.get("delta", args.delta)))
-    trials = int(cfg.get("trials", args.trials))
-    m_start = int(cfg.get("m_start", 4))
-    report = harness.run_sharpness(p, delta, trials, m_start)
+    report = harness.run_sharpness(**_options(args, harness.run_sharpness))
     _write_csv(
         args.out, harness.SHARPNESS_CSV_HEADER, harness.sharpness_csv_rows(report)
     )
     _summary(
-        f"sharpness p={p} delta={delta}: {len(report.rows)} window-certified "
+        f"sharpness p={report.p} delta={report.delta}: {len(report.rows)} window-certified "
         f"pairs, all >= delta/2*h: {all(r.bound_ok for r in report.rows)}; "
         f"{len(report.skipped)} skipped",
         args.out,
@@ -165,57 +216,39 @@ def cmd_sharpness(args) -> int:
 
 
 def cmd_rec1_scan(args) -> int:
-    cfg = _load_config(args.config)
-    F = _powersum(cfg, "F")
-    place_raw = cfg.get("place", "oo")
-    v = Place.archimedean() if place_raw in ("oo", "inf", None) else Place.finite(int(place_raw))
-    epsilon = parse_rational(str(cfg.get("epsilon", "1/10")))
-    N = int(cfg.get("N", 500))
-    report = harness.run_rec1_scan(F, v, epsilon, N)
-    header = ("violator_n",)
-    _write_csv(args.out, header, [(n,) for n in report.violators])
+    report = harness.run_rec1_scan(**_options(args, harness.run_rec1_scan))
+    _write_csv(args.out, harness.REC1_CSV_HEADER, harness.rec1_csv_rows(report))
     _summary(
-        f"rec1-scan at {v}: {len(report.violators)} violators up to N={N}, "
-        f"max {report.max_violator}, zeros at {report.zero_indices}",
+        f"rec1-scan at {report.place}: {len(report.violators)} violators up to "
+        f"N={report.N}, max {report.max_violator}, zeros at {report.zero_indices}",
         args.out,
     )
     return EXIT_OK
 
 
 def cmd_unit_eq(args) -> int:
-    cfg = _load_config(args.config)
-    primes = cfg.get("primes", args.primes)
-    if isinstance(primes, str):
-        primes = [int(p) for p in primes.split(",") if p]
-    S = PlaceSet(True, tuple(int(p) for p in primes))
-    n = int(cfg.get("n", args.n))
-    bound = int(cfg.get("bound", args.bound))
-    budget = int(cfg.get("budget", 2_000_000))
-    report = harness.solve_unit_equation(S, n, bound, budget=budget)
-    header = tuple(f"x{i}" for i in range(n + 1)) + ("degenerate",)
-    rows = [
-        tuple(format_rational(c) for c in x) + ("0",) for x in report.solutions
-    ] + [
-        tuple(format_rational(c) for c in x) + ("1",) for x in report.degenerate
-    ]
-    _write_csv(args.out, header, rows)
+    opts = _options(args, harness.solve_unit_equation)
+    opts.pop("delta", None)  # documented and ignored: unit-eq classifies no almost units
+    if "primes" in opts:
+        opts["S"] = opts.pop("primes")
+    report = harness.solve_unit_equation(**opts)
+    _write_csv(args.out, harness.unit_eq_csv_header(report), harness.unit_eq_csv_rows(report))
     freq = ", ".join(
         f"{format_rational(v)}:{c}"
         for v, c in sorted(report.coordinate_frequency.items())[:12]
     )
     _summary(
-        f"unit-eq S={S} n={n} bound={bound}: {len(report.solutions)} "
-        f"nondegenerate + {len(report.degenerate)} degenerate solutions"
-        f"{' (TRUNCATED)' if report.truncated else ''}; coordinate freq: {freq}",
+        f"unit-eq S={report.S} n={report.n} bound={report.bound}: "
+        f"{len(report.solutions)} nondegenerate + {len(report.degenerate)} degenerate "
+        f"solutions{' (TRUNCATED)' if report.truncated else ''}; coordinate freq: {freq}",
         args.out,
     )
     return EXIT_TRUNCATED if report.truncated else EXIT_OK
 
 
 def cmd_hilbert_verify(args) -> int:
-    checks = harness.run_hilbert_verify(seed=args.seed)
-    header = ("check", "instances", "failures")
-    _write_csv(args.out, header, [(c.name, c.instances, c.failures) for c in checks])
+    checks = harness.run_hilbert_verify(**_given(args, ["seed"]))
+    _write_csv(args.out, harness.HILBERT_CSV_HEADER, harness.hilbert_csv_rows(checks))
     ok = all(c.ok for c in checks)
     for c in checks:
         _summary(
@@ -226,6 +259,7 @@ def cmd_hilbert_verify(args) -> int:
     return EXIT_OK if ok else EXIT_PRECONDITION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gcdlab",
@@ -235,14 +269,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def out(p):
-        p.add_argument("--out", default="-", help="CSV output path or '-'")
+        p.add_argument("--out", help="CSV output path or '-' (the default)")
 
     def common(p):
         p.add_argument("--config", help="JSON config path or '-' for stdin")
         out(p)
 
+    # a value flag left out stays out of args, so the runner's default applies
+    absent = argparse.SUPPRESS
+
     def seed(p):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
+        p.add_argument("--seed", type=int, default=absent, help="RNG seed")
 
     p = sub.add_parser("lrs-scan", help="gcd grid scan of two recurrences")
     common(p)
@@ -255,16 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example-pk", help="prime-power coincidence family")
     common(p)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--epsilon", default="3/5")
-    p.add_argument("--kmax", type=int, default=10)
+    p.add_argument("--p", type=int, default=absent)
+    p.add_argument("--epsilon", default=absent)
+    p.add_argument("--kmax", type=int, default=absent)
     p.set_defaults(fn=cmd_example_pk)
 
     p = sub.add_parser("sharpness", help="linear-in-delta sharpness construction")
     common(p)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--delta", default="1/5")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--p", type=int, default=absent)
+    p.add_argument("--delta", default=absent)
+    p.add_argument("--trials", type=int, default=absent)
     p.set_defaults(fn=cmd_sharpness)
 
     p = sub.add_parser("rec1-scan", help="single-place decay scan of a recurrence")
@@ -273,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unit-eq", help="desk-scale S-unit equation enumeration")
     common(p)
-    p.add_argument("--primes", default="2,3")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--bound", type=int, default=1)
+    p.add_argument("--primes", default=absent)
+    p.add_argument("--n", type=int, default=absent)
+    p.add_argument("--bound", type=int, default=absent)
     p.set_defaults(fn=cmd_unit_eq)
 
     p = sub.add_parser("hilbert-verify", help="combinatorial oracle sweep")

@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd as igcd
+from math import floor, gcd as igcd, log2
 from typing import NamedTuple
 
 import mpmath
@@ -33,8 +33,21 @@ from .hilbert import inequality_constants
 from .logreal import LogReal, escalating_sign, fraction_interval, logreal_sum
 from .lrs import PowerSum, _zero_structure, compute_S0
 from .multipoly import MultiPoly
-from .places import DomainError, PlaceSet, format_rational, support_primes
+from .places import DomainError, Place, PlaceSet, format_rational, support_primes
 from .arith import _split_primes, sqrt_fraction_exact
+
+
+# Checked before any evaluation: the estimated bits of all values a run
+# evaluates (at the bound an example-pk run takes up to about 2.5 s) and the
+# rows a scan keeps.
+MAX_BITS = 1 << 25
+MAX_KEPT_ROWS = 1 << 20
+
+
+def _bound_work(bits: float, rows: int = 0) -> None:
+    if bits > MAX_BITS or rows > MAX_KEPT_ROWS:
+        raise DomainError(f"work estimated at {bits:.4g} bits of values and {rows} kept rows, "
+                          f"above the bounds of {MAX_BITS} bits and {MAX_KEPT_ROWS} rows")
 
 
 # ---------------------------------------------------------------------
@@ -45,8 +58,8 @@ from .arith import _split_primes, sqrt_fraction_exact
 class ScanConfig:
     F: PowerSum
     G: PowerSum
-    epsilon: Fraction
-    N: int
+    epsilon: Fraction = Fraction(1, 2)
+    N: int = 100
     extra_S: PlaceSet = PlaceSet(False, ())
     mode: str = "full-grid"  # or "diagonal"
     tube_max_ab: int = 8
@@ -380,11 +393,13 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
     """Scan the grid (or the diagonal) of pairs (F(m), G(n)), 1 <= m, n <= N.
     A full-grid scan without kept rows visits only _candidate_columns; every
     pair it skips is provably not flagged, so the report is the same."""
+    N = cfg.N
+    _bound_work((N + 1) * (cfg.F.value_bits(N) + cfg.G.value_bits(N)),
+                (N if cfg.mode == "diagonal" else N * N) if cfg.keep_rows else 0)
     S0 = compute_S0(cfg.F.roots, cfg.G.roots)
     S_used = S0.union(cfg.extra_S)
     s_primes = S_used.finite_primes
     s_arch = S_used.contains_archimedean
-    N = cfg.N
     F_vals = [cfg.F.eval(i) for i in range(N + 1)]
     G_vals = [cfg.G.eval(i) for i in range(N + 1)]
     zero_structure_F = _zero_structure(cfg.F, F_vals)
@@ -514,8 +529,8 @@ SCAN_CSV_HEADER = (
 class SampleConfig:
     f: MultiPoly
     g: MultiPoly
-    S: PlaceSet
-    delta: Fraction
+    S: PlaceSet = PlaceSet(True, ())
+    delta: Fraction = Fraction(1, 25)
     count: int = 50
     generator_exponent_bound: int = 6
     perturbation_bound: int = 1
@@ -769,7 +784,8 @@ def pk_sequences(p: int) -> tuple[PowerSum, PowerSum]:
     return F, G
 
 
-def run_example_pk(p: int, epsilon: Fraction, kmax: int) -> PkReport:
+def run_example_pk(p: int = 2, epsilon: Fraction = Fraction(3, 5),
+                   kmax: int = 10) -> PkReport:
     from .arith import is_prime
 
     if not is_prime(p):
@@ -777,6 +793,9 @@ def run_example_pk(p: int, epsilon: Fraction, kmax: int) -> PkReport:
     epsilon = Fraction(epsilon)
     if LogReal({p: Fraction(1)}).cmp(epsilon) <= 0:
         raise DomainError("epsilon must be smaller than log p")
+    # F(p^k) and G(p^k + k) have about p^k log2 p bits, so all k <= kmax
+    # about 4 p^kmax log2 p; p^64 is past the bound already
+    _bound_work(4 * p ** min(kmax, 64) * log2(p))
     F, G = pk_sequences(p)
     rows = []
     points = []
@@ -866,7 +885,7 @@ def sharpness_window_holds(p: int, m: int, n: int, delta: Fraction):
 SHARPNESS_N_CAP = 10_000  # the window walk in n gives up past this
 
 
-def run_sharpness(p: int, delta: Fraction, trials: int,
+def run_sharpness(p: int = 2, delta: Fraction = Fraction(1, 5), trials: int = 10,
                   m_start: int = 4) -> SharpnessReport:
     from .arith import is_prime
 
@@ -930,6 +949,7 @@ def sharpness_csv_rows(report: SharpnessReport):
 
 @dataclass
 class Rec1Report:
+    place: Place
     epsilon: Fraction
     N: int
     violators: list[int]
@@ -937,11 +957,12 @@ class Rec1Report:
     zero_indices: list[int]
 
 
-def run_rec1_scan(F: PowerSum, v, epsilon: Fraction, N: int) -> Rec1Report:
-    """All n <= N with -log|F(n)|_v >= epsilon * n (the decay inequality
-    violators); the hypothesis needs some root with |root|_v >= 1 and a
-    nondegenerate F."""
-    from .places import Place, valuation
+def run_rec1_scan(F: PowerSum, place: Place = Place.archimedean(),
+                  epsilon: Fraction = Fraction(1, 10), N: int = 500) -> Rec1Report:
+    """All n <= N with -log|F(n)|_v >= epsilon * n at v = ``place`` (the
+    decay inequality violators); the hypothesis needs some root with
+    |root|_v >= 1 and a nondegenerate F."""
+    from .places import valuation
 
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -950,14 +971,15 @@ def run_rec1_scan(F: PowerSum, v, epsilon: Fraction, N: int) -> Rec1Report:
         raise DomainError("degenerate recurrence")
     if F.is_zero:
         raise DomainError("zero recurrence")
-    if v.is_archimedean:
+    _bound_work((N + 1) * F.value_bits(N))
+    if place.is_archimedean:
         if not any(abs(r) >= 1 for r in F.roots):
             raise DomainError("every root is small at the archimedean place")
     else:
-        if not any(valuation(r, v.prime) <= 0 for r in F.roots):
-            raise DomainError(f"every root is small at {v}")
+        if not any(valuation(r, place.prime) <= 0 for r in F.roots):
+            raise DomainError(f"every root is small at {place}")
     # log p < bits(p) ln 2 < bits(p) LN2_UPPER
-    log_p_upper = None if v.is_archimedean else v.prime.bit_length() * LN2_UPPER
+    log_p_upper = None if place.is_archimedean else place.prime.bit_length() * LN2_UPPER
     violators = []
     zeros = []
     for n in range(N + 1):
@@ -968,19 +990,26 @@ def run_rec1_scan(F: PowerSum, v, epsilon: Fraction, N: int) -> Rec1Report:
         threshold = epsilon * n
         # for n >= 1 the threshold is positive: a row whose -log|F(n)|_v is
         # at most 0, or provably below it, is no violator and needs no LogReal
-        if v.is_archimedean:
+        if place.is_archimedean:
             if n >= 1 and abs(val) >= 1:
                 continue
             neg_log = -LogReal.log_of_fraction(val)
         else:
-            w = valuation(val, v.prime)
+            w = valuation(val, place.prime)
             if n >= 1 and w * log_p_upper < threshold:
                 continue
-            neg_log = LogReal({v.prime: Fraction(w)})
+            neg_log = LogReal({place.prime: Fraction(w)})
         if neg_log.cmp(threshold) >= 0:
             violators.append(n)
-    return Rec1Report(epsilon, N, violators,
+    return Rec1Report(place, epsilon, N, violators,
                       max(violators) if violators else None, zeros)
+
+
+REC1_CSV_HEADER = ("violator_n",)
+
+
+def rec1_csv_rows(report: Rec1Report):
+    return [(n,) for n in report.violators]
 
 
 # ---------------------------------------------------------------------
@@ -1172,18 +1201,25 @@ def run_hilbert_verify(seed: int = 0) -> list[VerifyCheck]:
     return checks
 
 
+HILBERT_CSV_HEADER = ("check", "instances", "failures")
+
+
+def hilbert_csv_rows(checks: list[VerifyCheck]):
+    return [(c.name, c.instances, c.failures) for c in checks]
+
+
 # ---------------------------------------------------------------------
 # unit equation enumeration
 # ---------------------------------------------------------------------
 
-def solve_unit_equation(S: PlaceSet, n: int, exponent_bound: int,
+def solve_unit_equation(S: PlaceSet = PlaceSet.of(2, 3), n: int = 1, bound: int = 1,
                         budget: int = 2_000_000) -> UnitEquationReport:
     """Exhaustive tuples (x_0, ..., x_n) of S-units from the exponent box
     with x_0 + ... + x_n = 1; tuples with a vanishing proper subsum are
     listed separately.  Hitting the budget yields a truncated report."""
-    if n < 1 or exponent_bound < 1:
-        raise DomainError("need n >= 1 and exponent_bound >= 1")
-    values = s_unit_values(S, exponent_bound)
+    if n < 1 or bound < 1:
+        raise DomainError("need n >= 1 and bound >= 1")
+    values = s_unit_values(S, bound)
     value_set = set(values)
     total = len(values) ** n
     truncated = total > budget
@@ -1208,5 +1244,14 @@ def solve_unit_equation(S: PlaceSet, n: int, exponent_bound: int,
     for x in solutions:
         freq.update(x)
     return UnitEquationReport(
-        S, n, exponent_bound, solutions, degenerate, truncated, freq
+        S, n, bound, solutions, degenerate, truncated, freq
     )
+
+
+def unit_eq_csv_header(report: UnitEquationReport) -> tuple[str, ...]:
+    return tuple(f"x{i}" for i in range(report.n + 1)) + ("degenerate",)
+
+
+def unit_eq_csv_rows(report: UnitEquationReport):
+    return [tuple(map(format_rational, x)) + (flag,)
+            for flag, xs in (("0", report.solutions), ("1", report.degenerate)) for x in xs]

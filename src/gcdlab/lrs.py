@@ -142,6 +142,14 @@ class PowerSum:
             total += _poly_eval(cs, n) * root**n
         return total
 
+    def value_bits(self, n: int) -> float:
+        """Estimated bits of the largest numerator or denominator of a value
+        at an index up to n, from the sizes of the roots and coefficients."""
+        def lg(q: Fraction) -> float:
+            return math.log2(max(abs(q.numerator), q.denominator))
+        return max((n * lg(r) + max(map(lg, cs)) + (len(cs) - 1) * n.bit_length()
+                    for cs, r in self.terms), default=0.0)
+
     def __add__(self, other: "PowerSum") -> "PowerSum":
         return PowerSum(list(self.terms) + list(other.terms))
 
@@ -216,10 +224,16 @@ def power_sum_to_json(F: PowerSum) -> dict:
 def power_sum_from_json(data) -> PowerSum:
     if isinstance(data, str):
         data = json.loads(data)
+    if not (isinstance(data, dict) and set(data) <= {"terms"}
+            and isinstance(data.get("terms", []), list)):
+        raise DomainError(f'a power sum must be {{"terms": [...]}}, not {data!r}')
     terms = []
     for item in data.get("terms", []):
-        coeffs = [parse_rational(c) for c in item["coeff"]]
-        terms.append((coeffs, parse_rational(item["root"])))
+        if not (isinstance(item, dict) and set(item) == {"coeff", "root"}
+                and isinstance(item["coeff"], list)):
+            raise DomainError(f'a power sum term must be {{"coeff": [...], "root": ...}}, '
+                              f'not {item!r}')
+        terms.append(([parse_rational(c) for c in item["coeff"]], parse_rational(item["root"])))
     return PowerSum(terms)
 
 

@@ -284,6 +284,8 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
     max_index = 0
     for kind, val in items:
         if kind == "var":
+            if int(val[1:]) < 1:
+                raise DomainError(f"variables are numbered from x1, not {val!r}")
             max_index = max(max_index, int(val[1:]))
     n = nvars if nvars is not None else max_index
     if max_index > n:

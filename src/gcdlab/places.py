@@ -143,9 +143,11 @@ def support_primes(*values: Fraction) -> list[int]:
     return sorted(primes)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'a' or 'a/b' (decimal-free) into an exact rational."""
-    text = text.strip()
+def parse_rational(text: str | int) -> Fraction:
+    """Parse 'a' or 'a/b' (decimal-free), or an int, into an exact rational."""
+    if not isinstance(text, (str, int)) or isinstance(text, bool):
+        raise DomainError(f"a rational must be a string or an int, not {text!r}")
+    text = str(text).strip()
     if "." in text or "e" in text.lower():
         raise DomainError(f"decimal-free rational expected, got {text!r}")
     try:

@@ -1,10 +1,15 @@
+import argparse
+import dataclasses
 import hashlib
+import inspect
 import json
+import signal
+import time
 from pathlib import Path
 
 import pytest
 
-from gcdlab import arith, harness
+from gcdlab import arith, cli, harness
 from gcdlab.cli import EXIT_UNDECIDED, main
 from gcdlab.logreal import PrecisionExhausted
 
@@ -253,3 +258,201 @@ def test_archimedean_flag_must_be_a_json_bool(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "lrs-scan", "--config", str(cfg), "--out", str(tmp_path / "b.csv"))
     assert code == 0
     assert "S={}" in out
+
+
+F_PK = {"terms": [{"coeff": ["0", "1"], "root": "2"}, {"coeff": ["1"], "root": "1"}]}
+G_PK = {"terms": [{"coeff": ["1"], "root": "2"}, {"coeff": ["1"], "root": "1"}]}
+
+
+def _run_config(capsys, tmp_path, sub, cfg, *flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return run_cli(capsys, sub, "--config", str(cfg_path), *flags,
+                   "--out", str(tmp_path / "out.csv"))
+
+
+@pytest.mark.parametrize(
+    "sub, cfg, key",
+    [
+        ("lrs-scan", {"F": F_PK, "G": G_PK, "epsilson": "3/5"}, "epsilson"),
+        ("unit-eq", {"budjet": 5}, "budjet"),
+        ("lrs-scan", {"F": F_PK, "G": G_PK, "N": 10.7}, "N"),
+        ("lrs-scan", {"F": F_PK, "G": G_PK, "N": True}, "N"),
+        ("example-pk", {"kmax": 3.9}, "kmax"),
+        ("example-pk", {"kmax": True}, "kmax"),
+        ("lrs-scan", {"F": F_PK, "G": G_PK, "extra_S": {"prime": [3]}}, "extra_S"),
+        ("rec1-scan", {"F": F_PK, "place": "5"}, "place"),
+        ("lrs-scan", {"F": {"terms": "x"}, "G": G_PK}, "F"),
+        ("lrs-scan", {"F": F_PK, "G": [1, 2]}, "G"),
+        ("lrs-scan", [F_PK, G_PK], "JSON object"),
+    ],
+)
+def test_bad_config_values_exit_2_and_name_the_key(capsys, tmp_path, sub, cfg, key):
+    """Each of these once ran with a guessed value or ended in a traceback."""
+    code, _, err = _run_config(capsys, tmp_path, sub, cfg)
+    assert code == 2
+    assert err.startswith("error:") and key in err
+
+
+def test_config_wins_over_flags_and_defaults_come_from_the_runner(capsys, tmp_path):
+    code, out, _ = _run_config(capsys, tmp_path, "example-pk", {"p": 3, "kmax": 2},
+                               "--p", "5", "--epsilon", "1")
+    assert code == 0
+    assert out.startswith("example-pk p=3: 2 coincidences")
+    code, out, _ = _run_config(capsys, tmp_path, "rec1-scan", {"F": G_PK})
+    assert code == 0
+    assert out.startswith("rec1-scan at oo: 0 violators up to N=500")
+
+
+def test_unit_eq_delta_is_read_and_ignored(capsys, tmp_path):
+    code, _, err = _run_config(capsys, tmp_path, "unit-eq", {"delta": 0.5})
+    assert code == 2 and "delta" in err
+    code, out, _ = _run_config(capsys, tmp_path, "unit-eq", {"delta": "1/3"})
+    assert code == 0 and "S={oo, 2, 3} n=1 bound=1: 9 nondegenerate" in out
+
+
+def test_every_config_key_reaches_its_runner():
+    """A renamed runner parameter must not leave a config key behind."""
+    targets = {
+        "lrs-scan": harness.ScanConfig, "poly-gcd": harness.SampleConfig,
+        "example-pk": harness.run_example_pk, "sharpness": harness.run_sharpness,
+        "rec1-scan": harness.run_rec1_scan, "unit-eq": harness.solve_unit_equation,
+    }
+    read_by_the_cli = {"poly-gcd": {"nvars"}, "unit-eq": {"delta"}}
+    renamed = {"unit-eq": {"primes": "S"}}
+    assert set(cli.CONFIG_KEYS) == set(targets)
+    for sub, keys in cli.CONFIG_KEYS.items():
+        target = targets[sub]
+        if dataclasses.is_dataclass(target):
+            params = {f.name for f in dataclasses.fields(target)}
+        else:
+            params = set(inspect.signature(target).parameters)
+        for key in set(keys) - read_by_the_cli.get(sub, set()):
+            assert renamed.get(sub, {}).get(key, key) in params, (sub, key)
+    # and every value flag is a config key
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for sub, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.dest not in ("help", "config", "out", "seed"):
+                assert action.dest in cli.CONFIG_KEYS[sub], (sub, action.dest)
+
+
+def test_parser_is_built_once_per_process(capsys, tmp_path):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        code, _, _ = run_cli(capsys, "unit-eq", "--out", str(tmp_path / "ue.csv"))
+        assert code == 0
+    assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["example-pk", "--kmax", "40"], ["example-pk", "--p", "5", "--kmax", "10"]],
+)
+def test_example_pk_beyond_the_work_bound_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv, "--out", "-")
+    assert code == 2 and "bits" in err
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "sub, cfg, word",
+    [
+        ("lrs-scan", {"F": F_PK, "G": G_PK, "N": 10**6}, "bits"),
+        ("lrs-scan", {"F": F_PK, "G": G_PK, "N": 10**6, "mode": "diagonal"}, "bits"),
+        ("lrs-scan", {"F": F_PK, "G": G_PK, "N": 2000}, "rows"),
+        ("rec1-scan", {"F": F_PK, "N": 10**6}, "bits"),
+    ],
+)
+def test_scans_beyond_the_work_bound_exit_2_at_once(capsys, tmp_path, sub, cfg, word):
+    start = time.perf_counter()
+    code, _, err = _run_config(capsys, tmp_path, sub, cfg)
+    assert code == 2 and word in err
+    assert time.perf_counter() - start < 1
+
+
+def _fuzz_strategies():
+    st = pytest.importorskip("hypothesis.strategies")
+    seqs = st.sampled_from([
+        F_PK, G_PK,
+        {"terms": [{"coeff": ["1"], "root": "2"}, {"coeff": ["-1"], "root": "3"}]},
+        {"terms": [{"coeff": [1], "root": "1/2"}, {"coeff": ["3"], "root": 1}]},
+    ])
+    rational = st.sampled_from(["1/10", "1/4", "1/2", "3/5", 1, "3/2"])
+    small = st.integers(1, 6)
+    valid = {
+        "lrs-scan": st.fixed_dictionaries({"F": seqs, "G": seqs}, optional={
+            "epsilon": rational, "N": st.integers(1, 25),
+            "mode": st.sampled_from(["full-grid", "diagonal"]),
+            "extra_S": st.sampled_from([[], [3], {"archimedean": True}, {"primes": [5]}]),
+            "tube_max_ab": small, "tube_kappa": small,
+        }),
+        "poly-gcd": st.fixed_dictionaries(
+            {"f": st.sampled_from(["x1 + 1", "x1 - 2"]), "g": st.sampled_from(["x2", "x2 + 3"])},
+            optional={"nvars": st.just(2), "S": st.sampled_from([[2], {"primes": [3]}]),
+                      "delta": st.sampled_from(["1/5", "1/7"]), "count": st.integers(0, 3),
+                      "generator_exponent_bound": st.integers(1, 3),
+                      "perturbation_bound": st.integers(0, 2)}),
+        "example-pk": st.fixed_dictionaries({}, optional={
+            "p": st.sampled_from([2, 3, 4, 5]), "epsilon": rational, "kmax": st.integers(0, 4)}),
+        "sharpness": st.fixed_dictionaries({}, optional={
+            "p": st.sampled_from([2, 3]), "delta": st.sampled_from(["1/5", "1/4"]),
+            "trials": st.integers(0, 2), "m_start": st.integers(4, 12)}),
+        "rec1-scan": st.fixed_dictionaries({"F": seqs}, optional={
+            "place": st.sampled_from(["oo", "inf", 2, 5, 7]), "epsilon": rational,
+            "N": st.integers(0, 60)}),
+        "unit-eq": st.fixed_dictionaries({}, optional={
+            "primes": st.sampled_from([[2], [2, 3], "2,5", []]), "n": st.integers(1, 2),
+            "bound": st.integers(1, 2), "budget": st.integers(1, 500), "delta": rational}),
+    }
+    wrong = st.one_of(
+        st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=4),
+        st.lists(st.integers(-3, 10), max_size=2),
+        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    )
+    # past the bits bound for every sequence above
+    over = {"lrs-scan": ("N", st.integers(5000, 10**12)),
+            "rec1-scan": ("N", st.integers(10**7, 10**12)),
+            "example-pk": ("kmax", st.integers(30, 10**9))}
+    return st, valid, wrong, over
+
+
+@pytest.mark.parametrize("sub", ["lrs-scan", "poly-gcd", "example-pk", "sharpness",
+                                 "rec1-scan", "unit-eq"])
+def test_fuzzed_configs_exit_with_a_documented_code(capsys, tmp_path, sub):
+    """Valid configs, then unknown keys, wrong JSON types, wrong shapes and
+    sizes beyond the work bounds: every call exits 0, 2, 3 or 4 in time."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st, valid, wrong, over = _fuzz_strategies()
+
+    def timeout(*_):
+        raise TimeoutError(f"{sub} did not finish within 5 s")
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cfg=valid[sub], data=st.data())
+    def check(cfg, data):
+        kind = data.draw(st.sampled_from(["valid", "unknown", "type", "shape", "size"]))
+        if kind == "unknown":
+            cfg = {**cfg, data.draw(st.text(min_size=1, max_size=6)) + "~": 1}
+        elif kind == "type" and cfg:
+            cfg = {**cfg, data.draw(st.sampled_from(sorted(cfg))): data.draw(wrong)}
+        elif kind == "shape":
+            cfg = data.draw(st.sampled_from([[cfg], "cfg", 3, None]))
+        elif kind == "size" and sub in over:
+            key, size = over[sub]
+            cfg = {**cfg, key: data.draw(size)}
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            start = time.perf_counter()
+            code, _, err = _run_config(capsys, tmp_path, sub, cfg)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        assert code in (0, 2, 3, 4), (cfg, code, err)
+        assert code != 2 or err.startswith("error:"), err
+        assert time.perf_counter() - start < 5
+
+    check()

@@ -305,6 +305,34 @@ def test_json_roundtrip():
     assert power_sum_from_json(power_sum_to_json(G)) == G
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1, 2],
+        7,
+        {"terms": "x"},
+        {"terms": [{"coeff": ["1"], "root": "2"}], "term": []},
+        {"terms": [["1", "2"]]},
+        {"terms": [{"coeff": ["1"]}]},
+        {"terms": [{"root": "2"}]},
+        {"terms": [{"coeff": "1", "root": "2"}]},
+        {"terms": [{"coeff": [1.5], "root": "2"}]},
+        {"terms": [{"coeff": ["1"], "root": 2.0}]},
+        {"terms": [{"coeff": ["1"], "root": None}]},
+        {"terms": [{"coeff": ["1"], "root": True}]},
+        {"terms": [{"coeff": ["1"], "root": "2", "roots": "3"}]},
+    ],
+)
+def test_json_of_the_wrong_shape_raises_domain_error(data):
+    with pytest.raises(DomainError):
+        power_sum_from_json(data)
+
+
+def test_json_rationals_may_be_ints():
+    data = {"terms": [{"coeff": [0, 1], "root": 2}, {"coeff": ["1"], "root": "1"}]}
+    assert power_sum_from_json(data) == PowerSum.of(([0, 1], 2), ([1], 1))
+
+
 def test_root_group_rows_match_sympy_multiplicity():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")

@@ -36,6 +36,14 @@ def test_parse_print_roundtrip():
         parse_poly("2x1")  # implicit multiplication rejected
 
 
+@pytest.mark.parametrize("nvars", [None, 2])
+def test_parse_rejects_variable_x0(nvars):
+    """x0 once raised IndexError, or with nvars given was read as the last
+    variable."""
+    with pytest.raises(DomainError):
+        parse_poly("x0 + 1", nvars=nvars)
+
+
 def test_print_golden():
     p = MultiPoly(3, {(2, 1, 0): Fraction(-3, 2), (0, 0, 1): 1, (0, 0, 0): -2,
                       (1, 0, 0): 1, (0, 3, 0): 5})
