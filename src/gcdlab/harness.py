@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd as igcd, log2
+from math import gcd as igcd, log2
 from typing import NamedTuple
 
 import mpmath
@@ -31,7 +31,7 @@ from .heights import (
 )
 from .hilbert import inequality_constants
 from .logreal import LogReal, escalating_sign, fraction_interval, logreal_sum
-from .lrs import PowerSum, _zero_structure, compute_S0
+from .lrs import PowerSum, _poly_eval as _int_poly, _zero_structure, compute_S0
 from .multipoly import MultiPoly
 from .places import DomainError, Place, PlaceSet, format_rational, support_primes
 from .arith import _split_primes, sqrt_fraction_exact
@@ -158,7 +158,7 @@ def _unflagged_bits(eps: Fraction, mx: int) -> int:
     """The largest b with b * LN2_UPPER <= eps * mx.  A core of at most b
     bits has log core < b ln 2 < eps * mx, so a row with that core and no
     archimedean term is not flagged; no LogReal is needed to prove it."""
-    return floor(eps * mx / LN2_UPPER)
+    return eps.numerator * mx * LN2_UPPER.denominator // (eps.denominator * LN2_UPPER.numerator)
 
 
 def tube_inequality_holds(a: int, b: int, kappa: int, m: int, n: int) -> bool:
@@ -219,13 +219,6 @@ def _dominant_term(S: PowerSum) -> tuple[int, tuple[int, ...]] | None:
     if any(root == -r for root in S.roots):
         return None
     return int(r), tuple(int(c) for c in cs)
-
-
-def _int_poly(cs: tuple[int, ...], x: int) -> int:
-    total = 0
-    for c in reversed(cs):
-        total = total * x + c
-    return total
 
 
 class _DominantRootBounds:
@@ -400,13 +393,10 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
     S_used = S0.union(cfg.extra_S)
     s_primes = S_used.finite_primes
     s_arch = S_used.contains_archimedean
-    F_vals = [cfg.F.eval(i) for i in range(N + 1)]
-    G_vals = [cfg.G.eval(i) for i in range(N + 1)]
+    # integral values are plain ints: the gcd core then does no Fraction work
+    F_vals, G_vals = cfg.F.values(N), cfg.G.values(N)
     zero_structure_F = _zero_structure(cfg.F, F_vals)
     zero_structure_G = _zero_structure(cfg.G, G_vals)
-    # integral values as plain ints: the gcd core then does no Fraction work
-    F_vals = [v.numerator if v.denominator == 1 else v for v in F_vals]
-    G_vals = [v.numerator if v.denominator == 1 else v for v in G_vals]
 
     eps = cfg.epsilon
     max_bits = [_unflagged_bits(eps, mx) for mx in range(N + 1)]
@@ -902,6 +892,9 @@ def run_sharpness(p: int = 2, delta: Fraction = Fraction(1, 5), trials: int = 10
         # the window in n is roughly [m (1-delta)/delta, m (2-delta)/delta];
         # walk n upward from below with the exact predicate
         n = max(1, int(m * (1 - delta) / delta) - 2)
+        if n > SHARPNESS_N_CAP:
+            # the start grows with m, so no later m has a window below the cap
+            raise DomainError(f"the window for m = {m} starts past n = {SHARPNESS_N_CAP}")
         found = None
         while n <= SHARPNESS_N_CAP:
             ok, P, hP, hbar = sharpness_window_holds(p, m, n, delta)
@@ -982,8 +975,7 @@ def run_rec1_scan(F: PowerSum, place: Place = Place.archimedean(),
     log_p_upper = None if place.is_archimedean else place.prime.bit_length() * LN2_UPPER
     violators = []
     zeros = []
-    for n in range(N + 1):
-        val = F.eval(n)
+    for n, val in enumerate(F.values(N)):
         if val == 0:
             zeros.append(n)
             continue

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .arith import _split_primes, hnf_with_transform, integer_kernel, solve_in_row_lattice
@@ -42,10 +43,12 @@ def _trim(cs: Sequence[Fraction]) -> Coeffs:
     return tuple(cs)
 
 
-def _poly_eval(cs: Coeffs, n) -> Fraction:
-    total = Fraction(0)
+def _poly_eval(cs, x):
+    """Horner's rule from the int 0: int coefficients at an int give an int,
+    and a Fraction anywhere gives a Fraction."""
+    total = 0
     for c in reversed(cs):
-        total = total * n + c
+        total = total * x + c
     return total
 
 
@@ -133,14 +136,38 @@ class PowerSum:
     def roots(self) -> tuple[Fraction, ...]:
         return tuple(root for _, root in self.terms)
 
+    @cached_property
+    def _int_terms(self) -> tuple[tuple[tuple[int, ...], int, int, int], ...]:
+        """Each term p(n) root^n as (P, d, a, b) with p = P / d for an integer
+        polynomial P, and root = a / b."""
+        out = []
+        for cs, root in self.terms:
+            d = math.lcm(*(c.denominator for c in cs))
+            out.append((tuple(c.numerator * (d // c.denominator) for c in cs),
+                        d, root.numerator, root.denominator))
+        return tuple(out)
+
     def eval(self, n: int) -> Fraction:
         """Exact value at a nonnegative integer index."""
         if n < 0:
             raise DomainError("power sums are indexed by nonnegative integers")
-        total = Fraction(0)
-        for cs, root in self.terms:
-            total += _poly_eval(cs, n) * root**n
-        return total
+        return sum((Fraction(_poly_eval(P, n) * a**n, d * b**n)
+                    for P, d, a, b in self._int_terms), Fraction(0))
+
+    def values(self, N: int) -> list[int | Fraction]:
+        """Exact values at 0..N: an int where the value is integral, a
+        Fraction otherwise.  The powers of each root's numerator and
+        denominator carry over from one index to the next, so a sum whose
+        coefficients and roots are all integers builds no Fraction."""
+        out: list[int | Fraction] = [0] * (N + 1)
+        for P, d, a, b in self._int_terms:
+            an = bn = 1
+            for n in range(N + 1):
+                num = _poly_eval(P, n) * an
+                out[n] += num if d == b == 1 else Fraction(num, d * bn)
+                an *= a
+                bn *= b
+        return [v.numerator if v.denominator == 1 else v for v in out]
 
     def value_bits(self, n: int) -> float:
         """Estimated bits of the largest numerator or denominator of a value
@@ -270,7 +297,7 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         for num in divisors(a0):
             for den in divisors(an):
                 for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if _poly_eval(tuple(Fraction(c) for c in ints), cand) == 0:
+                    if _poly_eval(ints, cand) == 0:
                         found = cand
                         break
                 if found is not None:
@@ -342,7 +369,7 @@ class ZeroStructure:
 
 
 def zero_scan(F: PowerSum, N: int) -> ZeroStructure:
-    return _zero_structure(F, [F.eval(n) for n in range(N + 1)])
+    return _zero_structure(F, F.values(N))
 
 
 def _zero_structure(F: PowerSum, values: list) -> ZeroStructure:

@@ -373,6 +373,36 @@ def test_scans_beyond_the_work_bound_exit_2_at_once(capsys, tmp_path, sub, cfg, 
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "cap, cfg, m",
+    [
+        (harness.SHARPNESS_N_CAP, {"m_start": 3000}, 3000),
+        (50, {"m_start": 20}, 20),
+        # rows for m = 10, 11, 12; m = 13 finds no window below the cap
+        (50, {"m_start": 10, "trials": 5}, 14),
+    ],
+)
+def test_sharpness_window_past_the_cap_exits_2_at_once(capsys, tmp_path, monkeypatch,
+                                                       cap, cfg, m):
+    class Hang(BaseException):
+        pass
+
+    def timeout(*_):
+        raise Hang()
+
+    monkeypatch.setattr(harness, "SHARPNESS_N_CAP", cap)
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        start = time.perf_counter()
+        code, _, err = _run_config(capsys, tmp_path, "sharpness", {"trials": 1, **cfg})
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 2 and f"m = {m} starts past n = {cap}" in err
+    assert time.perf_counter() - start < 1
+
+
 def _fuzz_strategies():
     st = pytest.importorskip("hypothesis.strategies")
     seqs = st.sampled_from([

@@ -243,6 +243,14 @@ def test_bit_length_prefilter_never_hides_a_flagged_row():
     check()
 
 
+def test_unflagged_bits_is_the_floor_of_the_rational_bound():
+    for a in range(1, 30):
+        for b in range(1, 30):
+            q = Fraction(a, b) / LN2_UPPER
+            assert [_unflagged_bits(Fraction(a, b), mx) for mx in range(400)] == \
+                [math.floor(q * mx) for mx in range(400)], (a, b)
+
+
 def _report_summary(rep):
     """Everything a scan reports besides its configuration and kept rows."""
     return (rep.flagged, rep.clusters, rep.sporadic, rep.zero_rows, rep.nrows,
@@ -685,6 +693,30 @@ def test_rec1_scan_matches_log_abs_oracle():
         rep = run_rec1_scan(F, v, eps, N)
         assert rep.violators == want
         assert rep.zero_indices == [n for n in range(N + 1) if F.eval(n) == 0]
+
+
+def test_scans_evaluate_each_sequence_in_one_pass(monkeypatch):
+    """Scans take all their values from PowerSum.values, never from eval one
+    index at a time."""
+    F, G = pk_sequences(2)
+    H = PowerSum.of(([3], Fraction(3, 2)), ([-2], Fraction(1, 2)))
+
+    def scans():
+        return [
+            _report_summary(run_lrs_scan(ScanConfig(F, G, Fraction(3, 5), 40, **kw)))
+            for kw in ({}, {"mode": "diagonal"}, {"keep_rows": True})
+        ] + [run_lrs_scan(ScanConfig(H, G, Fraction(1, 2), 30)).flagged] + [
+            run_rec1_scan(H, v, Fraction(1, 20), 80).violators
+            for v in (Place.archimedean(), Place.finite(3))
+        ]
+
+    want = scans()
+
+    def no_eval(self, n):
+        raise AssertionError("PowerSum.eval called by a scan")
+
+    monkeypatch.setattr(PowerSum, "eval", no_eval)
+    assert scans() == want
 
 
 def test_unit_equation_small():

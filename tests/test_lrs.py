@@ -40,6 +40,41 @@ def test_eval_examples():
     assert PowerSum.zero().eval(12) == 0
 
 
+def test_values_and_eval_match_a_sympy_closed_form():
+    """values(N) and eval(n) against sympy Rationals summing the terms as
+    given (before PowerSum merges equal roots); a value is an int exactly
+    when it is integral, and eval always gives a Fraction."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+
+    rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    roots = st.one_of(st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3)]),
+                      rationals.filter(bool))
+    terms = st.lists(st.tuples(st.lists(rationals, min_size=1, max_size=4), roots),
+                     min_size=1, max_size=3)
+
+    def rational(q):
+        return sympy.Rational(q.numerator, q.denominator)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(terms=terms, N=st.integers(0, 40))
+    def check(terms, N):
+        F = PowerSum(terms)
+        values = F.values(N)
+        assert len(values) == N + 1
+        for n, value in enumerate(values):
+            want = sum((sum((rational(c) * n**j for j, c in enumerate(cs)), sympy.Integer(0))
+                        * rational(r) ** n for cs, r in terms), sympy.Integer(0))
+            assert value == Fraction(int(want.p), int(want.q))
+            assert (type(value) is int) == (want.q == 1)
+            assert type(value) in (int, Fraction)
+            got = F.eval(n)
+            assert type(got) is Fraction and got == value
+
+    check()
+
+
 def test_ring_operations_examples():
     assert PowerSum.geometric(2) * PowerSum.geometric(3) == PowerSum.geometric(6)
     assert (PowerSum.geometric(2) + PowerSum.geometric(2, -1)).is_zero
