@@ -1050,9 +1050,9 @@ COPRIME_TRIES = 200
 def random_form(rng, nvars: int, degree: int) -> MultiPoly:
     """Sparse random homogeneous form with 2 to FORM_MAX_TERMS terms and
     small nonzero integer coefficients."""
-    from .hilbert import monomials_exact
+    from .hilbert import _monomial_table
 
-    monos = monomials_exact(nvars, degree)
+    monos = _monomial_table(nvars, degree)[0]
     count = min(len(monos), rng.randint(2, FORM_MAX_TERMS))
     chosen = rng.sample(monos, count)
     terms = {}
@@ -1069,11 +1069,22 @@ def random_coprime_forms(rng, nvars: int, d1: int,
     for _ in range(COPRIME_TRIES):
         F1 = random_form(rng, nvars, d1)
         F2 = random_form(rng, nvars, d2)
-        if F1.is_zero or F2.is_zero:
-            continue
         if coprime(F1, F2):
             return F1, F2
     raise RuntimeError("could not sample a coprime pair")
+
+
+def _random_affine(rng, degree: int) -> MultiPoly:
+    """Random polynomial of degree <= degree in 2 variables with 2 to 4
+    terms at distinct monomials and coefficients in {-2, -1, 1, 2}; never
+    constant, as at most one of its terms is."""
+    from .hilbert import monomials_upto
+
+    monos = monomials_upto(2, degree)
+    terms = {}
+    for e in rng.sample(monos, min(len(monos), rng.randint(2, 4))):
+        terms[e] = Fraction(rng.choice([-2, -1, 1, 2]))
+    return MultiPoly(2, terms)
 
 
 @dataclass
@@ -1155,20 +1166,7 @@ def run_hilbert_verify(seed: int = 0) -> list[VerifyCheck]:
     made = 0
     while made < GREEDY_INSTANCES:
         d1, d2 = rng.randint(1, 2), rng.randint(1, 2)
-
-        def rand_affine(d):
-            # affine polynomial of degree <= d in 2 variables
-            from .hilbert import monomials_upto
-
-            monos = monomials_upto(2, d)
-            terms = {}
-            for e in rng.sample(monos, min(len(monos), rng.randint(2, 4))):
-                terms[e] = Fraction(rng.choice([-2, -1, 1, 2]))
-            return MultiPoly(2, terms)
-
-        f, g = rand_affine(d1), rand_affine(d2)
-        if f.is_zero or g.is_zero or f.is_constant() or g.is_constant():
-            continue
+        f, g = _random_affine(rng, d1), _random_affine(rng, d2)
         if not coprime(f, g):
             continue
         m = rng.randint(max(f.degree(), g.degree()), 5)

@@ -6,6 +6,7 @@ the explicit constants of the gcd inequalities."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -27,27 +28,38 @@ from .places import DomainError, Place, log_abs
 # monomial bookkeeping
 # ---------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
+def _monomial_table(nvars: int, degree: int) -> tuple[tuple, dict[tuple[int, ...], int]]:
+    """The exponent tuples of the given total degree, lexicographically
+    sorted, and their monomial -> column index, built once per (nvars,
+    degree).  Shared between callers: neither may be mutated.  Stars and
+    bars: the nvars - 1 bar positions among degree + nvars - 1 slots, taken
+    in lexicographic order, give the exponents (the gaps between bars) in
+    lexicographic order."""
+    if degree < 0 or (nvars == 0 and degree > 0):
+        monomials = ()
+    elif nvars == 0:
+        monomials = ((),)
+    else:
+        slots = degree + nvars - 1
+        monomials = tuple(
+            tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
+            for bars in itertools.combinations(range(slots), nvars - 1)
+        )
+    return monomials, _column_index(monomials)
+
+
 def monomials_exact(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, lexicographically
-    sorted.  Stars and bars: the nvars - 1 bar positions among
-    degree + nvars - 1 slots, taken in lexicographic order, give the
-    exponents (the gaps between bars) in lexicographic order."""
-    if degree < 0 or (nvars == 0 and degree > 0):
-        return []
-    if nvars == 0:
-        return [()]
-    slots = degree + nvars - 1
-    return [
-        tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
-        for bars in itertools.combinations(range(slots), nvars - 1)
-    ]
+    sorted, as a fresh list."""
+    return list(_monomial_table(nvars, degree)[0])
 
 
 def monomials_upto(nvars: int, m: int) -> list[tuple[int, ...]]:
     """All exponent tuples of total degree <= m, graded-lex sorted."""
     out = []
     for d in range(m + 1):
-        out.extend(monomials_exact(nvars, d))
+        out.extend(_monomial_table(nvars, d)[0])
     return out
 
 
@@ -74,7 +86,7 @@ def multiindex_sum(n: int, m: int) -> tuple[int, ...]:
     if n < 1 or m < 1:
         raise DomainError("n and m must be positive")
     total = [0] * (n + 1)
-    for e in monomials_exact(n + 1, m):
+    for e in _monomial_table(n + 1, m)[0]:
         for i, x in enumerate(e):
             total[i] += x
     return tuple(total)
@@ -111,11 +123,11 @@ def graded_ideal_rank(F1: MultiPoly, F2: MultiPoly, l: int) -> int:
 def _graded_multiple_rows(F1: MultiPoly, F2: MultiPoly, l: int) -> list[dict[int, int]]:
     """Rows of the degree-l monomial multiples of F1, then of F2."""
     nvars = F1.nvars
-    column = _column_index(monomials_exact(nvars, l))
+    column = _monomial_table(nvars, l)[1]
     return [
         row
         for F in (F1, F2)
-        for row in _multiple_rows(column, F, monomials_exact(nvars, l - F.degree()))
+        for row in _multiple_rows(column, F, _monomial_table(nvars, l - F.degree())[0])
     ]
 
 
@@ -123,7 +135,7 @@ def quotient_monomial_basis(F1: MultiPoly, F2: MultiPoly, m: int) -> list[tuple[
     """A monomial basis of the degree-m piece of the quotient by (F1, F2):
     the degree-m monomials, in graded-lex order, that stay independent of the
     ideal and of the monomials kept before them."""
-    monomials = monomials_exact(F1.nvars, m)
+    monomials = _monomial_table(F1.nvars, m)[0]
     span = LinearSpan(len(monomials))
     for row in _graded_multiple_rows(F1, F2, m):
         span.add(row)
@@ -436,7 +448,7 @@ def veronese_rank(basis: PowerBasis) -> int:
     """Exact rank of the power basis inside the degree m*d forms (full rank
     equals C(n + m*d, n))."""
     nvars = basis.F.nvars
-    column = _column_index(monomials_exact(nvars, basis.m * basis.F.degree()))
+    column = _monomial_table(nvars, basis.m * basis.F.degree())[1]
     origin = [(0,) * nvars]
     return rational_rank(
         [row for p in basis.elements for row in _multiple_rows(column, p, origin)]

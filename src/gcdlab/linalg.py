@@ -24,22 +24,30 @@ def _nonzero(vector: Vector, offset: int = 0) -> dict:
     return {offset + j: x for j, x in items if x}
 
 
+def _int_entries(vector: Vector) -> bool:
+    """Whether a vector is a dict of nonzero ints, to be taken as it is."""
+    return type(vector) is dict and all(type(x) is int and x for x in vector.values())
+
+
 class LinearSpan:
     """Row space in echelon form over Q with optional tag tracking.
 
     Each stored row is one sparse {column: int} dict, the vector at columns
     0..ncols-1 followed by its tag at ncols..ncols+ntags-1, scaled together
     to coprime integers with a positive pivot (its smallest vector column);
-    rows are kept by pivot.  Eliminations act on vector and tag alike, so a
-    caller can attach meaning to tags (here: coordinates with respect to a
-    chosen set of quotient monomials) and read exact expression
-    coefficients back off reductions.  Older rows are not back-eliminated:
-    the residual of a reduction is the unique member of v + span that
-    vanishes on every pivot, and the tag is a linear function on the
-    independent rows added, so both depend only on the vectors added, not
-    on the echelon basis kept.
+    rows are kept by pivot.  A stored row is zero before its pivot and is
+    not reduced against later pivots: adding a vector clears pivots only
+    until its leading column is not one.  Eliminations act on vector and
+    tag alike, so a caller can attach meaning to tags (here: coordinates
+    with respect to a chosen set of quotient monomials) and read exact
+    expression coefficients back off reductions.  A reduction clears every
+    pivot: its residual is the unique member of v + span that vanishes on
+    every pivot, and the tag is a linear function on the independent rows
+    added, so both depend only on the vectors added, not on the echelon
+    rows kept.
 
-    Vectors and tags may be given dense or as {index: value} mappings."""
+    Vectors and tags may be given dense or as {index: value} mappings; a
+    dict of nonzero ints skips the Fraction path."""
 
     def __init__(self, ncols: int, ntags: int = 0):
         self.ncols = ncols
@@ -50,24 +58,44 @@ class LinearSpan:
     def rank(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vector: Vector, tag: Vector | None) -> tuple[dict[int, int], int]:
-        """(w, s) with w / s the nonzero entries of the residual followed by
-        the accumulated tag, w integral and gcd(s, *w.values()) == 1."""
+    def _integral(self, vector: Vector, tag: Vector | None) -> tuple[dict[int, int], int]:
+        """(w, s) with w / s the nonzero entries of the vector followed by
+        the tag, w a fresh integral dict."""
+        if _int_entries(vector) and (tag is None or _int_entries(tag)):
+            w = dict(vector)
+            if tag:
+                w.update({self.ncols + j: x for j, x in tag.items()})
+            return w, 1
         w = _nonzero(vector)
         if tag is not None:
             w.update(_nonzero(tag, self.ncols))
         s = lcm(*(x.denominator for x in w.values()))
-        w = {j: x.numerator * (s // x.denominator) for j, x in w.items()}
+        return {j: x.numerator * (s // x.denominator) for j, x in w.items()}, s
+
+    def _reduce(self, w: dict[int, int], s: int, full: bool) -> tuple[dict[int, int], int]:
+        """(w, s) with w / s the nonzero entries of the residual followed by
+        the accumulated tag, w integral and gcd(s, *w.values()) == 1.  If
+        full, every pivot column of w is cleared; otherwise only the leading
+        column, until it is not a pivot.  A row is zero before its pivot, so
+        clearing one fills in only later columns, and the pivots are cleared
+        in increasing order."""
         rows = self.rows
-        # pivot columns of w, cleared in increasing order: a row is zero
-        # before its pivot, so clearing one fills in only later columns
-        todo = [j for j in w if j in rows]
-        heapify(todo)
-        while todo:
-            p = heappop(todo)
-            c = w.get(p)
-            if not c:
-                continue
+        if full:
+            todo = [j for j in w if j in rows]
+            heapify(todo)
+        while True:
+            if full:
+                if not todo:
+                    break
+                p = heappop(todo)
+                c = w.get(p)
+                if not c:
+                    continue
+            else:
+                p = min(w, default=None)
+                if p not in rows:
+                    break
+                c = w[p]
             row = rows[p]
             a = row[p]
             g = gcd(a, c)
@@ -84,7 +112,7 @@ class LinearSpan:
                         del w[j]
                 else:
                     w[j] = -c * y
-                    if j in rows:
+                    if full and j in rows:
                         heappush(todo, j)
             if s != 1:
                 g = gcd(s, *w.values())
@@ -96,7 +124,7 @@ class LinearSpan:
     def reduce(self, vector: Vector, tag: Vector | None = None):
         """Residual of a vector against the span, with the accumulated tag,
         as dense lists of Fractions."""
-        w, s = self._reduce(vector, tag)
+        w, s = self._reduce(*self._integral(vector, tag), full=True)
         zero = Fraction(0)
         out = [zero] * (self.ncols + self.ntags)
         for j, x in w.items():
@@ -104,19 +132,19 @@ class LinearSpan:
         return out[: self.ncols], out[self.ncols :]
 
     def contains(self, vector: Vector) -> bool:
-        w, _ = self._reduce(vector, None)
+        w, _ = self._reduce(*self._integral(vector, None), full=True)
         return min(w, default=self.ncols) >= self.ncols
 
     def add(self, vector: Vector, tag: Vector | None = None) -> bool:
         """Insert a vector; returns False if it was already in the span."""
-        w, _ = self._reduce(vector, tag)
+        w, _ = self._reduce(*self._integral(vector, tag), full=False)
         pivot = min(w, default=self.ncols)
         if pivot >= self.ncols:
             return False
         g = gcd(*w.values())
         if w[pivot] < 0:
             g = -g
-        self.rows[pivot] = {j: x // g for j, x in w.items()}
+        self.rows[pivot] = w if g == 1 else {j: x // g for j, x in w.items()}
         return True
 
 

@@ -1,13 +1,22 @@
 """Exact multivariate and Laurent polynomial arithmetic over Q.
 
 Polynomials are sparse maps from exponent tuples to nonzero rational
-coefficients.  The gcd (used only to decide coprimality and for contents) is
-a pseudo-remainder sequence with primitive reduction and recursive content
-extraction, which is entirely adequate at desk-scale degrees."""
+coefficients.  The gcd (used to decide coprimality and for contents) is a
+pseudo-remainder sequence with primitive reduction and recursive content
+extraction, which is entirely adequate at desk-scale degrees.
+
+Coprimality is first tried on a line: f and g restricted to a fixed integer
+line a + t*b, with the top-degree part of f or of g nonzero at b, have a
+constant univariate gcd only if f and g are coprime, because a common
+factor keeps its full degree on such a line.  The restrictions are taken
+mod a fixed prime that the top-degree part must also survive, so the
+certificate stays exact on bounded integers.  It settles most coprime
+pairs without the multivariate gcd, which decides what it leaves open."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -474,10 +483,101 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return _normalize(c * b)
 
 
+# directions b tried in turn for the line certificate of coprime(), and the
+# prime modulus of its univariate arithmetic
+LINE_DIRECTIONS = 3
+LINE_PRIME = 2**61 - 1
+
+
+def _line(nvars: int, k: int) -> tuple[list[int], list[int]]:
+    """The fixed integer line a + t*b of the k-th coprimality certificate:
+    a = (1, -2, 3, -4, ...) and b = (1, k + 2, (k + 2)^2, ...)."""
+    return [(-1) ** i * (i + 1) for i in range(nvars)], [(k + 2) ** i for i in range(nvars)]
+
+
+def _restrict(f: MultiPoly, a: list[int], b: list[int]) -> list[int]:
+    """Coefficients mod LINE_PRIME, constant first and without trailing
+    zeros, of s*f(a + t*b) for s the lcm of f's coefficient denominators."""
+    P = LINE_PRIME
+    s = math.lcm(*(c.denominator for c in f.terms.values()))
+    # powers[i][k]: the coefficients of (a_i + b_i t)^k, for the k in use
+    powers = []
+    for i, (ai, bi) in enumerate(zip(a, b)):
+        used = {e[i] for e in f.terms}
+        power, q = {}, [1]
+        for k in range(max(used) + 1):
+            if k:
+                q = [(ai * x + bi * y) % P for x, y in zip(q + [0], [0] + q)]
+            if k in used:
+                power[k] = q
+        powers.append(power)
+    out = [0] * (f.degree() + 1)
+    for e, c in f.terms.items():
+        term = [c.numerator * (s // c.denominator) % P]
+        for power, k in zip(powers, e):
+            if k:
+                term = _mul(term, power[k])
+        for j, x in enumerate(term):
+            out[j] += x
+    out = [x % P for x in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _mul(p: list[int], q: list[int]) -> list[int]:
+    """Product of two coefficient lists mod LINE_PRIME."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return [x % LINE_PRIME for x in out]
+
+
+def _coprime_mod_prime(p: list[int], q: list[int]) -> bool:
+    """Whether gcd(p, q) over the integers mod LINE_PRIME is constant, by
+    Euclid's algorithm on coefficient lists (constant first, no trailing
+    zeros); gcd(p, 0) = p."""
+    P = LINE_PRIME
+    while q:
+        inverse = pow(q[-1], -1, P)
+        r = list(p)
+        while len(r) >= len(q):
+            c, shift = r[-1] * inverse % P, len(r) - len(q)
+            for i, y in enumerate(q):
+                r[shift + i] = (r[shift + i] - c * y) % P
+            while r and not r[-1]:
+                r.pop()
+        p, q = q, r
+    return len(p) == 1
+
+
 def coprime(f: MultiPoly, g: MultiPoly) -> bool:
-    """Whether gcd(f, g) is a nonzero constant."""
+    """Whether gcd(f, g) is a nonzero constant.
+
+    First an exact line certificate: restrict f and g, scaled to integer
+    coefficients, to a fixed integer line a + t*b, and reduce the
+    restrictions mod the prime P = LINE_PRIME.  Let the direction b keep the
+    restriction of f (or of g) at its full degree mod P, that is, keep the
+    top-degree part nonzero mod P at b.  A common factor G, taken primitive
+    in Z[x], divides f in Z[x] (Gauss), so G's top-degree part divides f's
+    and is nonzero mod P at b: G restricts to a polynomial of degree
+    deg G in t that divides both restrictions mod P.  So if the two
+    restrictions have a constant gcd mod P, f and g are coprime.  The
+    arithmetic stays on integers below P whatever the degrees and
+    coefficients.  When no direction tried gives such a certificate (f and
+    g share a factor, every line meets a common zero, or both top-degree
+    parts vanish at every direction), poly_gcd decides."""
     if f.is_zero or g.is_zero:
         raise DomainError("coprimality of the zero polynomial is undefined")
+    if f.nvars != g.nvars:
+        raise ValueError("variable count mismatch")
+    for k in range(LINE_DIRECTIONS):
+        a, b = _line(f.nvars, k)
+        rf, rg = _restrict(f, a, b), _restrict(g, a, b)
+        full = len(rf) == f.degree() + 1 or len(rg) == g.degree() + 1
+        if full and _coprime_mod_prime(rf, rg):
+            return True
     return poly_gcd(f, g).is_constant()
 
 

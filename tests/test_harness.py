@@ -779,3 +779,41 @@ def test_neg_log_within_matches_log_abs_sum():
         assert _neg_log_within(x, S) == want
 
     check()
+
+
+# SHA-256 of the instances run_hilbert_verify draws, one line per coprime
+# pair and per greedy instance, recorded before the coprimality certificate
+# and the monomial tables: a change that consumes the RNG differently shows
+HILBERT_DRAW_DIGESTS = {
+    0: "bc0b64bb5153c46404f2644db1a80d83e63381b5b97043153f8df00a35133d98",
+    1: "ea2b9e0d0a8b185830dbe069a3879bdb7ec794eba4f910f87e35bccb80f39ecd",
+    2: "5e72d1d7edb4933cc49076c8c4c5b7b1b025f7bf21db09c75031b5aa90c8eee0",
+    3: "5c34ffb088fe2e1d21bf6f4c01aa416f4bc6ba3d2b7d87d42f58ea09654327ae",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(HILBERT_DRAW_DIGESTS))
+def test_hilbert_verify_draws_are_pinned(seed, monkeypatch):
+    import hashlib
+
+    from gcdlab import hilbert
+
+    lines = []
+    draw_forms, build_greedy = harness.random_coprime_forms, hilbert.greedy_monomial_basis
+
+    def forms(rng, nvars, d1, d2):
+        F1, F2 = draw_forms(rng, nvars, d1, d2)
+        lines.append(f"{F1} | {F2}")
+        return F1, F2
+
+    def greedy(T, u, v):
+        lines.append(f"{T.f} | {T.g} | {T.m} | {u} | {v}")
+        return build_greedy(T, u, v)
+
+    monkeypatch.setattr(harness, "random_coprime_forms", forms)
+    monkeypatch.setattr(hilbert, "greedy_monomial_basis", greedy)
+    checks = harness.run_hilbert_verify(seed)
+    assert all(c.ok for c in checks)
+    assert len(lines) == 135 + 8 + 50
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == HILBERT_DRAW_DIGESTS[seed]

@@ -42,6 +42,15 @@ def test_monomials_exact_matches_product_filter():
             assert monomials_exact(nvars, degree) == oracle, (nvars, degree)
 
 
+def test_monomials_exact_returns_a_fresh_list():
+    first = monomials_exact(3, 2)
+    want = list(first)
+    first.append((9, 9, 9))
+    first[0] = (0, 0, 0)
+    assert monomials_exact(3, 2) == want
+    assert monomials_upto(3, 2)[-len(want):] == want
+
+
 def test_multiindex_sum_examples():
     assert multiindex_sum(1, 2) == (3, 3)
     assert multiindex_sum(2, 1) == (1, 1, 1)

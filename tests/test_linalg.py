@@ -173,3 +173,49 @@ def test_sparse_wide_span_matches_sympy():
             assert all(v_dense[j] - residual[j] == -combo.get(j, 0) for j in range(ncols))
 
     check()
+
+
+def test_int_dict_fraction_and_dense_entry_agree():
+    """The same vectors and tags given as dicts of nonzero ints (taken as
+    they are), as dicts of Fractions and as dense lists give the same rows,
+    rank, membership, residual and tag."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        ncols = data.draw(st.integers(1, 10))
+        vector = st.dictionaries(st.integers(0, ncols - 1), st.integers(-6, 6).filter(bool),
+                                 max_size=4)
+        base = data.draw(st.lists(vector, min_size=1, max_size=6))
+        # repeats and sums of earlier rows make rank deficiency common
+        rows = base + [{j: r1.get(j, 0) + r2.get(j, 0) for j in set(r1) | set(r2)
+                        if r1.get(j, 0) + r2.get(j, 0)}
+                       for r1, r2 in data.draw(st.lists(st.tuples(st.sampled_from(base),
+                                                                  st.sampled_from(base)),
+                                                        max_size=3))]
+        ntags = len(rows)
+
+        def as_int(v, n):
+            return dict(v)
+
+        def as_fraction(v, n):
+            return {j: Fraction(x) for j, x in v.items()}
+
+        spans = {form: LinearSpan(ncols, ntags) for form in (as_int, as_fraction, _dense)}
+        for i, r in enumerate(rows):
+            added = {span.add(form(r, ncols), form({i: 1}, ntags))
+                     for form, span in spans.items()}
+            assert len(added) == 1
+        by_int = spans[as_int]
+        assert all(span.rows == by_int.rows for span in spans.values())
+        assert all(type(x) is int for row in by_int.rows.values() for x in row.values())
+        probes = [data.draw(vector), rows[-1], {}]
+        for v in probes:
+            results = {(span.rank, span.contains(form(v, ncols)),
+                        tuple(map(tuple, span.reduce(form(v, ncols)))))
+                       for span in spans.values() for form in spans}
+            assert len(results) == 1
+
+    check()

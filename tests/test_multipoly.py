@@ -223,6 +223,16 @@ def test_vanishes_at_origin():
     assert MultiPoly.zero(2).vanishes_at_origin()
 
 
+def _to_sympy(p, xs):
+    import sympy
+
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**k for x, k in zip(xs, e)))
+        for e, c in p.terms.items()
+    )
+    return sympy.Poly(expr, *xs, domain="QQ")
+
+
 def test_poly_gcd_matches_sympy_up_to_a_unit():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(1729)
@@ -234,13 +244,73 @@ def test_poly_gcd_matches_sympy_up_to_a_unit():
         if f.is_zero or g.is_zero:
             continue
         xs = sympy.symbols(f"x1:{nvars + 1}")
+        want = sympy.gcd(_to_sympy(f, xs), _to_sympy(g, xs))
+        assert _to_sympy(poly_gcd(f, g), xs).monic() == want.monic()
 
-        def to_sympy(p):
-            expr = sum(
-                sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(x**k for x, k in zip(xs, e)))
-                for e, c in p.terms.items()
-            )
-            return sympy.Poly(expr, *xs, domain="QQ")
 
-        want = sympy.gcd(to_sympy(f), to_sympy(g))
-        assert to_sympy(poly_gcd(f, g)).monic() == want.monic()
+def _direction_forms(nvars):
+    """For each certificate direction b, the linear form b[1]*x1 - b[0]*x2,
+    whose top-degree part (itself) vanishes at b."""
+    from gcdlab.multipoly import LINE_DIRECTIONS, _line
+
+    x1, x2 = MultiPoly.variable(nvars, 0), MultiPoly.variable(nvars, 1)
+    return [x1 * b[1] - x2 * b[0]
+            for b in (_line(nvars, k)[1] for k in range(LINE_DIRECTIONS))]
+
+
+def test_coprime_matches_sympy_gcd(monkeypatch):
+    """coprime(f, g) is True exactly when sympy's gcd has total degree 0: on
+    random homogeneous and affine pairs in 1-4 variables, on pairs h*f0,
+    h*g0 built to share h (among them h vanishing at one certificate
+    direction, which that line cannot see), and on pairs whose top-degree
+    parts vanish at every certificate direction, which only poly_gcd can
+    decide."""
+    sympy = pytest.importorskip("sympy")
+    from gcdlab import multipoly
+    from gcdlab.harness import random_form
+
+    fallbacks = []
+    monkeypatch.setattr(multipoly, "poly_gcd",
+                        lambda f, g: fallbacks.append(1) or poly_gcd(f, g))
+    rng = random.Random(1913)
+    pairs = []
+    for nvars in (1, 2, 3, 4):
+        for _ in range(25):
+            d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
+            pairs.append((random_form(rng, nvars, d1), random_form(rng, nvars, d2)))
+            pairs.append((rand_poly(rng, nvars, d1, terms=3), rand_poly(rng, nvars, d2, terms=3)))
+        for _ in range(10):
+            h = rand_poly(rng, nvars, 2, terms=2)
+            pairs.append((h * rand_poly(rng, nvars, 2, terms=3), h * rand_poly(rng, nvars, 1, terms=2)))
+            h = random_form(rng, nvars, 1)
+            pairs.append((h * random_form(rng, nvars, 2), h * random_form(rng, nvars, 1)))
+    vanishing = []
+    for nvars in (2, 3, 4):
+        forms = _direction_forms(nvars)
+        for h in forms:
+            for _ in range(3):
+                pairs.append((h * random_form(rng, nvars, 1),
+                              h * rand_poly(rng, nvars, 2, terms=3)))
+        P = MultiPoly.one(nvars)
+        for h in forms:
+            P = P * h
+        for _ in range(5):
+            f0, g0 = random_form(rng, nvars, 1), random_form(rng, nvars, 1)
+            low1, low2 = rand_poly(rng, nvars, 2, terms=2), rand_poly(rng, nvars, 3, terms=2)
+            vanishing += [(P * f0, P * g0), (P + low1, P + low2)]
+            # poly_gcd runs for seconds or more on these in 3 or 4 variables
+            if nvars == 2:
+                vanishing += [(P * f0 + low1, P * g0 + low2), (P * f0 + low1, P + low2)]
+    pairs += vanishing
+
+    for f, g in pairs:
+        if f.is_zero or g.is_zero:
+            continue
+        xs = sympy.symbols(f"x1:{f.nvars + 1}")
+        want = sympy.gcd(_to_sympy(f, xs), _to_sympy(g, xs)).total_degree() == 0
+        assert coprime(f, g) == want, (str(f), str(g))
+    # no certificate line applies to these, so each reached the fallback
+    fallbacks.clear()
+    for f, g in vanishing:
+        coprime(f, g)
+    assert len(fallbacks) >= len(vanishing)
