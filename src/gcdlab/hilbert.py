@@ -18,7 +18,7 @@ from math import comb
 import mpmath
 
 from .heights import TorusPoint
-from .linalg import LinearSpan, rational_rank
+from .linalg import LinearSpan, int_rank, rational_rank
 from .logreal import LogReal, escalating_sign
 from .multipoly import MultiPoly
 from .places import DomainError, Place, log_abs
@@ -67,17 +67,70 @@ def _column_index(monomials) -> dict[tuple[int, ...], int]:
     return {e: j for j, e in enumerate(monomials)}
 
 
+def _integral_terms(F: MultiPoly) -> list[tuple[tuple[int, ...], int]]:
+    """F's terms scaled by the lcm of its coefficient denominators: an
+    integral generator of the same span."""
+    s = math.lcm(*(c.denominator for c in F.terms.values()))
+    return [(e, c.numerator * (s // c.denominator)) for e, c in F.terms.items()]
+
+
 def _multiple_rows(column: dict, F: MultiPoly, multipliers) -> list[dict[int, int]]:
     """Sparse {column: int} coordinate rows, under a monomial -> column
-    index, of the products x^a * F for a in multipliers, with F scaled by
-    the lcm of its coefficient denominators: an integral generator of the
-    same span."""
-    s = math.lcm(*(c.denominator for c in F.terms.values()))
-    terms = [(e, c.numerator * (s // c.denominator)) for e, c in F.terms.items()]
+    index, of the products x^a * F for a in multipliers, with F made
+    integral by _integral_terms."""
+    terms = _integral_terms(F)
     return [
         {column[tuple(map(operator.add, a, e))]: c for e, c in terms}
         for a in multipliers
     ]
+
+
+_RANK_PRIME = 13
+# byte -> byte mod 13; the largest byte a step of _rank_mod_13 makes is 12 + 12*12
+_BYTE_RESIDUE = bytes(v % _RANK_PRIME for v in range(256))
+_INVERSE_MOD_P = (0,) + tuple(pow(a, -1, _RANK_PRIME) for a in range(1, _RANK_PRIME))
+
+
+def _packed_multiples(column: dict, F: MultiPoly, multipliers) -> list[int]:
+    """The rows of _multiple_rows reduced mod 13, each packed into one int
+    with column j in its byte j (bits 8j to 8j + 7)."""
+    terms = [(e, c % _RANK_PRIME) for e, c in _integral_terms(F)]
+    terms = [(e, c) for e, c in terms if c]
+    return [
+        sum(c << (column[tuple(map(operator.add, a, e))] << 3) for e, c in terms)
+        for a in multipliers
+    ]
+
+
+def _rank_mod_13(rows: list[int], ncols: int, cap: int) -> int:
+    """Rank mod 13 of rows packed by _packed_multiples over ncols columns,
+    or cap as soon as the rank reaches it.
+
+    Byte-slot invariant: between steps every byte of every row holds a
+    residue 0..12.  A step w + (13 - e) * pivot, with e the leading byte of
+    w and the pivot row scaled to leading byte 1, makes bytes of at most
+    12 + 12 * 12 < 256, so no byte carries into the next; one C-level
+    bytes.translate then takes every byte back mod 13 and clears the
+    leading one.  The leading column of w is its lowest nonzero byte, found
+    from its lowest set bit.  Pivot rows are zero below their pivot byte,
+    so the rows kept are independent mod 13."""
+
+    def residues(w: int) -> int:
+        return int.from_bytes(w.to_bytes(ncols, "little").translate(_BYTE_RESIDUE), "little")
+
+    pivots: dict[int, int] = {}
+    for w in rows:
+        while w:
+            shift = ((w & -w).bit_length() - 1) & -8
+            e = (w >> shift) & 255
+            pivot = pivots.get(shift)
+            if pivot is None:
+                pivots[shift] = w if e == 1 else residues(w * _INVERSE_MOD_P[e])
+                if len(pivots) == cap:
+                    return cap
+                break
+            w = residues(w + (_RANK_PRIME - e) * pivot)
+    return len(pivots)
 
 
 def multiindex_sum(n: int, m: int) -> tuple[int, ...]:
@@ -114,20 +167,54 @@ def dim_quotient_formula(n: int, l: int, d1: int, d2: int) -> int:
 
 
 def graded_ideal_rank(F1: MultiPoly, F2: MultiPoly, l: int) -> int:
-    """Brute-force dim of the degree-l piece of the ideal (F1, F2): the rank
-    of the matrix of all monomial multiples, by exact elimination."""
-    rows = _graded_multiple_rows(F1, F2, l)
-    return rational_rank(rows) if rows else 0
+    """Exact dim of the degree-l piece of the ideal (F1, F2) for nonzero
+    forms F1, F2 in the same variables: the rank over Q of the matrix of
+    all monomial multiples, proven by two bounds that meet.
+
+    Upper bound: for each monomial q of degree l - d1 - d2 the Koszul
+    relation (q F2) F1 - (q F1) F2 = 0 is a left-kernel vector of that
+    matrix, and q -> (q F2, -q F1) is injective since F2 != 0, so
+    rank <= min(b(l), b(l - d1) + b(l - d2) - b(l - d1 - d2)), with b(k)
+    the number of monomials of degree k.  Equality holds when F1, F2 are
+    coprime.  Lower bound: an r x r minor nonzero mod 13 is nonzero over Z,
+    so the rank mod 13 is at most the rank over Q.  When the rank mod 13
+    reaches the upper bound it is the rank; otherwise the integer matrix is
+    eliminated exactly by int_rank."""
+    nvars = _check_form_pair(F1, F2)
+    d1, d2 = F1.degree(), F2.degree()
+
+    def b(k: int) -> int:
+        return len(_monomial_table(nvars, k)[0])
+
+    bound = min(b(l), b(l - d1) + b(l - d2) - b(l - d1 - d2))
+    packed = _graded_multiple_rows(F1, F2, l, _packed_multiples)
+    if _rank_mod_13(packed, b(l), bound) == bound:
+        return bound
+    return int_rank(_graded_multiple_rows(F1, F2, l))
 
 
-def _graded_multiple_rows(F1: MultiPoly, F2: MultiPoly, l: int) -> list[dict[int, int]]:
-    """Rows of the degree-l monomial multiples of F1, then of F2."""
+def _check_form_pair(F1: MultiPoly, F2: MultiPoly) -> int:
+    """The common number of variables of two nonzero forms; DomainError
+    otherwise."""
+    if F1.nvars != F2.nvars:
+        raise DomainError(f"forms in {F1.nvars} and {F2.nvars} variables")
+    for F in (F1, F2):
+        if F.is_zero:
+            raise DomainError("need nonzero forms")
+        if not F.is_homogeneous():
+            raise DomainError(f"not a form: {F}")
+    return F1.nvars
+
+
+def _graded_multiple_rows(F1: MultiPoly, F2: MultiPoly, l: int, build=_multiple_rows) -> list:
+    """Rows of the degree-l monomial multiples of F1, then of F2, as build
+    makes them: sparse {column: int} dicts by default."""
     nvars = F1.nvars
     column = _monomial_table(nvars, l)[1]
     return [
         row
         for F in (F1, F2)
-        for row in _multiple_rows(column, F, _monomial_table(nvars, l - F.degree())[0])
+        for row in build(column, F, _monomial_table(nvars, l - F.degree())[0])
     ]
 
 
@@ -265,20 +352,54 @@ def _monomial_log(logs: list[LogReal], exponents) -> LogReal:
     return total
 
 
+def _sorted_by_logs(items: list, logs: dict, tiebreak) -> list:
+    """items sorted by their exact LogReal values logs[item], ties broken by
+    tiebreak(item); the same order as a sort on the exact comparison.
+
+    Each value's float_enclosure bounds its error; with r the largest
+    radius, items are sorted on their float midpoints and split into runs
+    of neighbours whose midpoints lie within 2r of each other.  Values in
+    different runs are more than both errors apart, so only within a run
+    can the float order differ from the exact one: each run of two or more
+    is re-sorted by the exact comparison.  Without an enclosure for every
+    value, the whole list is sorted exactly."""
+
+    def compare(a, b) -> int:
+        s = (logs[a] - logs[b]).sign()
+        if s:
+            return s
+        ka, kb = tiebreak(a), tiebreak(b)
+        return -1 if ka < kb else (1 if ka > kb else 0)
+
+    enclosures = [logs[x].float_enclosure() for x in items]
+    if None in enclosures:
+        return sorted(items, key=cmp_to_key(compare))
+    width = 2 * max((radius for _, radius in enclosures), default=0.0)
+    order = sorted(zip((mid for mid, _ in enclosures), range(len(items))))
+    out: list = []
+    run: list = []
+    previous = None
+    for mid, i in order:
+        if run and mid - previous > width:
+            out.extend(run if len(run) == 1 else sorted(run, key=cmp_to_key(compare)))
+            run = []
+        run.append(items[i])
+        previous = mid
+    out.extend(run if len(run) == 1 else sorted(run, key=cmp_to_key(compare)))
+    return out
+
+
 def greedy_monomial_basis(T: TruncatedIdeal, u: TorusPoint, v: Place) -> GreedyBasis:
+    """The quotient basis chosen greedily from the monomials of degree <= m
+    in increasing |u^e|_v, ties broken graded-lex.  The order is exact: it
+    is taken on float keys, and only runs of keys too close for their
+    error bound are re-sorted by the exact LogReal comparison
+    (_sorted_by_logs)."""
     if len(u.coords) != T.nvars:
         raise DomainError("point dimension mismatch")
     logs = [log_abs(c, v) for c in u.coords]
     mono_logs = {e: _monomial_log(logs, e) for e in T.monomials}
-
-    def compare(e1, e2) -> int:
-        s = (mono_logs[e1] - mono_logs[e2]).sign()
-        if s:
-            return s
-        k1, k2 = (sum(e1), e1), (sum(e2), e2)
-        return -1 if k1 < k2 else (1 if k1 > k2 else 0)
-
-    candidates = sorted(T.monomials, key=cmp_to_key(compare))
+    candidates = _sorted_by_logs(T.monomials, mono_logs, lambda e: (sum(e), e))
     n = len(T.monomials)
     span = LinearSpan(n, ntags=T.Nprime)
     # the ideal's rows, untagged: adding them again would reduce each to itself

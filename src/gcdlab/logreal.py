@@ -231,11 +231,17 @@ class LogReal:
         return total
 
     def sign(self) -> int:
-        """Certified sign: -1, 0, or +1.  Zero is exact (canonical map is
-        empty); a nonzero canonical value is irrational, so escalating_sign
-        separates it from zero or raises PrecisionExhausted."""
-        if not self._refined():
+        """Certified sign: -1, 0, or +1.  The float filter comes first: it
+        bounds the value whatever its representation, so a value it
+        separates from 0 is never canonicalized.  Otherwise zero is exact
+        (the canonical map is empty), and a nonzero canonical value is
+        irrational, so escalating_sign separates it from zero or raises
+        PrecisionExhausted."""
+        if not self._coeffs:
             return 0
+        s = self._filter_sign(Fraction(0))
+        if s or not self._refined():
+            return s
         return self._cmp_nonzero(Fraction(0))
 
     def cmp(self, const) -> int:
@@ -248,24 +254,42 @@ class LogReal:
         # value is either 0 or irrational, never equal to const != 0
         return self._cmp_nonzero(const)
 
-    def _cmp_nonzero(self, const: Fraction) -> int:
-        # fast float path with a crude but generous error budget
+    def float_enclosure(self) -> tuple[float, float] | None:
+        """(mid, radius) with the value within radius of mid: each term in
+        floating point under a generous relative error budget of 1e-12, far
+        above the rounding of a division and a log; None if a coefficient
+        or term overflows a float."""
         mid = 0.0
-        budget = 1e-12
-        ok = True
+        radius = 1e-12
         try:
             for b, c in self._coeffs.items():
                 t = (c.numerator / c.denominator) * math.log(b)
                 mid += t
-                budget += 1e-12 * (abs(t) + 1.0)
-            cf = const.numerator / const.denominator
-            budget += 1e-12 * (abs(cf) + 1.0)
-            mid -= cf
+                radius += 1e-12 * (abs(t) + 1.0)
         except OverflowError:
-            ok = False
-        if ok and abs(mid) > budget:
-            return 1 if mid > 0 else -1
-        return escalating_sign(lambda: self.interval() - fraction_interval(const))
+            return None
+        return (mid, radius) if math.isfinite(mid) else None
+
+    def _filter_sign(self, const: Fraction) -> int:
+        """+1 or -1 where the float enclosure separates the value from
+        const, else 0."""
+        enclosure = self.float_enclosure()
+        try:
+            cf = const.numerator / const.denominator
+        except OverflowError:
+            return 0
+        if enclosure is None:
+            return 0
+        mid = enclosure[0] - cf
+        radius = enclosure[1] + 1e-12 * (abs(cf) + 1.0)
+        if abs(mid) <= radius:
+            return 0
+        return 1 if mid > 0 else -1
+
+    def _cmp_nonzero(self, const: Fraction) -> int:
+        return self._filter_sign(const) or escalating_sign(
+            lambda: self.interval() - fraction_interval(const)
+        )
 
     def to_float(self) -> float:
         total = 0.0
@@ -274,21 +298,30 @@ class LogReal:
         return total
 
     def decimal(self, digits: int = 20) -> str:
-        """Decimal approximation, deterministic for a given digit count;
-        "0" for every representation of zero."""
+        """Decimal approximation to the given number of significant digits,
+        computed with 5 guard digits beyond those the sum cancels, so that
+        every representation of a value prints alike; "0" for every
+        representation of zero."""
         if not self._coeffs:
             return "0"
-        with mpmath.workdps(digits + 10):
-            total = size = mpmath.mpf(0)
-            for b, c in sorted(self._coeffs.items()):
-                term = mpmath.mpf(c.numerator) / c.denominator * mpmath.log(b)
-                total += term
-                size += abs(term)
-            # a sum lost in its rounding error may be an exact zero whose
-            # bases are not yet coprime, like log(8) - 3*log(2)
-            if abs(total) <= size * mpmath.mpf(10) ** -digits and self.is_zero:
+        terms = sorted(self._coeffs.items())
+        extra = 10
+        while 3.33 * (digits + extra) <= MAX_PRECISION:   # bits of working precision
+            with mpmath.workdps(digits + extra):
+                total = size = mpmath.mpf(0)
+                for b, c in terms:
+                    term = mpmath.mpf(c.numerator) / c.denominator * mpmath.log(b)
+                    total += term
+                    size += abs(term)
+                if abs(total) > size * mpmath.mpf(10) ** (5 - extra):
+                    return mpmath.nstr(total, digits)
+            # a sum lost in its rounding error is an exact zero whose bases
+            # are not yet coprime, like log(8) - 3*log(2), or a nonzero
+            # value that cancels more digits than the working precision
+            if extra == 10 and self.is_zero:
                 return "0"
-            return mpmath.nstr(total, digits)
+            extra *= 2
+        raise PrecisionExhausted(f"decimal not resolved at {MAX_PRECISION} bits")
 
     def __str__(self) -> str:
         coeffs = self._refined()

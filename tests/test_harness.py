@@ -817,3 +817,35 @@ def test_hilbert_verify_draws_are_pinned(seed, monkeypatch):
     assert len(lines) == 135 + 8 + 50
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == HILBERT_DRAW_DIGESTS[seed]
+
+
+# SHA-256 of the monomials each greedy instance of run_hilbert_verify
+# chooses, one line per instance, recorded with the greedy order taken by a
+# sort on the exact LogReal comparison alone
+GREEDY_BASIS_DIGESTS = {
+    0: "24783e187197c8968b6927e01ce8d48a9dda99b378fabe472ae77cf173f61cee",
+    1: "c69ad0e3996c28eb071b364b6f279ed1388f4bfdfa1e9b20066cc91ba102cbe5",
+    2: "57908ffa83dc0466f60600171ea5fde95494a43fc2da1eba4330b9b6eaf2ba23",
+    3: "c198a0a3d382e1757360006df0cb83c0833a074e46cb8e7d20a9f783a764ed2a",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GREEDY_BASIS_DIGESTS))
+def test_hilbert_verify_greedy_bases_are_pinned(seed, monkeypatch):
+    import hashlib
+
+    from gcdlab import hilbert
+
+    lines = []
+    build_greedy = hilbert.greedy_monomial_basis
+
+    def greedy(T, u, v):
+        gb = build_greedy(T, u, v)
+        lines.append(f"{gb.monomials}")
+        return gb
+
+    monkeypatch.setattr(hilbert, "greedy_monomial_basis", greedy)
+    harness.run_hilbert_verify(seed)
+    assert len(lines) == 50
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GREEDY_BASIS_DIGESTS[seed]

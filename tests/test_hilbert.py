@@ -1,12 +1,14 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from math import comb
 
 import mpmath
 import pytest
 
-from gcdlab.harness import random_coprime_forms
+from gcdlab import hilbert
+from gcdlab.harness import random_coprime_forms, random_form
 from gcdlab.heights import TorusPoint
 from gcdlab.hilbert import (
     ceil_spart_degree,
@@ -14,6 +16,7 @@ from gcdlab.hilbert import (
     dim_quotient_bruteforce,
     dim_quotient_formula,
     floor_scaled_inv_sqrt,
+    graded_ideal_rank,
     greedy_dominance_violations,
     greedy_monomial_basis,
     i_spart,
@@ -28,8 +31,9 @@ from gcdlab.hilbert import (
     veronese_basis,
     veronese_rank,
 )
+from gcdlab.logreal import LogReal
 from gcdlab.multipoly import MultiPoly, parse_poly
-from gcdlab.places import DomainError, Place
+from gcdlab.places import DomainError, Place, log_abs
 
 
 def test_monomials_exact_matches_product_filter():
@@ -78,6 +82,109 @@ def test_dim_quotient_against_bruteforce_spotchecks():
     G1 = parse_poly("x1^2 + x2^2", nvars=2)
     G2 = parse_poly("x1^3 - x2^3", nvars=2)
     assert dim_quotient_bruteforce(G1, G2, 5) == 0
+
+
+def test_graded_rank_rejects_what_is_not_a_pair_of_nonzero_forms():
+    x1_2 = parse_poly("x1", nvars=2)
+    bad = [
+        (parse_poly("x1 + x2^2", nvars=2), x1_2),   # F1 is not a form
+        (x1_2, parse_poly("x1*x2 + 1", nvars=2)),   # nor is F2
+        (x1_2, parse_poly("x1", nvars=3)),          # 2 and 3 variables
+        (MultiPoly(2, {}), x1_2),                   # the Koszul bound needs F1 != 0
+        (x1_2, MultiPoly(2, {})),
+    ]
+    for F1, F2 in bad:
+        for l in (0, 1, 3):
+            with pytest.raises(DomainError):
+                graded_ideal_rank(F1, F2, l)
+            with pytest.raises(DomainError):
+                dim_quotient_bruteforce(F1, F2, l)
+
+
+def _graded_rank_cases():
+    """(F1, F2) pairs over 2-4 variables and degrees <= 3 whose graded rank
+    is reached by all three paths: random coprime pairs (rank equals the
+    Koszul bound), pairs h*f0, h*g0 sharing a factor (rank below it), and
+    coprime pairs congruent mod 13 (rank mod 13 below the rank)."""
+    rng = random.Random(71)
+    pairs = [
+        (parse_poly("13*x1 + x2", nvars=3), parse_poly("x2 + 26*x3", nvars=3)),
+        (parse_poly("13*x1^2 + x2^2", nvars=2), parse_poly("x2^2 - 13*x1*x2", nvars=2)),
+    ]
+    for nvars in (2, 3, 4):
+        for d1, d2 in ((1, 1), (1, 3), (2, 2), (3, 2)):
+            pairs.append(random_coprime_forms(rng, nvars, d1, d2))
+        for e1, e2 in ((1, 1), (1, 2), (2, 1)):
+            h = random_form(rng, nvars, 1)
+            f0, g0 = random_coprime_forms(rng, nvars, e1, e2)
+            pairs.append((h * f0, h * g0))
+        for d in (1, 2):
+            F = random_form(rng, nvars, d)
+            pairs.append((F, F + random_form(rng, nvars, d) * 13))
+    return pairs
+
+
+def _sympy_rank_mod_13(vectors, column):
+    """sympy's rank over GF(13) of integral {monomial: coefficient} vectors."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    GF13 = sympy.GF(13)
+    entries = {i: {column[e]: GF13(int(c)) for e, c in v.items() if c % 13}
+               for i, v in enumerate(vectors)}
+    entries = {i: row for i, row in entries.items() if row}
+    return DomainMatrix(entries, (len(vectors), len(column)), GF13).rank()
+
+
+def test_graded_rank_matches_sympy_on_all_three_paths():
+    """graded_ideal_rank equals sympy's rank, whether the rank mod 13 meets
+    the Koszul bound, falls short of it because 13 divides a minor, or falls
+    short because the forms share a factor; some input has its rank and its
+    rank mod 13 both one below the bound, so a rank taken as the bound from
+    a rank mod 13 within 1 of it shows."""
+    seen = set()
+    for F1, F2 in _graded_rank_cases():
+        nvars, d1, d2 = F1.nvars, F1.degree(), F2.degree()
+        for l in range(d1 + d2 + 3):
+            monomials = _exponents(nvars, [l])
+            if len(monomials) > 40:
+                break
+            column = {e: j for j, e in enumerate(monomials)}
+            rows = [t for F in (F1, F2) for t in _multiples(nvars, F, [l - F.degree()])]
+            want = _sympy_rank(rows, column)
+            assert graded_ideal_rank(F1, F2, l) == want, (F1, F2, l)
+            assert dim_quotient_bruteforce(F1, F2, l) == len(monomials) - want
+
+            def b(k):
+                return comb(k + nvars - 1, k) if k >= 0 else 0
+
+            bound = min(b(l), b(l - d1) + b(l - d2) - b(l - d1 - d2))
+            modular = _sympy_rank_mod_13(rows, column)
+            assert modular <= want <= bound
+            if modular < want:
+                seen.add("rank mod 13 below the rank")
+            if want < bound:
+                seen.add("rank below the bound")
+            if modular == want == bound - 1:
+                seen.add("both one below the bound")
+    assert seen == {"rank mod 13 below the rank", "rank below the bound",
+                    "both one below the bound"}
+
+
+def test_rank_mod_13_matches_sympy_on_packed_rows():
+    rng = random.Random(72)
+    for _ in range(60):
+        nrows, ncols, k = rng.randint(1, 14), rng.randint(1, 14), rng.randint(0, 6)
+        A = [[rng.randint(-40, 40) for _ in range(k)] for _ in range(nrows)]
+        B = [[rng.choice((0, 12, 13, 25, rng.randint(-40, 40))) for _ in range(ncols)]
+             for _ in range(k)]
+        rows = [{j: sum(A[i][t] * B[t][j] for t in range(k)) for j in range(ncols)}
+                for i in range(nrows)]
+        column = {(j,): j for j in range(ncols)}
+        want = _sympy_rank_mod_13([{(j,): c for j, c in r.items()} for r in rows], column)
+        packed = [sum((c % 13) << (8 * j) for j, c in r.items()) for r in rows]
+        assert hilbert._rank_mod_13(packed, ncols, ncols + 1) == want
+        assert hilbert._rank_mod_13(packed, ncols, 1) == min(want, 1)
 
 
 def test_quotient_monomial_basis():
@@ -191,6 +298,56 @@ def test_greedy_dominance_battery():
         assert len(gb.monomials) == T.Nprime
         assert greedy_dominance_violations(gb) == []
         made += 1
+
+
+def _exact_order(items, logs, tiebreak):
+    """The reference order: a sort on the exact LogReal comparison alone."""
+    def compare(a, b):
+        s = (logs[a] - logs[b]).sign()
+        if s:
+            return s
+        ka, kb = tiebreak(a), tiebreak(b)
+        return -1 if ka < kb else (1 if ka > kb else 0)
+
+    return sorted(items, key=cmp_to_key(compare))
+
+
+def _graded_lex(e):
+    return (sum(e), e)
+
+
+@pytest.mark.parametrize("coords, place", [
+    ((2, 4), Place.archimedean()),              # |x2| = |x1|^2: exact ties
+    ((2, 4), Place.finite(2)),
+    ((2**5, Fraction(1, 3**3)), Place.archimedean()),
+    ((Fraction(1, 6), 6), Place.finite(5)),     # every key is 0
+    ((2**200 + 1, 2**200), Place.archimedean()),  # keys 1e-60 apart
+])
+def test_greedy_basis_matches_the_exact_comparison_sort(coords, place, monkeypatch):
+    u = TorusPoint([Fraction(c) for c in coords])
+    pairs = [("x1 + 1", "x2", 3), ("x1^2 - x2", "x1*x2 + 2", 4), ("x1 - x2", "x2^2 + 1", 5)]
+    chosen = []
+    for f, g, m in pairs:
+        T = truncated_ideal(parse_poly(f, nvars=2), parse_poly(g, nvars=2), m)
+        logs = [log_abs(c, place) for c in u.coords]
+        mono_logs = {e: hilbert._monomial_log(logs, e) for e in T.monomials}
+        want = _exact_order(T.monomials, mono_logs, _graded_lex)
+        assert hilbert._sorted_by_logs(T.monomials, mono_logs, _graded_lex) == want
+        chosen.append(greedy_monomial_basis(T, u, place).monomials)
+    monkeypatch.setattr(hilbert, "_sorted_by_logs", _exact_order)
+    for (f, g, m), got in zip(pairs, chosen):
+        T = truncated_ideal(parse_poly(f, nvars=2), parse_poly(g, nvars=2), m)
+        assert greedy_monomial_basis(T, u, place).monomials == got
+
+
+def test_sorted_by_logs_without_float_keys_sorts_exactly():
+    huge = Fraction(10**400, 3)   # overflows a float: no enclosure
+    values = [LogReal({2: huge, 3: -huge}), LogReal({2: 1}), LogReal({4: 1, 2: -2}),
+              LogReal({8: 1, 2: -3}), LogReal({3: 1}), LogReal({2: -huge, 3: huge})]
+    assert values[0].float_enclosure() is None
+    logs = dict(enumerate(values))
+    got = hilbert._sorted_by_logs(list(logs), logs, lambda i: i)
+    assert got == _exact_order(list(logs), logs, lambda i: i) == [0, 2, 3, 1, 4, 5]
 
 
 def test_reduce_monomial_tags_are_expressions_modulo_the_ideal():

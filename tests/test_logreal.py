@@ -210,3 +210,61 @@ def test_decimal_matches_mpmath_nstr():
             assert got == mpmath.nstr(_mp_sum(terms, logs), 12)
 
     check()
+
+
+def _filter_first_cases():
+    """(terms, sign at 4096 bits) for non-canonical exact zeros, nonzeros far
+    below the float filter's error budget, and coefficients that overflow a
+    float."""
+    rng = random.Random(81)
+    p, q = rng.getrandbits(1000) | 1, rng.getrandbits(1000) | 1
+    huge = Fraction(10**400, 3)
+    return [
+        ({8: 1, 2: -3}, 0),
+        ({6: 1, 2: -1, 3: -1}, 0),
+        ({p * q * 2**47: 1, p: -1, q: -1, 2: -47}, 0),
+        ({2**200 + 1: 1, 2: -200}, 1),
+        ({2**200 + 1: -1, 2: 200}, -1),
+        ({3**100 * 5: Fraction(1, 7), 3: Fraction(-100, 7), 5: Fraction(-1, 7), 7: Fraction(1, 10**30)}, 1),
+        ({2: huge, 3: -huge}, -1),
+        ({2: huge, 4: -huge / 2}, 0),
+        ({2: -huge, 3: huge, 5: 1}, 1),
+    ]
+
+
+@pytest.mark.parametrize("terms, want", _filter_first_cases())
+def test_filter_first_sign_matches_mpmath_at_4096_bits(terms, want):
+    with mpmath.workprec(4096):
+        value = _mp_sum([(b, Fraction(c)) for b, c in terms.items()], {})
+        assert (0 if abs(value) < mpmath.mpf(2) ** -4000 else int(mpmath.sign(value))) == want
+    assert LogReal(terms).sign() == want
+    assert LogReal(terms).cmp(0) == want
+
+
+@pytest.mark.parametrize("terms, want", _filter_first_cases())
+def test_str_and_decimal_do_not_depend_on_a_prior_sign(terms, want):
+    fresh, signed = LogReal(terms), LogReal(terms)
+    assert signed.sign() == want
+    assert str(signed) == str(fresh)
+    fresh, signed = LogReal(terms), LogReal(terms)
+    signed.sign()
+    assert signed.decimal() == fresh.decimal()
+    assert signed.decimal(40) == fresh.decimal(40)
+
+
+def test_sign_canonicalizes_only_what_the_float_filter_cannot_separate(monkeypatch):
+    from gcdlab import logreal
+
+    calls = []
+    canonicalize = logreal._canonicalize
+
+    def counted(items):
+        calls.append(dict(items))
+        return canonicalize(items)
+
+    monkeypatch.setattr(logreal, "_canonicalize", counted)
+    assert LogReal({6: 1, 2: -1}).sign() == 1          # log 3, clear of 0
+    assert LogReal({10**50 + 1: 1, 7: -3}).sign() == 1
+    assert calls == []
+    assert LogReal({6: 1, 2: -1, 3: -1}).sign() == 0   # an exact zero needs the canonical form
+    assert len(calls) == 1
