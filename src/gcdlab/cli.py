@@ -145,8 +145,7 @@ def _write_csv(path: str | None, header, rows) -> None:
     with _open_out(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
 
 
 def _summary(msg: str, out_path: str | None) -> None:

@@ -15,7 +15,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as igcd, log2
+from math import gcd as igcd, isfinite, log2, sqrt
+from sys import float_info
 from typing import NamedTuple
 
 import mpmath
@@ -533,10 +534,10 @@ class SampleConfig:
             raise DomainError("delta must lie in (0, 1)")
         if not self.S.contains_archimedean:
             raise DomainError("S must contain the archimedean place")
-        if not coprime(self.f, self.g):
-            raise DomainError("f and g must be coprime")
         if self.f.nvars != self.g.nvars:
             raise DomainError("f and g must share their variables")
+        if not coprime(self.f, self.g):
+            raise DomainError("f and g must be coprime")
 
 
 @dataclass(frozen=True)
@@ -564,15 +565,42 @@ class PolyGcdReport:
     violations: list[SampleRow]
 
 
+def _sqrt_scaled_filter(lhs: LogReal, coeff: Fraction, delta: Fraction,
+                        H: LogReal) -> int:
+    """+1 or -1 where the float enclosures of lhs and H separate
+    lhs - coeff * sqrt(delta) * H from 0, else 0.  The error budget is
+    LogReal._filter_sign's; k = coeff * sqrt(delta) in floating point is off
+    by a few ulps, far below it, as long as delta and k are normal floats."""
+    lhs_enc, h_enc = lhs.float_enclosure(), H.float_enclosure()
+    if lhs_enc is None or h_enc is None:
+        return 0
+    try:
+        df = delta.numerator / delta.denominator
+        k = coeff.numerator / coeff.denominator * sqrt(df)
+    except OverflowError:
+        return 0
+    if df < float_info.min or k < float_info.min:
+        return 0
+    (ml, rl), (mh, rh) = lhs_enc, h_enc
+    mid = ml - k * mh
+    radius = rl + k * rh + 1e-12 * (abs(ml) + k * abs(mh) + 1.0)
+    if not isfinite(radius) or abs(mid) <= radius:
+        return 0
+    return 1 if mid > 0 else -1
+
+
 def _sqrt_scaled_cmp(lhs: LogReal, coeff: Fraction, delta: Fraction,
                      H: LogReal) -> int:
     """Certified sign of lhs - coeff * sqrt(delta) * H for coeff > 0.  With
     sqrt(delta) irrational the value vanishes only when lhs and H both do
-    (linear independence of logarithms), so the interval ladder runs only
-    on nonzero values."""
+    (linear independence of logarithms), so past the float filter the
+    interval ladder runs only on nonzero values."""
     root = sqrt_fraction_exact(delta)
     if root is not None:
         return (lhs - (coeff * root) * H).sign()
+    s = _sqrt_scaled_filter(lhs, coeff, delta, H)
+    if s:
+        return s
     if lhs.is_zero and H.is_zero:
         return 0
 
@@ -712,7 +740,7 @@ def poly_gcd_csv_rows(report: PolyGcdReport):
             mpmath.mpf(cfg.delta.numerator) / cfg.delta.denominator
         )
         for r in report.rows:
-            h = mpmath.mpf(r.h_sum.decimal(CSV_DIGITS + 5)) if not r.h_sum.is_zero else mpmath.mpf(0)
+            h = mpmath.mpf(r.h_sum.decimal(CSV_DIGITS + 5))
             rhs_main = mpmath.nstr(consts.C_main * sqrt_delta * h, CSV_DIGITS)
             rhs_comb = mpmath.nstr(consts.C_combined * sqrt_delta * h, CSV_DIGITS)
             if report.spart_degree is not None:

@@ -241,6 +241,28 @@ def test_csvs_match_the_benchmark_reference_digests(capsys, tmp_path):
         assert got == (audit[label]["exit"], audit[label]["sha256"]), label
 
 
+def test_poly_gcd_csvs_match_the_benchmark_reference_digests(capsys, tmp_path):
+    """Byte identity of the 24 poly-gcd audit inputs (three configs, seeds
+    0-7) against the digests the benchmark checks."""
+    configs = (
+        {"f": "x1 + 1", "g": "x2", "nvars": 2, "S": {"archimedean": True, "primes": [2]},
+         "delta": "1/5", "count": 4},
+        {"f": "x1 + x2 + 1", "g": "x1 - 2", "nvars": 2,
+         "S": {"archimedean": True, "primes": [2, 3]}, "delta": "1/7", "count": 4},
+        {"f": "x1^2 + x2", "g": "x1 - x2 + 3", "nvars": 2,
+         "S": {"archimedean": True, "primes": [3]}, "delta": "2/7", "count": 3},
+    )
+    audit = REFERENCE["audit"]
+    assert sum(label.startswith("poly-gcd ") for label in audit) == 24
+    cfg = tmp_path / "poly.json"
+    for i, config in enumerate(configs):
+        cfg.write_text(json.dumps(config))
+        for seed in range(8):
+            label = f"poly-gcd cfg={i} seed={seed}"
+            got = _csv_digest(capsys, tmp_path, "poly-gcd", "--config", str(cfg), "--seed", str(seed))
+            assert got == (audit[label]["exit"], audit[label]["sha256"]), label
+
+
 def test_archimedean_flag_must_be_a_json_bool(capsys, tmp_path):
     """The string "false" once read as true through bool() and put oo in S."""
     cfg = tmp_path / "scan.json"

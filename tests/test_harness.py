@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -622,6 +623,141 @@ def test_poly_gcd_rejects_non_coprime():
             S=PlaceSet.of(2),
             delta=Fraction(1, 25),
         )
+
+
+def test_poly_gcd_rejects_variable_count_mismatch():
+    # the nvars check runs before coprime, which cannot take the pair
+    with pytest.raises(DomainError, match="variables"):
+        SampleConfig(f=parse_poly("x1 + 1", nvars=2), g=parse_poly("x1", nvars=3))
+
+
+def _mp_q(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _mp_log_sum(terms):
+    return mpmath.fsum(_mp_q(c) * mpmath.log(b) for b, c in terms.items())
+
+
+def _sqrt_scaled_oracle(lhs_terms, coeff, delta, h_terms):
+    """Sign of lhs - coeff * sqrt(delta) * H at 4096 bits; a nonzero value
+    here is far above 2^-3900."""
+    with mpmath.workprec(4096):
+        value = _mp_log_sum(lhs_terms) - _mp_q(coeff) * mpmath.sqrt(_mp_q(delta)) * _mp_log_sum(h_terms)
+        return 0 if abs(value) < mpmath.mpf(2) ** -3900 else int(mpmath.sign(value))
+
+
+def _random_terms(rng):
+    return {rng.choice((rng.randint(2, 10**6), rng.getrandbits(300) | 1)):
+            Fraction(rng.randint(-60, 60), rng.randint(1, 25))
+            for _ in range(rng.randint(1, 6))}
+
+
+def _near_tie(coeff, delta, h_terms, offset):
+    """lhs terms c * log 3 within |offset| * log 3 of coeff * sqrt(delta) * H."""
+    with mpmath.workprec(4096):
+        c = _mp_q(coeff) * mpmath.sqrt(_mp_q(delta)) * _mp_log_sum(h_terms) / mpmath.log(3)
+        return {3: Fraction(int(mpmath.nint(c * 10**80)), 10**80) + offset}
+
+
+@pytest.fixture
+def ladder_calls(monkeypatch):
+    """The arguments of every interval-ladder call _sqrt_scaled_cmp makes,
+    directly or through LogReal.sign."""
+    from gcdlab import logreal
+
+    calls = []
+    ladder = logreal.escalating_sign
+
+    def counted(fn):
+        calls.append(fn)
+        return ladder(fn)
+
+    monkeypatch.setattr(harness, "escalating_sign", counted)
+    monkeypatch.setattr(logreal, "escalating_sign", counted)
+    return calls
+
+
+SQRT_SCALED_DELTAS = (Fraction(1, 5), Fraction(1, 7), Fraction(2, 7),   # audit deltas
+                      Fraction(1, 4), Fraction(4, 9))                   # perfect squares
+
+
+@pytest.mark.parametrize("delta", SQRT_SCALED_DELTAS)
+def test_sqrt_scaled_cmp_matches_mpmath_and_skips_the_ladder_when_separated(delta, ladder_calls):
+    rng = random.Random(delta.denominator * 31 + delta.numerator)
+    for _ in range(60):
+        lhs_terms, h_terms = _random_terms(rng), _random_terms(rng)
+        coeff = Fraction(rng.randint(1, 400), rng.randint(1, 7))
+        want = _sqrt_scaled_oracle(lhs_terms, coeff, delta, h_terms)
+        k = float(coeff) * math.sqrt(float(delta))
+        value = sum(float(c) * math.log(b) for b, c in lhs_terms.items()) \
+            - k * sum(float(c) * math.log(b) for b, c in h_terms.items())
+        size = (sum(abs(float(c) * math.log(b)) for b, c in lhs_terms.items())
+                + k * sum(abs(float(c) * math.log(b)) for b, c in h_terms.items()) + 1 + k)
+        del ladder_calls[:]
+        got = harness._sqrt_scaled_cmp(LogReal(lhs_terms), coeff, delta, LogReal(h_terms))
+        assert got == want
+        if abs(value) > 1e-9 * size:   # far outside the filter's error budget
+            assert ladder_calls == []
+
+
+@pytest.mark.parametrize("delta", SQRT_SCALED_DELTAS)
+@pytest.mark.parametrize("offset", (Fraction(1, 10**31), Fraction(-1, 10**31),
+                                    Fraction(7, 10**45), Fraction(-7, 10**45)))
+def test_sqrt_scaled_cmp_near_ties_go_to_the_ladder(delta, offset, ladder_calls):
+    coeff = Fraction(14)
+    h_terms = {2: Fraction(3), 5: Fraction(-1, 2), 10**30 + 1: Fraction(1, 3)}
+    lhs_terms = _near_tie(coeff, delta, h_terms, offset)
+    want = _sqrt_scaled_oracle(lhs_terms, coeff, delta, h_terms)
+    assert want == (1 if offset > 0 else -1)
+    assert harness._sqrt_scaled_cmp(LogReal(lhs_terms), coeff, delta, LogReal(h_terms)) == want
+    assert ladder_calls
+
+
+@pytest.mark.parametrize("delta", SQRT_SCALED_DELTAS)
+def test_sqrt_scaled_cmp_zeros(delta, ladder_calls):
+    zeros = ({}, {8: Fraction(1), 2: Fraction(-3)}, {6: Fraction(1), 2: Fraction(-1), 3: Fraction(-1)})
+    for lhs_terms in zeros:
+        for h_terms in zeros:
+            assert harness._sqrt_scaled_cmp(LogReal(lhs_terms), Fraction(6), delta, LogReal(h_terms)) == 0
+    assert ladder_calls == []
+    # H = 0 with lhs != 0: the sign of lhs, from the filter when it is clear of 0
+    for h_terms in zeros:
+        for lhs_terms, want in (({3: Fraction(2)}, 1), ({2: Fraction(-1, 9)}, -1),
+                                ({2**200 + 1: Fraction(1), 2: Fraction(-200)}, 1)):
+            assert _sqrt_scaled_oracle(lhs_terms, Fraction(6), delta, h_terms) == want
+            assert harness._sqrt_scaled_cmp(LogReal(lhs_terms), Fraction(6), delta, LogReal(h_terms)) == want
+
+
+@pytest.mark.parametrize("coeff, delta, h_terms", (
+    (Fraction(10**400, 3), Fraction(1, 5), {2: Fraction(1)}),         # coeff overflows a float
+    (Fraction(10**300), Fraction(2, 7), {2: Fraction(10**10)}),       # so does k * H
+    (Fraction(1), Fraction(1, 5), {2: Fraction(10**400)}),            # and H itself
+))
+def test_sqrt_scaled_cmp_overflow_leaves_the_sign_to_the_ladder(coeff, delta, h_terms, ladder_calls):
+    lhs_terms = {3: Fraction(1)}
+    want = _sqrt_scaled_oracle(lhs_terms, coeff, delta, h_terms)
+    assert want == -1
+    assert harness._sqrt_scaled_cmp(LogReal(lhs_terms), coeff, delta, LogReal(h_terms)) == want
+    assert len(ladder_calls) == 1
+
+
+def test_sqrt_scaled_cmp_does_not_trust_a_subnormal_delta(ladder_calls):
+    # float(delta) is subnormal and off by about 1e-5, so the filter would
+    # misjudge a value 1e-9 away from a tie
+    coeff, delta = Fraction(1), Fraction(1, 3 * 10**319)
+    h_terms = {2: Fraction(10**170)}
+    with mpmath.workprec(4096):
+        exact = mpmath.sqrt(_mp_q(delta))
+        rounded = math.sqrt(delta.numerator / delta.denominator)
+        assert abs(rounded - exact) > 1e-7 * exact
+        offset = 1e-9 if rounded > exact else -1e-9
+        c = exact * _mp_log_sum(h_terms) * (1 + offset) / mpmath.log(3)
+        lhs_terms = {3: Fraction(int(mpmath.nint(c * 10**20)), 10**20)}
+    want = _sqrt_scaled_oracle(lhs_terms, coeff, delta, h_terms)
+    assert want == (1 if offset > 0 else -1)
+    assert harness._sqrt_scaled_cmp(LogReal(lhs_terms), coeff, delta, LogReal(h_terms)) == want
+    assert len(ladder_calls) == 1
 
 
 def test_example_pk():
