@@ -33,7 +33,7 @@ from .heights import (
 from .hilbert import inequality_constants
 from .logreal import LogReal, escalating_sign, fraction_interval, logreal_sum
 from .lrs import PowerSum, _poly_eval as _int_poly, _zero_structure, compute_S0
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, _monomial_table, monomials_upto
 from .places import DomainError, Place, PlaceSet, format_rational, support_primes
 from .arith import _split_primes, sqrt_fraction_exact
 
@@ -1078,8 +1078,6 @@ COPRIME_TRIES = 200
 def random_form(rng, nvars: int, degree: int) -> MultiPoly:
     """Sparse random homogeneous form with 2 to FORM_MAX_TERMS terms and
     small nonzero integer coefficients."""
-    from .hilbert import _monomial_table
-
     monos = _monomial_table(nvars, degree)[0]
     count = min(len(monos), rng.randint(2, FORM_MAX_TERMS))
     chosen = rng.sample(monos, count)
@@ -1106,8 +1104,6 @@ def _random_affine(rng, degree: int) -> MultiPoly:
     """Random polynomial of degree <= degree in 2 variables with 2 to 4
     terms at distinct monomials and coefficients in {-2, -1, 1, 2}; never
     constant, as at most one of its terms is."""
-    from .hilbert import monomials_upto
-
     monos = monomials_upto(2, degree)
     terms = {}
     for e in rng.sample(monos, min(len(monos), rng.randint(2, 4))):

@@ -6,8 +6,6 @@ the explicit constants of the gcd inequalities."""
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -20,69 +18,25 @@ import mpmath
 from .heights import TorusPoint
 from .linalg import LinearSpan, int_rank, rational_rank
 from .logreal import LogReal, escalating_sign
-from .multipoly import MultiPoly
+from .multipoly import (
+    MultiPoly,
+    _column_index,
+    _integral_terms,
+    _monomial_table,
+    _multiple_rows,
+    monomials_upto,
+)
 from .places import DomainError, Place, log_abs
 
 
 # ---------------------------------------------------------------------
-# monomial bookkeeping
+# monomial bookkeeping (the tables and row builder live in multipoly)
 # ---------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=256)
-def _monomial_table(nvars: int, degree: int) -> tuple[tuple, dict[tuple[int, ...], int]]:
-    """The exponent tuples of the given total degree, lexicographically
-    sorted, and their monomial -> column index, built once per (nvars,
-    degree).  Shared between callers: neither may be mutated.  Stars and
-    bars: the nvars - 1 bar positions among degree + nvars - 1 slots, taken
-    in lexicographic order, give the exponents (the gaps between bars) in
-    lexicographic order."""
-    if degree < 0 or (nvars == 0 and degree > 0):
-        monomials = ()
-    elif nvars == 0:
-        monomials = ((),)
-    else:
-        slots = degree + nvars - 1
-        monomials = tuple(
-            tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
-            for bars in itertools.combinations(range(slots), nvars - 1)
-        )
-    return monomials, _column_index(monomials)
-
 
 def monomials_exact(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, lexicographically
     sorted, as a fresh list."""
     return list(_monomial_table(nvars, degree)[0])
-
-
-def monomials_upto(nvars: int, m: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree <= m, graded-lex sorted."""
-    out = []
-    for d in range(m + 1):
-        out.extend(_monomial_table(nvars, d)[0])
-    return out
-
-
-def _column_index(monomials) -> dict[tuple[int, ...], int]:
-    return {e: j for j, e in enumerate(monomials)}
-
-
-def _integral_terms(F: MultiPoly) -> list[tuple[tuple[int, ...], int]]:
-    """F's terms scaled by the lcm of its coefficient denominators: an
-    integral generator of the same span."""
-    s = math.lcm(*(c.denominator for c in F.terms.values()))
-    return [(e, c.numerator * (s // c.denominator)) for e, c in F.terms.items()]
-
-
-def _multiple_rows(column: dict, F: MultiPoly, multipliers) -> list[dict[int, int]]:
-    """Sparse {column: int} coordinate rows, under a monomial -> column
-    index, of the products x^a * F for a in multipliers, with F made
-    integral by _integral_terms."""
-    terms = _integral_terms(F)
-    return [
-        {column[tuple(map(operator.add, a, e))]: c for e, c in terms}
-        for a in multipliers
-    ]
 
 
 _RANK_PRIME = 13

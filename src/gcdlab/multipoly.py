@@ -1,9 +1,12 @@
 """Exact multivariate and Laurent polynomial arithmetic over Q.
 
 Polynomials are sparse maps from exponent tuples to nonzero rational
-coefficients.  The gcd (used to decide coprimality and for contents) is a
-pseudo-remainder sequence with primitive reduction and recursive content
-extraction, which is entirely adequate at desk-scale degrees.
+coefficients.  The gcd is linear algebra on the map (p, q) -> p*f + q*g
+with degree-bounded p, q: the rank of one such map gives the degree of the
+gcd (Laidacker, Math. Mag. 42, 1969), the kernel of another gives a
+cofactor, and one reduction divides it out.  All three are rows built by
+_multiple_rows, the same monomial multiples the truncated ideals of
+hilbert use, eliminated by linalg's one integer elimination.
 
 Coprimality is first tried on a line: f and g restricted to a fixed integer
 line a + t*b, with the top-degree part of f or of g nonzero at b, have a
@@ -15,12 +18,15 @@ pairs without the multivariate gcd, which decides what it leaves open."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from .linalg import LinearSpan, int_rank
 from .places import DomainError
 
 
@@ -200,9 +206,6 @@ class MultiPoly(_SparsePoly):
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def degree_in(self, k: int) -> int:
-        return max((e[k] for e in self.terms), default=-1)
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
@@ -238,28 +241,6 @@ class MultiPoly(_SparsePoly):
         """Set the first variable to 1."""
         return MultiPoly(
             self.nvars - 1, _accumulate((e[1:], c) for e, c in self.terms.items())
-        )
-
-    def coeffs_in(self, k: int) -> list["MultiPoly"]:
-        """Dense coefficient list [c0, c1, ...] of self as a polynomial in
-        x_{k+1}; coefficients keep the full variable count with exponent 0
-        in position k."""
-        d = self.degree_in(k)
-        coeffs = [dict() for _ in range(d + 1)]
-        for e, c in self.terms.items():
-            reduced = e[:k] + (0,) + e[k + 1 :]
-            coeffs[e[k]][reduced] = c
-        return [MultiPoly(self.nvars, t) for t in coeffs]
-
-    @staticmethod
-    def from_coeffs_in(nvars: int, k: int, coeffs: Iterable["MultiPoly"]) -> "MultiPoly":
-        return MultiPoly(
-            nvars,
-            _accumulate(
-                (e[:k] + (j,) + e[k + 1 :], c)
-                for j, p in enumerate(coeffs)
-                for e, c in p.terms.items()
-            ),
         )
 
 
@@ -377,66 +358,63 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------
-# gcd and coprimality
+# monomial bookkeeping: the one builder of coordinate rows
 # ---------------------------------------------------------------------
 
-def _divexact(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Exact division a / b; raises if b does not divide a."""
-    if b.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    if b.is_constant():
-        return a.scale(Fraction(1) / b.constant_term())
-    if a.is_zero:
-        return a
-    k = next(i for i in range(b.nvars) if b.degree_in(i) > 0)
-    bc = b.coeffs_in(k)
-    lead = bc[-1]
-    da, db = a.degree_in(k), len(bc) - 1
-    if da < db:
-        raise ArithmeticError("inexact polynomial division")
-    rem = a.coeffs_in(k)
-    quo: list[MultiPoly] = [MultiPoly.zero(a.nvars)] * (da - db + 1)
-    for j in range(da - db, -1, -1):
-        top = rem[j + db]
-        if top.is_zero:
-            continue
-        q = _divexact(top, lead)
-        quo[j] = q
-        for i, c in enumerate(bc):
-            rem[i + j] = rem[i + j] - q * c
-    if any(not r.is_zero for r in rem):
-        raise ArithmeticError("inexact polynomial division")
-    return MultiPoly.from_coeffs_in(a.nvars, k, quo)
-
-
-def _pseudo_rem(a: MultiPoly, b: MultiPoly, k: int) -> MultiPoly:
-    """Pseudo-remainder of a by b with respect to x_{k+1}."""
-    bc = b.coeffs_in(k)
-    lead = bc[-1]
-    db = len(bc) - 1
-    rem = a
-    while not rem.is_zero and rem.degree_in(k) >= db:
-        rc = rem.coeffs_in(k)
-        dr = len(rc) - 1
-        shift = dr - db
-        # lead * rem - rc[-1] * x^shift * b
-        rem = lead * rem - MultiPoly.from_coeffs_in(
-            a.nvars,
-            k,
-            [MultiPoly.zero(a.nvars)] * shift + [rc[-1] * c for c in bc],
+@functools.lru_cache(maxsize=256)
+def _monomial_table(nvars: int, degree: int) -> tuple[tuple, dict[tuple[int, ...], int]]:
+    """The exponent tuples of the given total degree, lexicographically
+    sorted, and their monomial -> column index, built once per (nvars,
+    degree).  Shared between callers: neither may be mutated.  Stars and
+    bars: the nvars - 1 bar positions among degree + nvars - 1 slots, taken
+    in lexicographic order, give the exponents (the gaps between bars) in
+    lexicographic order."""
+    if degree < 0 or (nvars == 0 and degree > 0):
+        monomials = ()
+    elif nvars == 0:
+        monomials = ((),)
+    else:
+        slots = degree + nvars - 1
+        monomials = tuple(
+            tuple(hi - lo - 1 for lo, hi in zip((-1,) + bars, bars + (slots,)))
+            for bars in itertools.combinations(range(slots), nvars - 1)
         )
-    return rem
+    return monomials, _column_index(monomials)
 
 
-def _content_in(f: MultiPoly, k: int) -> MultiPoly:
-    coeffs = [c for c in f.coeffs_in(k) if not c.is_zero]
-    g = MultiPoly.zero(f.nvars)
-    for c in coeffs:
-        g = poly_gcd(g, c)
-        if g.is_constant() and not g.is_zero:
-            break
-    return g
+def monomials_upto(nvars: int, m: int) -> list[tuple[int, ...]]:
+    """All exponent tuples of total degree <= m, graded-lex sorted."""
+    out = []
+    for d in range(m + 1):
+        out.extend(_monomial_table(nvars, d)[0])
+    return out
 
+
+def _column_index(monomials) -> dict[tuple[int, ...], int]:
+    return {e: j for j, e in enumerate(monomials)}
+
+
+def _integral_terms(F: MultiPoly) -> list[tuple[tuple[int, ...], int]]:
+    """F's terms scaled by the lcm of its coefficient denominators: an
+    integral generator of the same span."""
+    s = math.lcm(*(c.denominator for c in F.terms.values()))
+    return [(e, c.numerator * (s // c.denominator)) for e, c in F.terms.items()]
+
+
+def _multiple_rows(column: dict, F: MultiPoly, multipliers) -> list[dict[int, int]]:
+    """Sparse {column: int} coordinate rows, under a monomial -> column
+    index, of the products x^a * F for a in multipliers, with F made
+    integral by _integral_terms."""
+    terms = _integral_terms(F)
+    return [
+        {column[tuple(map(operator.add, a, e))]: c for e, c in terms}
+        for a in multipliers
+    ]
+
+
+# ---------------------------------------------------------------------
+# gcd and coprimality
+# ---------------------------------------------------------------------
 
 def _normalize(f: MultiPoly) -> MultiPoly:
     """Scale so the grlex-leading coefficient is 1."""
@@ -446,8 +424,47 @@ def _normalize(f: MultiPoly) -> MultiPoly:
     return f.scale(Fraction(1) / lead)
 
 
+def _cofactor_rows(f: MultiPoly, g: MultiPoly, k: int) -> tuple[int, list, list]:
+    """The map (p, q) -> p*f + q*g with deg p <= deg g - k and deg q <=
+    deg f - k: its number of columns, its rows x^b * g and its rows
+    x^a * f."""
+    n = f.nvars
+    column = _column_index(monomials_upto(n, f.degree() + g.degree() - k))
+    return (
+        len(column),
+        _multiple_rows(column, g, monomials_upto(n, f.degree() - k)),
+        _multiple_rows(column, f, monomials_upto(n, g.degree() - k)),
+    )
+
+
+def _gcd_degree(f: MultiPoly, g: MultiPoly) -> int:
+    """deg gcd(f, g) = D for nonconstant f, g, read off the rank of
+    (p, q) -> p*f + q*g with deg p < deg g, deg q < deg f: its kernel is
+    {(h*g/G, -h*f/G) : deg h < D}, of dimension C(n + D - 1, n).  For
+    deg f >= deg g the rows of g are the more numerous; put in first, they
+    need little elimination."""
+    _, g_rows, f_rows = _cofactor_rows(f, g, 1)
+    rows = g_rows + f_rows
+    nullity = len(rows) - int_rank(rows)
+    D = 0
+    while math.comb(f.nvars + D - 1, f.nvars) < nullity:
+        D += 1
+    return D
+
+
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """gcd in Q[x1..xn], normalized monic in graded-lex; gcd(0, g) = ~g."""
+    """gcd in Q[x1..xn], normalized monic in graded-lex; gcd(0, g) = ~g.
+
+    For nonconstant f, g with deg f >= deg g and G = gcd(f, g) of degree
+    D = _gcd_degree(f, g) > 0, the map (p, q) -> p*f + q*g with deg p <=
+    deg g - D and deg q <= deg f - D has a one-dimensional kernel, spanned
+    by (g/G, -f/G).  The rows of g are independent; the first row of f that
+    depends on the rows before it, reduced against them, gives a kernel
+    vector.  Only the rows of f carry tags, because only the p-part u, g/G
+    up to a scalar, is read.  Then G is the h of degree <= D with u*h = g:
+    g reduced against the multiples of u must leave a zero residual, which
+    proves the division.  From u*f + q*g = 0 and g = u*h, u*(f + q*h) = 0,
+    so f = -q*h: h divides both, and it has the degree of the gcd."""
     if f.is_zero:
         return _normalize(g)
     if g.is_zero:
@@ -456,31 +473,43 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         raise ValueError("variable count mismatch")
     if f.is_constant() or g.is_constant():
         return MultiPoly.one(f.nvars)
-    k = next(
-        (i for i in range(f.nvars) if f.degree_in(i) > 0 and g.degree_in(i) > 0),
-        None,
-    )
-    if k is None:
-        # no shared variable: the gcd can involve neither side's variables
-        kf = next(i for i in range(f.nvars) if f.degree_in(i) > 0)
-        return poly_gcd(_content_in(f, kf), g)
-    cf, cg = _content_in(f, k), _content_in(g, k)
-    c = poly_gcd(cf, cg)
-    a = _divexact(f, cf)
-    b = _divexact(g, cg)
-    if a.degree_in(k) < b.degree_in(k):
-        a, b = b, a
-    # primitive pseudo-remainder sequence
-    while True:
-        r = _pseudo_rem(a, b, k)
-        if r.is_zero:
+    nvars = f.nvars
+    # a variable in neither f nor g would only enlarge every matrix
+    used = sorted({i for p in (f, g) for e in p.terms for i, k in enumerate(e) if k})
+    f, g = (MultiPoly(len(used), {tuple(e[i] for i in used): c for e, c in p.terms.items()})
+            for p in (f, g))
+    if f.degree() < g.degree():
+        f, g = g, f
+    D = _gcd_degree(f, g)
+    if D == 0:
+        return MultiPoly.one(nvars)
+    n = f.nvars
+    ncols, g_rows, f_rows = _cofactor_rows(f, g, D)
+    span = LinearSpan(ncols, len(f_rows))
+    for row in g_rows:
+        span.add(row)
+    for j, row in enumerate(f_rows):
+        if not span.add(row, {j: 1}):
+            _, kernel = span.reduce(row, {j: 1})
             break
-        rc = _content_in(r, k)
-        r = _divexact(r, rc)
-        a, b = b, r
-        if b.degree_in(k) == 0:
-            return _normalize(c)
-    return _normalize(c * b)
+    else:
+        raise ArithmeticError(f"no cofactor of a degree-{D} gcd")
+    u = MultiPoly(n, dict(zip(monomials_upto(n, g.degree() - D), kernel)))
+    multipliers = monomials_upto(n, D)
+    column = _column_index(monomials_upto(n, g.degree()))
+    span = LinearSpan(len(column), len(multipliers))
+    for j, row in enumerate(_multiple_rows(column, u, multipliers)):
+        span.add(row, {j: 1})
+    residual, quotient = span.reduce({column[e]: c for e, c in _integral_terms(g)})
+    if any(residual):
+        raise ArithmeticError("the cofactor does not divide g")
+    embed = [0] * nvars
+    terms = {}
+    for e, c in zip(multipliers, quotient):
+        for i, k in zip(used, e):
+            embed[i] = k
+        terms[tuple(embed)] = c
+    return _normalize(MultiPoly(nvars, terms))
 
 
 # directions b tried in turn for the line certificate of coprime(), and the
@@ -497,9 +526,8 @@ def _line(nvars: int, k: int) -> tuple[list[int], list[int]]:
 
 def _restrict(f: MultiPoly, a: list[int], b: list[int]) -> list[int]:
     """Coefficients mod LINE_PRIME, constant first and without trailing
-    zeros, of s*f(a + t*b) for s the lcm of f's coefficient denominators."""
+    zeros, of f(a + t*b) made integral by _integral_terms."""
     P = LINE_PRIME
-    s = math.lcm(*(c.denominator for c in f.terms.values()))
     # powers[i][k]: the coefficients of (a_i + b_i t)^k, for the k in use
     powers = []
     for i, (ai, bi) in enumerate(zip(a, b)):
@@ -512,8 +540,8 @@ def _restrict(f: MultiPoly, a: list[int], b: list[int]) -> list[int]:
                 power[k] = q
         powers.append(power)
     out = [0] * (f.degree() + 1)
-    for e, c in f.terms.items():
-        term = [c.numerator * (s // c.denominator) % P]
+    for e, c in _integral_terms(f):
+        term = [c % P]
         for power, k in zip(powers, e):
             if k:
                 term = _mul(term, power[k])
@@ -567,7 +595,8 @@ def coprime(f: MultiPoly, g: MultiPoly) -> bool:
     arithmetic stays on integers below P whatever the degrees and
     coefficients.  When no direction tried gives such a certificate (f and
     g share a factor, every line meets a common zero, or both top-degree
-    parts vanish at every direction), poly_gcd decides."""
+    parts vanish at every direction), poly_gcd decides, by one exact rank
+    in the coprime case."""
     if f.is_zero or g.is_zero:
         raise DomainError("coprimality of the zero polynomial is undefined")
     if f.nvars != g.nvars:

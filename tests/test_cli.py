@@ -77,6 +77,30 @@ def test_poly_gcd_cli(capsys, tmp_path):
     assert "exceptional-set candidates" in stdout
 
 
+def test_poly_gcd_cli_on_a_pair_no_certificate_line_settles(capsys, tmp_path):
+    """Both top-degree parts vanish at every direction of coprime's line
+    certificate, so the coprimality check of the config rests on poly_gcd."""
+    cfg = {
+        "f": "-24*x1^4 + 74*x1^3*x2 - 61*x1^2*x2^2 + 19*x1*x2^3 - 2*x2^4 - x1^2 - 3*x2*x3",
+        "g": "24*x1^4 - 98*x1^3*x2 + 87*x1^2*x2^2 - 28*x1*x2^3 + 3*x2^4 - 2*x2^3 - x2",
+        "nvars": 3,
+        "count": 4,
+    }
+
+    def timeout(*_):
+        raise TimeoutError("poly-gcd still running after 10 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        code, stdout, err = _run_config(capsys, tmp_path, "poly-gcd", cfg, "--seed", "3")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 0, err
+    assert "poly-gcd: 4 samples" in stdout
+
+
 def test_sharpness_cli(capsys, tmp_path):
     out = tmp_path / "sh.csv"
     code, stdout, _ = run_cli(

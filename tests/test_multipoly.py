@@ -1,4 +1,7 @@
 import random
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -178,6 +181,7 @@ def _restrict_line(f, a, b):
 
 
 def test_gcd_divides_both():
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(24)
     for _ in range(25):
         f = rand_poly(rng, 2, 3)
@@ -185,10 +189,9 @@ def test_gcd_divides_both():
         if f.is_zero or g.is_zero:
             continue
         d = poly_gcd(f, g)
-        from gcdlab.multipoly import _divexact
-
-        assert _divexact(f, d) * d == f
-        assert _divexact(g, d) * d == g
+        xs = sympy.symbols("x1:3")
+        assert _to_sympy(f, xs).rem(_to_sympy(d, xs)).is_zero
+        assert _to_sympy(g, xs).rem(_to_sympy(d, xs)).is_zero
 
 
 def test_laurent_normalize_examples():
@@ -309,8 +312,136 @@ def test_coprime_matches_sympy_gcd(monkeypatch):
         xs = sympy.symbols(f"x1:{f.nvars + 1}")
         want = sympy.gcd(_to_sympy(f, xs), _to_sympy(g, xs)).total_degree() == 0
         assert coprime(f, g) == want, (str(f), str(g))
-    # no certificate line applies to these, so each reached the fallback
-    fallbacks.clear()
-    for f, g in vanishing:
+    # no certificate line applies where both top-degree parts vanish at
+    # every direction, so such a pair reaches the fallback exactly once
+    blind = [(f, g) for f, g in pairs
+             if not (f.is_zero or g.is_zero) and _top_vanishes_on_every_line(f)
+             and _top_vanishes_on_every_line(g)]
+    assert len(blind) == 24
+    for f, g in blind:
+        fallbacks.clear()
         coprime(f, g)
-    assert len(fallbacks) >= len(vanishing)
+        assert len(fallbacks) == 1, (str(f), str(g))
+
+
+def _top_vanishes_on_every_line(f):
+    """Whether f's top-degree part vanishes at every certificate direction."""
+    from gcdlab.multipoly import LINE_DIRECTIONS, _line
+
+    d = f.degree()
+    top = MultiPoly(f.nvars, {e: c for e, c in f.terms.items() if sum(e) == d})
+    return all(top.eval(_line(f.nvars, k)[1]) == 0 for k in range(LINE_DIRECTIONS))
+
+
+# a coprime pair in 3 variables whose top-degree parts vanish at every
+# certificate direction, so that only poly_gcd decides it
+BLIND_F = "-24*x1^4 + 74*x1^3*x2 - 61*x1^2*x2^2 + 19*x1*x2^3 - 2*x2^4 - x1^2 - 3*x2*x3"
+BLIND_G = "24*x1^4 - 98*x1^3*x2 + 87*x1^2*x2^2 - 28*x1*x2^3 + 3*x2^4 - 2*x2^3 - x2"
+
+
+@contextmanager
+def _time_limit(seconds):
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_poly_gcd_decides_a_pair_no_line_certifies():
+    f, g = parse_poly(BLIND_F, 3), parse_poly(BLIND_G, 3)
+    assert _top_vanishes_on_every_line(f) and _top_vanishes_on_every_line(g)
+    h = parse_poly("x1*x2 - x3 + 2", 3)
+    with _time_limit(5):
+        start = time.perf_counter()
+        assert coprime(f, g)
+        assert time.perf_counter() - start < 1
+        start = time.perf_counter()
+        assert poly_gcd(f, g) == MultiPoly.one(3)
+        assert time.perf_counter() - start < 1
+        assert poly_gcd(f * h, g * h) == h
+        assert not coprime(f * h, g * h)
+
+
+def test_poly_gcd_matches_sympy_on_pairs_in_3_and_4_variables():
+    """Pairs P*f0 + low, with P the product of the direction forms, whose
+    top-degree parts vanish at every certificate direction; alone and times
+    a common factor."""
+    sympy = pytest.importorskip("sympy")
+    from gcdlab.harness import random_form
+
+    rng = random.Random(4099)
+    for nvars in (3, 4):
+        xs = sympy.symbols(f"x1:{nvars + 1}")
+        P = MultiPoly.one(nvars)
+        for h in _direction_forms(nvars):
+            P = P * h
+        for _ in range(4):
+            f0, g0 = random_form(rng, nvars, 1), random_form(rng, nvars, 1)
+            low1, low2 = rand_poly(rng, nvars, 2, terms=2), rand_poly(rng, nvars, 3, terms=2)
+            common = rand_poly(rng, nvars, 1, terms=2)
+            f, g = P * f0 + low1, P * g0 + low2
+            for f, g in [(f, g), (f, P + low2), (f * common, g * common)]:
+                want = sympy.gcd(_to_sympy(f, xs), _to_sympy(g, xs))
+                with _time_limit(10):
+                    got = poly_gcd(f, g)
+                    is_coprime = coprime(f, g)
+                assert _to_sympy(got, xs).monic() == want.monic(), (str(f), str(g))
+                assert is_coprime == (want.total_degree() == 0)
+
+
+def _dense_univariate(rng, degree):
+    return MultiPoly(1, {(k,): rng.choice([-3, -2, -1, 1, 2, 3]) for k in range(degree + 1)})
+
+
+def test_poly_gcd_of_dense_univariate_pairs_of_degree_about_100():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    xs = sympy.symbols("x1:2")
+    for degree_f, degree_g, degree_h in [(98, 70, 2), (96, 84, 5)]:
+        h = _dense_univariate(rng, degree_h)
+        f = _dense_univariate(rng, degree_f - degree_h) * h
+        g = _dense_univariate(rng, degree_g - degree_h) * h
+        with _time_limit(10):
+            got = poly_gcd(f, g)
+        want = sympy.gcd(_to_sympy(f, xs), _to_sympy(g, xs))
+        assert want.degree() >= degree_h
+        assert _to_sympy(got, xs).monic() == want.monic()
+
+
+def test_poly_gcd_of_x500_minus_1_and_x300_minus_1():
+    x, one = parse_poly("x1"), MultiPoly.one(1)
+    with _time_limit(5):
+        assert poly_gcd(x**500 - one, x**300 - one) == x**100 - one
+        assert poly_gcd(x**300 - one, x**500 - one) == x**100 - one
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_poly_gcd_refuses_a_wrong_gcd_degree(monkeypatch, shift):
+    """With a gcd degree one too high no cofactor exists; one too low, the
+    cofactor found leaves a nonzero residual: either way the result is
+    refused, never returned."""
+    from gcdlab import multipoly
+
+    gcd_degree = multipoly._gcd_degree
+    monkeypatch.setattr(multipoly, "_gcd_degree", lambda f, g: gcd_degree(f, g) + shift)
+    h = parse_poly("x1^2 + x2 + 1")
+    f, g = h * parse_poly("x1 - x2 + 3"), h * parse_poly("x1*x2 + 2")
+    assert gcd_degree(f, g) == 2
+    with pytest.raises(ArithmeticError):
+        poly_gcd(f, g)
+
+
+def test_poly_gcd_leaves_out_variables_neither_polynomial_has():
+    h = parse_poly("x1^2 + 3*x1*x3 - 1", 6)
+    f, g = h * parse_poly("x1^10 - 2*x3 + 5", 6), h * parse_poly("x3^9 + x1 + 7", 6)
+    with _time_limit(5):
+        start = time.perf_counter()
+        assert poly_gcd(f, g) == h
+        assert poly_gcd(g, f * parse_poly("x1 - x3", 6)) == h
+        assert time.perf_counter() - start < 1
