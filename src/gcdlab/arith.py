@@ -4,6 +4,7 @@ one-sided tests are exposed."""
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -100,7 +101,10 @@ def _pollard_rho(n: int) -> int:
 def _split_primes(n: int, primes) -> tuple[dict[int, int], int]:
     """Divide the given primes out of a nonzero integer n: returns
     ({p: v_p(n)} for the primes that divide n, in the order given, and the
-    cofactor of n prime to all of them)."""
+    cofactor of n prime to all of them).  Every prime divides 0 without
+    end, so n = 0 raises ValueError."""
+    if n == 0:
+        raise ValueError("_split_primes expects a nonzero integer")
     exponents: dict[int, int] = {}
     for p in primes:
         e = 0
@@ -142,16 +146,46 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+@functools.cache
+def _power_sieve(k: int) -> tuple[tuple[int, int], ...]:
+    """The first ceil(24 / bit_length(k)) primes q = 1 (mod k), each with
+    (q-1)/k.  A non-power passes the test at one q with probability about
+    1/k < 2^(1 - bit_length(k)), so it passes all of them with probability
+    at most about 2^-12."""
+    sieve = []
+    q, step = 1, k if k == 2 else 2 * k   # an odd q for an odd k
+    while len(sieve) < -(-24 // k.bit_length()):
+        q += step
+        if is_prime(q):
+            sieve.append((q, (q - 1) // k))
+    return tuple(sieve)
+
+
+def _may_be_power(n: int, k: int) -> bool:
+    """False when a residue proves that n is no k-th power: for a prime
+    q = 1 (mod k) that does not divide n = r**k, n^((q-1)/k) = r^(q-1) = 1
+    (mod q) (Bernstein, Math. Comp. 67, 1998).  A non-power passes each q
+    with probability about 1/k, so few roots are taken in vain."""
+    for q, e in _power_sieve(k):
+        r = n % q
+        if r and pow(r, e, q) != 1:
+            return False
+    return True
+
+
 def perfect_power(n: int) -> tuple[int, int]:
     """Largest k with n = r**k for n >= 2; returns (r, k), k = 1 if none.
     Only prime exponents are probed; composite exponents fall out of the
-    recursion (64 -> (2, 6))."""
+    recursion (64 -> (2, 6)).  A residue sieve rejects most exponents, and
+    a root confirms every one it lets through."""
     if n < 2:
         raise ValueError("perfect_power expects n >= 2")
     maxk = n.bit_length()
     for k in SMALL_PRIMES:
         if k > maxk:
             break
+        if not _may_be_power(n, k):
+            continue
         r = _iroot(n, k)
         if r**k == n:
             r2, k2 = perfect_power(r)
@@ -165,15 +199,16 @@ def _iroot(n: int, k: int) -> int:
         raise ValueError("negative radicand")
     if k == 1 or n in (0, 1):
         return n
-    hi = 1 << ((n.bit_length() + k - 1) // k)
-    lo = hi >> 1
-    while lo < hi:
-        mid = (lo + hi + 1) >> 1
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    if k == 2:
+        return math.isqrt(n)
+    # Newton's step from x >= floor(n^(1/k)) stays >= it (by AM-GM) and
+    # falls strictly until it reaches it; 2^ceil(bits/k) > n^(1/k)
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def sqrt_fraction_exact(q: Fraction):

@@ -156,7 +156,9 @@ def _summary(msg: str, out_path: str | None) -> None:
 
 def cmd_lrs_scan(args) -> int:
     report = harness.run_lrs_scan(ScanConfig(**_options(args, ScanConfig)))
-    _write_csv(args.out, harness.SCAN_CSV_HEADER, harness.scan_csv_rows(report))
+    with _open_out(args.out) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(harness.SCAN_CSV_HEADER)
+        fh.writelines(harness.scan_csv_rows(report))
     _summary(
         f"lrs-scan: {report.nrows} pairs, {len(report.flagged)} flagged, "
         f"{len(report.clusters)} clusters, {len(report.sporadic)} sporadic, "

@@ -10,6 +10,8 @@ canonical order, so identical configurations produce identical output."""
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 import mpmath
 
-from .gengcd import _finite_core, log_gcd, log_gcd_outside, log_gcd_within
+from .gengcd import log_gcd, log_gcd_outside, log_gcd_within
 from .heights import (
     AlmostUnitConfig,
     TorusPoint,
@@ -132,16 +134,24 @@ class ScanReport:
         return [(r.m, r.n) for r in self.flagged]
 
 
-def _scan_row(a: int | Fraction, b: int | Fraction, s_primes, s_arch: bool):
-    """Compact per-row data for the gcd outside S: integer core and the
-    optional archimedean term."""
-    core, _ = _finite_core(a, b)
-    if s_primes:
-        _, core = _split_primes(core, s_primes)
-    arch = None
-    if not s_arch and -1 < a < 1 and -1 < b < 1:
-        arch = 1 / max(abs(a), abs(b))
-    return core, arch
+def _scan_row(fa: int, gb: int, sa: Fraction | None, sb: Fraction | None):
+    """Compact per-row data for the gcd outside S of a = F(m), b = G(n):
+    the integer core and the optional archimedean term.  fa and gb are the
+    numerators A and B of a and b with the primes of S divided out, so
+    v_l(gcd(fa, gb)) is min(v_l(A), v_l(B)) at a prime l outside S and 0 at
+    one in S: gcd(fa, gb) is gcd(A, B) with the primes of S divided out.
+    sa and sb are |a| and |b| where they lie in (0, 1) and oo is not in S,
+    else None (see _scan_operands)."""
+    return igcd(fa, gb), (1 / max(sa, sb) if sa is not None and sb is not None else None)
+
+
+def _scan_operands(vals: list[int | Fraction], s_primes, s_arch: bool):
+    """The per-value operands of _scan_row: each nonzero value's numerator
+    with the primes of S divided out (0 for a zero value, which no row
+    passes to _scan_row), and |v| where -1 < v < 1 and oo is not in S."""
+    free = [_split_primes(v.numerator, s_primes)[1] if v else 0 for v in vals]
+    small = [None if s_arch or not -1 < v < 1 else abs(v) for v in vals]
+    return free, small
 
 
 def _row_lhs_cmp(core: int, arch: Fraction | None, threshold: Fraction) -> int:
@@ -414,12 +424,16 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
         nrows = (sum(1 for i in all_n if F_vals[i] != 0)
                  * sum(1 for i in all_n if G_vals[i] != 0))
 
+    F_free, F_small = _scan_operands(F_vals, s_primes, s_arch)
+    G_free, G_small = _scan_operands(G_vals, s_primes, s_arch)
+    new_row = tuple.__new__   # ScanRow(...) without the NamedTuple's Python __new__
     rows: list[ScanRow] | None = [] if cfg.keep_rows else None
     flagged: list[ScanRow] = []
     flagged_at: list[int] = []   # index in rows of each flagged row
     zero_rows: list[tuple[int, int, str]] = []
     for m, ns in columns:
         a = F_vals[m]
+        fa, sa = F_free[m], F_small[m]
         for n in ns:
             b = G_vals[n]
             if a == 0 or b == 0:
@@ -430,14 +444,14 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
                 if rows is not None:
                     rows.append(ScanRow(m, n, 1, None, False, None, which))
                 continue
-            core, arch = _scan_row(a, b, s_primes, s_arch)
+            core, arch = _scan_row(fa, G_free[n], sa, G_small[n])
             mx = m if m > n else n
             is_flagged = (
                 (arch is not None or core.bit_length() > max_bits[mx])
                 and _row_lhs_cmp(core, arch, eps * mx) > 0
             )
             if is_flagged or rows is not None:
-                row = ScanRow(m, n, core, arch, is_flagged)
+                row = new_row(ScanRow, (m, n, core, arch, is_flagged, None, ""))
                 if is_flagged:
                     flagged.append(row)
                 if rows is not None:
@@ -477,33 +491,51 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
 CSV_DIGITS = 12
 
 
+def _csv_encoder():
+    """A function from a tuple of fields to their text in a CSV line, as the
+    CLI's csv.writer writes them, without the line end.  Fields are quoted
+    one by one, so the text of a row is the texts of its parts joined by
+    commas, as long as no part is a lone empty field (which the csv module
+    writes as "")."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+
+    def encode(fields: tuple) -> str:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(fields)
+        return buf.getvalue()[:-1]
+
+    return encode
+
+
 def scan_csv_rows(report: ScanReport):
-    """Rows for the scan CSV: m, n, lhs_logreal, lhs_decimal,
-    threshold_decimal, flagged, cluster_id, notes."""
+    """Lines of the scan CSV, each with its line end: m, n, lhs_logreal,
+    lhs_decimal, threshold_decimal, flagged, cluster_id, notes.  A call
+    encodes each distinct lhs pair, threshold and (flagged, cluster_id,
+    notes) tail once."""
     if report.rows is None:
         raise DomainError("scan was run without keep_rows")
+    encode = _csv_encoder()
     eps = report.config.epsilon
     thresholds = [
-        mpmath.nstr(mpmath.mpf(t.numerator) / t.denominator, CSV_DIGITS)
+        encode((mpmath.nstr(mpmath.mpf(t.numerator) / t.denominator, CSV_DIGITS),))
         for t in (eps * mx for mx in range(report.config.N + 1))
     ]
     # rows repeat few (core, arch) values: render each of them once
-    rendered: dict[tuple[int, Fraction | None], tuple[str, str]] = {}
-    for r in report.rows:
-        key = (r.core, r.arch)
-        text = rendered.get(key)
-        if text is None:
-            lhs = r.lhs
-            text = rendered[key] = (str(lhs), lhs.decimal(CSV_DIGITS))
-        yield (
-            r.m,
-            r.n,
-            *text,
-            thresholds[max(r.m, r.n)],
-            int(r.flagged),
-            r.cluster if r.cluster is not None else "",
-            r.note,
-        )
+    rendered: dict[tuple[int, Fraction | None], str] = {}
+    tails: dict[tuple[bool, int | None, str], str] = {}
+    for row in report.rows:
+        m, n, core, arch, flagged, cluster, note = row
+        lhs = rendered.get((core, arch))
+        if lhs is None:
+            value = row.lhs
+            lhs = rendered[core, arch] = encode((str(value), value.decimal(CSV_DIGITS)))
+        tail = tails.get((flagged, cluster, note))
+        if tail is None:
+            tail = tails[flagged, cluster, note] = encode(
+                (int(flagged), "" if cluster is None else cluster, note))
+        yield f"{m},{n},{lhs},{thresholds[m if m > n else n]},{tail}\n"
 
 
 SCAN_CSV_HEADER = (

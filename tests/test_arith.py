@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from gcdlab.arith import (
     RHO_STEP_BUDGET,
     _iroot,
+    _may_be_power,
+    _power_sieve,
     _split_primes,
     factorize,
     hnf_with_transform,
@@ -16,6 +19,7 @@ from gcdlab.arith import (
     solve_in_row_lattice,
     sqrt_fraction_exact,
 )
+from gcdlab.lrs import _exponent_vector
 from gcdlab.places import DomainError, PlaceSet
 
 
@@ -55,6 +59,72 @@ def test_perfect_power():
     assert perfect_power(12) == (12, 1)
     assert perfect_power(3**40) == (3, 40)
     assert perfect_power((2**10 + 1) ** 3) == (2**10 + 1, 3)
+
+
+def _perfect_power_cases():
+    """Powers r^e (composite e and e = 1031 among them), their neighbours
+    and three times them, up to about 12000 bits."""
+    rng = random.Random(2024)
+    for _ in range(60):
+        base = rng.randint(2, 10 ** rng.randint(1, 30))
+        e = rng.choice((2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 13, 25, 49, 97))
+        yield from (base**e, base**e + 1, base**e - 1)
+    for bits, e in ((2100, 5), (1500, 7), (700, 17), (10, 1031), (5000, 2), (3400, 3), (12000, 1)):
+        base = rng.getrandbits(bits) | 1 << (bits - 1)
+        yield from (base**e, base**e + 2, 3 * base**e)
+
+
+def test_perfect_power_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    big = 0
+    for n in _perfect_power_cases():
+        want = sympy.perfect_power(n)
+        root, k = perfect_power(n)
+        assert (root, k) == (tuple(want) if want else (n, 1)), (n.bit_length(), k)
+        big += n.bit_length() > 10**4
+        # n is a q-th power exactly when q divides k, since root is no power
+        for q in (2, 3, 5, 7, 11, 13, 17, 97, 1031):
+            assert sympy.integer_nthroot(n, q)[1] == (k % q == 0), (n.bit_length(), q)
+            assert _may_be_power(n, q) or k % q
+    assert big >= 6
+
+
+def test_power_sieve_primes_are_one_mod_k():
+    for k in (2, 3, 5, 31, 1031, 9973):
+        sieve = _power_sieve(k)
+        assert len(sieve) == -(-24 // k.bit_length())
+        for q, e in sieve:
+            assert is_prime(q) and q == e * k + 1
+
+
+def test_iroot_matches_sympy_integer_nthroot():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for _ in range(3000):
+        n = rng.getrandbits(rng.randint(1, 3000))
+        k = rng.randint(1, 70)
+        assert _iroot(n, k) == sympy.integer_nthroot(n, k)[0], (n, k)
+    for n in range(600):
+        for k in range(1, 12):
+            assert _iroot(n, k) == sympy.integer_nthroot(n, k)[0], (n, k)
+
+
+def test_split_primes_refuses_zero():
+    # every prime divides 0 without end, so dividing them out never stops
+    def expire(*_):
+        raise TimeoutError("still dividing 0 after 5 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        for primes in ((), (2,), (3, 5)):
+            with pytest.raises(ValueError):
+                _split_primes(0, primes)
+        with pytest.raises(ValueError):
+            _exponent_vector(Fraction(0), (2,))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_iroot():

@@ -233,22 +233,27 @@ def _csv_digest(capsys, tmp_path, *argv):
 
 
 def test_csvs_match_the_benchmark_reference_digests(capsys, tmp_path):
-    """Byte identity of the README scan, every example-pk input and three
-    sharpness inputs against the digests the benchmark checks."""
+    """Byte identity of every scan the benchmark renders (the README scan
+    among them), every example-pk input and three sharpness inputs against
+    the digests the benchmark checks."""
     cfg = tmp_path / "scan.json"
-    cfg.write_text(json.dumps({
-        "F": {"terms": [{"coeff": ["0", "1"], "root": "2"}, {"coeff": ["1"], "root": "1"}]},
-        "G": {"terms": [{"coeff": ["1"], "root": "2"}, {"coeff": ["1"], "root": "1"}]},
-        "epsilon": "3/5",
-        "N": 150,
-        "mode": "full-grid",
-        "extra_S": {"archimedean": False, "primes": []},
-        "tube_max_ab": 8,
-        "tube_kappa": 16,
-    }))
-    assert _csv_digest(capsys, tmp_path, "lrs-scan", "--config", str(cfg)) == (
-        0, REFERENCE["scan_csv"]["lrs-scan p=2 eps=3/5 N=150"]
-    )
+    scans = REFERENCE["scan_csv"]
+    assert len(scans) == 12 and "lrs-scan p=2 eps=3/5 N=150" in scans
+    for label, digest in scans.items():
+        fields = dict(part.split("=") for part in label.split()[1:])
+        p = fields["p"]
+        cfg.write_text(json.dumps({
+            "F": {"terms": [{"coeff": ["0", "1"], "root": p}, {"coeff": ["1"], "root": "1"}]},
+            "G": {"terms": [{"coeff": ["1"], "root": p}, {"coeff": ["1"], "root": "1"}]},
+            "epsilon": fields["eps"],
+            "N": int(fields["N"]),
+            "mode": "full-grid",
+            "extra_S": {"archimedean": False, "primes": []},
+            "tube_max_ab": 8,
+            "tube_kappa": 16,
+        }))
+        got = _csv_digest(capsys, tmp_path, "lrs-scan", "--config", str(cfg))
+        assert got == (0, digest), label
     audit = REFERENCE["audit"]
     pk_labels = [label for label in audit if label.startswith("example-pk ")]
     assert len(pk_labels) == 16

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import random
 from dataclasses import replace
@@ -112,12 +114,13 @@ def test_scan_determinism():
     a = list(scan_csv_rows(run_lrs_scan(ScanConfig(F, G, Fraction(3, 5), 25))))
     b = list(scan_csv_rows(run_lrs_scan(ScanConfig(F, G, Fraction(3, 5), 25))))
     assert a == b
-    assert len(SCAN_CSV_HEADER) == len(a[0])
+    assert len(SCAN_CSV_HEADER) == len(next(csv.reader(a[:1])))
 
 
 def _oracle_scans():
     """Small scans whose every row the oracle below recomputes: rational
-    roots, extra primes and the archimedean place in S, zero rows, a family
+    roots, extra primes and the archimedean place in S, zero rows (also
+    with a prime in S, whose operands are split value by value), a family
     whose every row has an archimedean term, one where that term alone can
     flag a row, and one where only F(m) lies inside the unit interval."""
     F, G = pk_sequences(2)
@@ -125,6 +128,7 @@ def _oracle_scans():
     R2 = PowerSum.of(([2], Fraction(2, 7)), ([1], 4))
     Z1 = PowerSum.of(([1], 2), ([-4], 1))     # zero at n = 2
     Z2 = PowerSum.of(([1], 2), ([1], -2))     # zero at every odd n
+    Z3 = PowerSum.of(([3], 2), ([3], -2))     # 3 Z2, so 3 divides some cores
     H2 = PowerSum.of(([1], 1), ([-1], Fraction(1, 2)))   # 1 - 2^-n
     H3 = PowerSum.of(([1], 1), ([-1], Fraction(1, 3)))   # 1 - 3^-n
     T1 = PowerSum.of(([1], Fraction(1, 2)), ([1], Fraction(1, 3)))
@@ -136,6 +140,7 @@ def _oracle_scans():
     yield ScanConfig(R1, R2, Fraction(1, 4), 25, extra_S=PlaceSet(False, (11, 13)))
     yield ScanConfig(R1, R2, Fraction(1, 8), 60, mode="diagonal")
     yield ScanConfig(Z1, Z2, Fraction(1, 3), 20)
+    yield ScanConfig(Z1, Z3, Fraction(1, 3), 20, extra_S=PlaceSet.of(3))
     yield ScanConfig(Z2, Z2, Fraction(1, 2), 30, mode="diagonal")
     yield ScanConfig(H2, H3, Fraction(1, 100), 40)
     yield ScanConfig(H2, H3, Fraction(1, 100), 20, extra_S=PlaceSet(True, (7,)))
@@ -173,6 +178,30 @@ def test_scan_rows_match_log_gcd_outside_oracle():
     assert saw_arch
 
 
+def _csv_line(fields) -> str:
+    """One row as the CLI's csv.writer writes it."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(fields)
+    return out.getvalue()
+
+
+def test_csv_encoder_quotes_each_field_as_the_csv_module_does():
+    from gcdlab.harness import _csv_encoder
+
+    encode = _csv_encoder()
+    fields = ("a,b", 'say "hi"', "two\nlines", "", " pad ", 7, "plain")
+    assert encode(fields) + "\n" == _csv_line(fields)
+    # parts joined by commas give the row, as scan_csv_rows joins them
+    for cut in range(1, len(fields)):
+        head, tail = fields[:cut], fields[cut:]
+        if ("",) not in (head, tail):
+            assert f"{encode(head)},{encode(tail)}\n" == _csv_line(fields), cut
+    # a lone empty field is quoted, so it is never a part of its own
+    assert encode(("",)) == '""'
+    assert list(csv.reader(io.StringIO(encode(fields), newline=""))) == \
+        [[str(f) for f in fields]]
+
+
 def test_scan_csv_rows_match_per_row_rendering():
     from gcdlab.harness import CSV_DIGITS, scan_csv_rows
 
@@ -187,11 +216,11 @@ def test_scan_csv_rows_match_per_row_rendering():
         for out, r in zip(rendered, rep.rows):
             lhs = r.lhs
             t = cfg.epsilon * max(r.m, r.n)
-            assert out == (
+            assert out == _csv_line((
                 r.m, r.n, str(lhs), lhs.decimal(CSV_DIGITS),
                 mpmath.nstr(mpmath.mpf(t.numerator) / t.denominator, CSV_DIGITS),
                 int(r.flagged), "" if r.cluster is None else r.cluster, r.note,
-            )
+            ))
         saw_arch = saw_arch or any(r.arch is not None for r in rep.rows)
         saw_zero = saw_zero or bool(rep.zero_rows)
         saw_sporadic = saw_sporadic or bool(rep.sporadic)
