@@ -142,10 +142,20 @@ def _open_out(path: str | None):
 
 
 def _write_csv(path: str | None, header, rows) -> None:
+    """Write the header and then the rows: tuples of fields, or lines that
+    are already encoded, each with its line end (harness.scan_csv_rows),
+    which are written as they are."""
     with _open_out(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerows(rows)
+        rows = iter(rows)
+        first = next(rows, None)
+        if isinstance(first, str):
+            fh.write(first)
+            fh.writelines(rows)
+        elif first is not None:
+            w.writerow(first)
+            w.writerows(rows)
 
 
 def _summary(msg: str, out_path: str | None) -> None:
@@ -156,9 +166,7 @@ def _summary(msg: str, out_path: str | None) -> None:
 
 def cmd_lrs_scan(args) -> int:
     report = harness.run_lrs_scan(ScanConfig(**_options(args, ScanConfig)))
-    with _open_out(args.out) as fh:
-        csv.writer(fh, lineterminator="\n").writerow(harness.SCAN_CSV_HEADER)
-        fh.writelines(harness.scan_csv_rows(report))
+    _write_csv(args.out, harness.SCAN_CSV_HEADER, harness.scan_csv_rows(report))
     _summary(
         f"lrs-scan: {report.nrows} pairs, {len(report.flagged)} flagged, "
         f"{len(report.clusters)} clusters, {len(report.sporadic)} sporadic, "

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import mpmath
 
-from .gengcd import log_gcd, log_gcd_outside, log_gcd_within
+from .gengcd import _finite_core, log_gcd, log_gcd_outside, log_gcd_within
 from .heights import (
     AlmostUnitConfig,
     TorusPoint,
@@ -141,8 +141,10 @@ def _scan_row(fa: int, gb: int, sa: Fraction | None, sb: Fraction | None):
     v_l(gcd(fa, gb)) is min(v_l(A), v_l(B)) at a prime l outside S and 0 at
     one in S: gcd(fa, gb) is gcd(A, B) with the primes of S divided out.
     sa and sb are |a| and |b| where they lie in (0, 1) and oo is not in S,
-    else None (see _scan_operands)."""
-    return igcd(fa, gb), (1 / max(sa, sb) if sa is not None and sb is not None else None)
+    else None (see _scan_operands).  The core comes from _finite_core, the
+    gcd core of every other caller, so a fault in it shows in scans too."""
+    core, _ = _finite_core(fa, gb)
+    return core, (1 / max(sa, sb) if sa is not None and sb is not None else None)
 
 
 def _scan_operands(vals: list[int | Fraction], s_primes, s_arch: bool):

@@ -57,6 +57,19 @@ def test_lrs_scan_cli_deterministic(capsys, tmp_path):
     assert header == "m,n,lhs_logreal,lhs_decimal,threshold_decimal,flagged,cluster_id,notes"
 
 
+@pytest.mark.parametrize("rows", [
+    [(1, "a,b", ""), (2, 'say "x"', "two\nlines")],
+    ['1,"a,b",\n', '2,"say ""x""","two\nlines"\n'],
+    [],
+])
+def test_write_csv_takes_tuples_or_encoded_lines(tmp_path, rows):
+    # tuples go through csv.writer, finished lines are written as they are
+    out = tmp_path / "rows.csv"
+    cli._write_csv(str(out), ("h1", "h2", "h3"), iter(rows))
+    tail = "" if not rows else '1,"a,b",\n2,"say ""x""","two\nlines"\n'
+    assert out.read_bytes().decode("utf-8") == "h1,h2,h3\n" + tail
+
+
 def test_poly_gcd_cli(capsys, tmp_path):
     cfg = {
         "f": "x1 + 1",
