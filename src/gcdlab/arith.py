@@ -107,12 +107,27 @@ def _split_primes(n: int, primes) -> tuple[dict[int, int], int]:
         raise ValueError("_split_primes expects a nonzero integer")
     exponents: dict[int, int] = {}
     for p in primes:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            exponents[p] = e
+        if n % p:
+            continue
+        if p == 2:
+            e = (n & -n).bit_length() - 1
+            n >>= e
+        else:
+            # climb: divide by p, p^2, p^4, ... while the division is exact;
+            # after k rungs p^(2^k - 1) is out and what is left of v_p(n) is
+            # below 2^k, so the walk back down takes it one bit per rung
+            e, rungs = 0, []
+            q = p
+            while n % q == 0:
+                n //= q
+                e += 1 << len(rungs)
+                rungs.append(q)
+                q *= q
+            for k in range(len(rungs) - 1, -1, -1):
+                if n % rungs[k] == 0:
+                    n //= rungs[k]
+                    e += 1 << k
+        exponents[p] = e
     return exponents, n
 
 

@@ -130,21 +130,57 @@ def graded_ideal_rank(F1: MultiPoly, F2: MultiPoly, l: int) -> int:
     matrix, and q -> (q F2, -q F1) is injective since F2 != 0, so
     rank <= min(b(l), b(l - d1) + b(l - d2) - b(l - d1 - d2)), with b(k)
     the number of monomials of degree k.  Equality holds when F1, F2 are
-    coprime.  Lower bound: an r x r minor nonzero mod 13 is nonzero over Z,
-    so the rank mod 13 is at most the rank over Q.  When the rank mod 13
-    reaches the upper bound it is the rank; otherwise the integer matrix is
-    eliminated exactly by int_rank."""
+    coprime.  Three lower bounds are tried in turn, and the first that
+    meets the upper bound proves it is the rank:
+    1. leading monomials: rows with distinct leading monomials under a
+       monomial order are independent, since they form a triangular
+       matrix.  The distinct ones are the degree-l monomials divisible by
+       LM(F1) or LM(F2), b(l - d1) + b(l - d2) - b(l - D) of them with
+       D = deg lcm(LM(F1), LM(F2)), counted for each order of
+       _leading_lcm_degrees without building a row;
+    2. the rank mod 13 of the packed rows: an r x r minor nonzero mod 13
+       is nonzero over Z, so the rank mod 13 is at most the rank over Q;
+    3. otherwise the integer matrix is eliminated exactly by int_rank."""
     nvars = _check_form_pair(F1, F2)
     d1, d2 = F1.degree(), F2.degree()
 
     def b(k: int) -> int:
-        return len(_monomial_table(nvars, k)[0])
+        return _monomial_count(nvars, k)
 
     bound = min(b(l), b(l - d1) + b(l - d2) - b(l - d1 - d2))
+    # the leading monomials number at least bound iff b(l - D) <= slack
+    slack = b(l - d1) + b(l - d2) - bound
+    if any(b(l - D) <= slack for D in _leading_lcm_degrees(F1, F2)):
+        return bound
     packed = _graded_multiple_rows(F1, F2, l, _packed_multiples)
     if _rank_mod_13(packed, b(l), bound) == bound:
         return bound
     return int_rank(_graded_multiple_rows(F1, F2, l))
+
+
+def _leading_lcm_degrees(F1: MultiPoly, F2: MultiPoly):
+    """deg lcm(LM(F1), LM(F2)) under each of 2 nvars + 1 monomial orders,
+    in turn: the plain tuple order, then for each variable x_i the orders
+    that compare the exponent of x_i first, ascending or descending, then
+    the tuple.  Each is a total order with a < b => a + c < b + c, so
+    LM(x^a F) = x^a LM(F) for the leading monomial LM, taken as the
+    smallest term (as in _rank_mod_13, whose lowest column is the
+    lex-smallest tuple)."""
+    t1, t2 = F1.terms, F2.terms
+    yield sum(map(max, min(t1), min(t2)))
+    c1, c2 = list(zip(*t1)), list(zip(*t2))
+    for i in range(F1.nvars):
+        # the smallest (e[i], e), then the smallest (-e[i], e), over the terms e
+        yield sum(map(max, min(zip(c1[i], t1))[1], min(zip(c2[i], t2))[1]))
+        n1, n2 = map(operator.neg, c1[i]), map(operator.neg, c2[i])
+        yield sum(map(max, min(zip(n1, t1))[1], min(zip(n2, t2))[1]))
+
+
+def _monomial_count(nvars: int, k: int) -> int:
+    """The number of monomials of degree k in nvars variables."""
+    if k < 0:
+        return 0
+    return comb(k + nvars - 1, k) if nvars else int(k == 0)
 
 
 def _check_form_pair(F1: MultiPoly, F2: MultiPoly) -> int:

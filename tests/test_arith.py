@@ -209,6 +209,26 @@ def test_factorize_beyond_the_witness_bound():
     assert factorize(2**103 + 1) == {3: 1, 415141630193: 1, 8142767081771726171: 1}
 
 
+def test_split_primes_matches_sympy_on_large_valuations():
+    """Valuations up to 10^5 for 2 and 3 (below 1000 for 10007), several
+    primes in one call and negative n: the squaring ladder takes every bit
+    of v_p(n)."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(97)
+    valuations = [0, 1, 2, 3, 7, 8, 255, 256, 257, 2**16 - 1, 2**16, 99999, 100000]
+    valuations += [rng.randint(1, 10**5) for _ in range(4)]
+    for v in valuations:
+        for p, e in ((2, v), (3, v), (10007, v % 1000)):
+            k = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+            n = k * p**e * 5**(v % 300)
+            chosen = (5, 7, p)
+            got, rest = _split_primes(n, chosen)
+            want = {q: sympy.multiplicity(q, n) for q in chosen}
+            assert got == {q: w for q, w in want.items() if w}, (p, e)
+            assert rest * p**got.get(p, 0) * 5**got.get(5, 0) * 7**got.get(7, 0) == n
+            assert all(rest % q for q in chosen)
+
+
 def test_split_primes_matches_sympy_multiplicity():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")

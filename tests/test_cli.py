@@ -124,6 +124,24 @@ def test_sharpness_cli(capsys, tmp_path):
     assert "window-certified" in stdout
 
 
+def test_sharpness_at_a_large_m_start_exits_0(capsys, tmp_path):
+    # the walk's points at m = 100000 carry 2-adic valuations near 10^5, so
+    # dividing out one 2 per step would cost 10^5 big divisions per value
+    def timeout(*_):
+        raise TimeoutError("sharpness still running after 10 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        code, stdout, err = _run_config(
+            capsys, tmp_path, "sharpness", {"m_start": 100000, "delta": "99/100", "trials": 1})
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 0, err
+    assert "window-certified" in stdout
+
+
 def test_rec1_cli(capsys, tmp_path):
     cfg = {
         "F": {"terms": [{"coeff": ["1"], "root": "2"}, {"coeff": ["-1"], "root": "3"}]},

@@ -105,11 +105,17 @@ def _graded_rank_cases():
     """(F1, F2) pairs over 2-4 variables and degrees <= 3 whose graded rank
     is reached by all three paths: random coprime pairs (rank equals the
     Koszul bound), pairs h*f0, h*g0 sharing a factor (rank below it), and
-    coprime pairs congruent mod 13 (rank mod 13 below the rank)."""
+    coprime pairs congruent mod 13 (rank mod 13 below the rank).  Two pairs
+    pin the leading-monomial certificate: x1 + x2, x1 + 14*x2 have the same
+    leading monomial under every order, so only int_rank settles them, and
+    x1^2 + x2*x3, x3^2 + x1*x2 have coprime leading monomials under the
+    order that takes x2 ascending first, but not under the plain one."""
     rng = random.Random(71)
     pairs = [
         (parse_poly("13*x1 + x2", nvars=3), parse_poly("x2 + 26*x3", nvars=3)),
         (parse_poly("13*x1^2 + x2^2", nvars=2), parse_poly("x2^2 - 13*x1*x2", nvars=2)),
+        (parse_poly("x1 + x2", nvars=2), parse_poly("x1 + 14*x2", nvars=2)),
+        (parse_poly("x1^2 + x2*x3", nvars=3), parse_poly("x3^2 + x1*x2", nvars=3)),
     ]
     for nvars in (2, 3, 4):
         for d1, d2 in ((1, 1), (1, 3), (2, 2), (3, 2)):
@@ -136,15 +142,34 @@ def _sympy_rank_mod_13(vectors, column):
     return DomainMatrix(entries, (len(vectors), len(column)), GF13).rank()
 
 
-def test_graded_rank_matches_sympy_on_all_three_paths():
+def test_graded_rank_matches_sympy_on_all_three_paths(monkeypatch):
     """graded_ideal_rank equals sympy's rank, whether the rank mod 13 meets
     the Koszul bound, falls short of it because 13 divides a minor, or falls
     short because the forms share a factor; some input has its rank and its
     rank mod 13 both one below the bound, so a rank taken as the bound from
-    a rank mod 13 within 1 of it shows."""
+    a rank mod 13 within 1 of it shows.  Each of the three certificates
+    (leading monomials, rank mod 13, int_rank) settles some input, and the
+    leading monomials settle one that the plain tuple order alone does not."""
+    calls = {"_rank_mod_13": 0, "int_rank": 0}
+
+    def counted(name):
+        inner = getattr(hilbert, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(hilbert, name, counted(name))
     seen = set()
     for F1, F2 in _graded_rank_cases():
         nvars, d1, d2 = F1.nvars, F1.degree(), F2.degree()
+
+        def b(k):
+            return comb(k + nvars - 1, k) if k >= 0 else 0
+
         for l in range(d1 + d2 + 3):
             monomials = _exponents(nvars, [l])
             if len(monomials) > 40:
@@ -152,23 +177,38 @@ def test_graded_rank_matches_sympy_on_all_three_paths():
             column = {e: j for j, e in enumerate(monomials)}
             rows = [t for F in (F1, F2) for t in _multiples(nvars, F, [l - F.degree()])]
             want = _sympy_rank(rows, column)
+            before = dict(calls)
             assert graded_ideal_rank(F1, F2, l) == want, (F1, F2, l)
+            route = {name for name in calls if calls[name] > before[name]}
             assert dim_quotient_bruteforce(F1, F2, l) == len(monomials) - want
-
-            def b(k):
-                return comb(k + nvars - 1, k) if k >= 0 else 0
 
             bound = min(b(l), b(l - d1) + b(l - d2) - b(l - d1 - d2))
             modular = _sympy_rank_mod_13(rows, column)
             assert modular <= want <= bound
             if modular < want:
                 seen.add("rank mod 13 below the rank")
+                if want == bound and "int_rank" in route:
+                    seen.add("coprime, settled by int_rank")
             if want < bound:
                 seen.add("rank below the bound")
+                assert route == {"_rank_mod_13", "int_rank"}, (F1, F2, l)
             if modular == want == bound - 1:
                 seen.add("both one below the bound")
+            if not route:
+                seen.add("settled by leading monomials")
+                # the smallest terms are the leading monomials of the plain order
+                plain = sum(map(max, min(F1.terms), min(F2.terms)))
+                if b(l - d1) + b(l - d2) - b(l - plain) < bound:
+                    seen.add("settled by another order than the plain one")
+            elif route == {"_rank_mod_13"}:
+                seen.add("settled by the rank mod 13")
+            else:
+                seen.add("settled by int_rank")
     assert seen == {"rank mod 13 below the rank", "rank below the bound",
-                    "both one below the bound"}
+                    "both one below the bound", "settled by leading monomials",
+                    "settled by another order than the plain one",
+                    "settled by the rank mod 13", "settled by int_rank",
+                    "coprime, settled by int_rank"}
 
 
 def test_rank_mod_13_matches_sympy_on_packed_rows():
