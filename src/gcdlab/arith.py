@@ -5,6 +5,7 @@ one-sided tests are exposed."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -196,7 +197,10 @@ def perfect_power(n: int) -> tuple[int, int]:
     if n < 2:
         raise ValueError("perfect_power expects n >= 2")
     maxk = n.bit_length()
-    for k in SMALL_PRIMES:
+    exponents = SMALL_PRIMES
+    if maxk > SMALL_PRIMES[-1]:
+        exponents = itertools.chain(SMALL_PRIMES, _large_exponents(n))
+    for k in exponents:
         if k > maxk:
             break
         if not _may_be_power(n, k):
@@ -208,6 +212,21 @@ def perfect_power(n: int) -> tuple[int, int]:
     return (n, 1)
 
 
+def _large_exponents(n: int):
+    """The primes k > 9973 with n = r**k possible, in increasing order.  If
+    a prime p < 10^4 divides n, every such k divides v_p(n).  Otherwise
+    r >= 10007 > 2^13, so 2^(13 k) < n: only n of at least 130091 bits
+    leave any k to try."""
+    top = SMALL_PRIMES[-1]
+    for p in SMALL_PRIMES:
+        if n % p == 0:
+            v = _split_primes(n, (p,))[0][p]
+            yield from sorted(k for k in factorize(v) if k > top)
+            return
+    if n.bit_length() // 13 > top:
+        yield from (k for k in _sieve_primes(n.bit_length() // 13 + 1) if k > top)
+
+
 def _iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 0, k >= 1."""
     if n < 0:
@@ -217,8 +236,14 @@ def _iroot(n: int, k: int) -> int:
     if k == 2:
         return math.isqrt(n)
     # Newton's step from x >= floor(n^(1/k)) stays >= it (by AM-GM) and
-    # falls strictly until it reaches it; 2^ceil(bits/k) > n^(1/k)
-    x = 1 << -(-n.bit_length() // k)
+    # falls strictly until it reaches it.  Far above the root it falls by
+    # only about x/k a step, so it starts from the root's top 50 bits taken
+    # in floats and rounded up by 2^-20, or else from 2^ceil(bits/k)
+    e = math.log2(n) / k
+    shift = max(0, int(e) - 50)
+    x = (int(2 ** (e - shift) * (1 + 2**-20)) + 1) << shift
+    if x**k <= n:
+        x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

@@ -935,6 +935,11 @@ def sharpness_window_holds(p: int, m: int, n: int, delta: Fraction):
 
 
 SHARPNESS_N_CAP = 10_000  # the window walk in n gives up past this
+# Checked before the walk: the bits of the rows' points, trials times the
+# (m + n) log2 p bits of a coordinate at the last m, with n about
+# m (1 - delta) / delta.  A point's cost grows about quadratically in its
+# bits; at the bound one trial at p = 3 takes about 2 s on a 2-core Xeon.
+SHARPNESS_MAX_BITS = 1 << 18
 
 
 def run_sharpness(p: int = 2, delta: Fraction = Fraction(1, 5), trials: int = 10,
@@ -946,6 +951,10 @@ def run_sharpness(p: int = 2, delta: Fraction = Fraction(1, 5), trials: int = 10
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise DomainError("delta must lie in (0, 1)")
+    bits = trials * (m_start + trials - 1) * log2(p) / delta
+    if bits > SHARPNESS_MAX_BITS:
+        raise DomainError(f"work estimated at {bits:.4g} bits of points, "
+                          f"above the bound of {SHARPNESS_MAX_BITS} bits")
     S = PlaceSet.of(p)
     rows: list[SharpnessRow] = []
     skipped: list[tuple[int, str]] = []

@@ -224,8 +224,7 @@ def quotient_monomial_basis(F1: MultiPoly, F2: MultiPoly, m: int) -> list[tuple[
 
 
 def dim_quotient_bruteforce(F1: MultiPoly, F2: MultiPoly, l: int) -> int:
-    nvars = F1.nvars
-    return comb(l + nvars - 1, nvars - 1) - graded_ideal_rank(F1, F2, l)
+    return _monomial_count(F1.nvars, l) - graded_ideal_rank(F1, F2, l)
 
 
 def ord_sum_check(B, var_index: int, d1: int, d2: int, m: int, n: int) -> bool:

@@ -1,9 +1,8 @@
 """Exact linear algebra over Q by one fraction-free elimination: an echelon
 span of sparse integer rows with expression tracking (for quotient-space
-work and the cofactor of poly_gcd), which also gives the ranks of the
-brute-force dimension checks and of poly_gcd's degree test.  A row is one
-{column: int} dict of its nonzero entries, so an elimination touches only
-those.  The step w <- a*w - c*row with content division is
+work and the cofactor and exact division of poly_gcd), which also gives
+the ranks of the brute-force dimension checks.  A row is one {column: int}
+dict of its nonzero entries, so an elimination touches only those.  The step w <- a*w - c*row with content division is
 Bareiss's integer-preserving elimination (Math. Comp. 22, 1968); no Fraction
 is built inside it."""
 

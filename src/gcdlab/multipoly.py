@@ -2,11 +2,12 @@
 
 Polynomials are sparse maps from exponent tuples to nonzero rational
 coefficients.  The gcd is linear algebra on the map (p, q) -> p*f + q*g
-with degree-bounded p, q: the rank of one such map gives the degree of the
-gcd (Laidacker, Math. Mag. 42, 1969), the kernel of another gives a
-cofactor, and one reduction divides it out.  All three are rows built by
-_multiple_rows, the same monomial multiples the truncated ideals of
-hilbert use, eliminated by linalg's one integer elimination.
+with deg p < deg g and deg q < deg f: one elimination, taking the rows of
+f in a monomial order, stops at the first that depends on the rows before
+it and reads the cofactor g/gcd off it, and one reduction divides it out
+of g.  Both are rows built by _multiple_rows, the same monomial multiples
+the truncated ideals of hilbert use, eliminated by linalg's one integer
+elimination.
 
 Coprimality is first tried on a line: f and g restricted to a fixed integer
 line a + t*b, with the top-degree part of f or of g nonzero at b, have a
@@ -26,7 +27,7 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import LinearSpan, int_rank
+from .linalg import LinearSpan
 from .places import DomainError
 
 
@@ -424,47 +425,37 @@ def _normalize(f: MultiPoly) -> MultiPoly:
     return f.scale(Fraction(1) / lead)
 
 
-def _cofactor_rows(f: MultiPoly, g: MultiPoly, k: int) -> tuple[int, list, list]:
-    """The map (p, q) -> p*f + q*g with deg p <= deg g - k and deg q <=
-    deg f - k: its number of columns, its rows x^b * g and its rows
-    x^a * f."""
+def _cofactor_rows(f: MultiPoly, g: MultiPoly) -> tuple[int, list, list]:
+    """The map (p, q) -> p*f + q*g with deg p < deg g and deg q < deg f:
+    its number of columns, its rows x^b * g and its rows x^a * f, the
+    latter in monomials_upto order."""
     n = f.nvars
-    column = _column_index(monomials_upto(n, f.degree() + g.degree() - k))
+    column = _column_index(monomials_upto(n, f.degree() + g.degree() - 1))
     return (
         len(column),
-        _multiple_rows(column, g, monomials_upto(n, f.degree() - k)),
-        _multiple_rows(column, f, monomials_upto(n, g.degree() - k)),
+        _multiple_rows(column, g, monomials_upto(n, f.degree() - 1)),
+        _multiple_rows(column, f, monomials_upto(n, g.degree() - 1)),
     )
-
-
-def _gcd_degree(f: MultiPoly, g: MultiPoly) -> int:
-    """deg gcd(f, g) = D for nonconstant f, g, read off the rank of
-    (p, q) -> p*f + q*g with deg p < deg g, deg q < deg f: its kernel is
-    {(h*g/G, -h*f/G) : deg h < D}, of dimension C(n + D - 1, n).  For
-    deg f >= deg g the rows of g are the more numerous; put in first, they
-    need little elimination."""
-    _, g_rows, f_rows = _cofactor_rows(f, g, 1)
-    rows = g_rows + f_rows
-    nullity = len(rows) - int_rank(rows)
-    D = 0
-    while math.comb(f.nvars + D - 1, f.nvars) < nullity:
-        D += 1
-    return D
 
 
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """gcd in Q[x1..xn], normalized monic in graded-lex; gcd(0, g) = ~g.
 
-    For nonconstant f, g with deg f >= deg g and G = gcd(f, g) of degree
-    D = _gcd_degree(f, g) > 0, the map (p, q) -> p*f + q*g with deg p <=
-    deg g - D and deg q <= deg f - D has a one-dimensional kernel, spanned
-    by (g/G, -f/G).  The rows of g are independent; the first row of f that
-    depends on the rows before it, reduced against them, gives a kernel
-    vector.  Only the rows of f carry tags, because only the p-part u, g/G
-    up to a scalar, is read.  Then G is the h of degree <= D with u*h = g:
-    g reduced against the multiples of u must leave a zero residual, which
-    proves the division.  From u*f + q*g = 0 and g = u*h, u*(f + q*h) = 0,
-    so f = -q*h: h divides both, and it has the degree of the gcd."""
+    For nonconstant f, g with G = gcd(f, g) of degree D, the map
+    (p, q) -> p*f + q*g with deg p < deg g and deg q < deg f has the
+    kernel {(h*g/G, -h*f/G) : deg h < D}.  The rows of g are independent;
+    the rows x^a * f follow in monomials_upto order, which is graded and
+    then lex, a monomial order.  A row that depends on the rows before it
+    gives a kernel vector whose p-part has largest monomial a, and every
+    kernel p-part h*g/G has largest monomial at least LM(g/G).  So the
+    first dependent row has a = LM(g/G), and reduced against the rows
+    before it, its p-part u is g/G up to a scalar (only the rows of f
+    carry tags, because only u is read).  If no row depends, D = 0.
+    Otherwise D = deg g - deg u, and G is the h of degree <= D with
+    u*h = g: g reduced against the multiples of u must leave a zero
+    residual, which proves the division.  From u*f + q*g = 0 and
+    g = u*h, u*(f + q*h) = 0, so f = -q*h: h divides both, and it has
+    the degree of the gcd."""
     if f.is_zero:
         return _normalize(g)
     if g.is_zero:
@@ -480,11 +471,8 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             for p in (f, g))
     if f.degree() < g.degree():
         f, g = g, f
-    D = _gcd_degree(f, g)
-    if D == 0:
-        return MultiPoly.one(nvars)
     n = f.nvars
-    ncols, g_rows, f_rows = _cofactor_rows(f, g, D)
+    ncols, g_rows, f_rows = _cofactor_rows(f, g)
     span = LinearSpan(ncols, len(f_rows))
     for row in g_rows:
         span.add(row)
@@ -493,9 +481,9 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             _, kernel = span.reduce(row, {j: 1})
             break
     else:
-        raise ArithmeticError(f"no cofactor of a degree-{D} gcd")
-    u = MultiPoly(n, dict(zip(monomials_upto(n, g.degree() - D), kernel)))
-    multipliers = monomials_upto(n, D)
+        return MultiPoly.one(nvars)
+    u = MultiPoly(n, dict(zip(monomials_upto(n, g.degree() - 1), kernel)))
+    multipliers = monomials_upto(n, g.degree() - u.degree())
     column = _column_index(monomials_upto(n, g.degree()))
     span = LinearSpan(len(column), len(multipliers))
     for j, row in enumerate(_multiple_rows(column, u, multipliers)):
@@ -595,8 +583,8 @@ def coprime(f: MultiPoly, g: MultiPoly) -> bool:
     arithmetic stays on integers below P whatever the degrees and
     coefficients.  When no direction tried gives such a certificate (f and
     g share a factor, every line meets a common zero, or both top-degree
-    parts vanish at every direction), poly_gcd decides, by one exact rank
-    in the coprime case."""
+    parts vanish at every direction), poly_gcd decides: in the coprime
+    case its one elimination finds no dependent row of f."""
     if f.is_zero or g.is_zero:
         raise DomainError("coprimality of the zero polynomial is undefined")
     if f.nvars != g.nvars:

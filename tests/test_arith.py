@@ -1,6 +1,5 @@
 import math
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +20,8 @@ from gcdlab.arith import (
 )
 from gcdlab.lrs import _exponent_vector
 from gcdlab.places import DomainError, PlaceSet
+
+from conftest import time_limit
 
 
 def naive_is_prime(n):
@@ -89,6 +90,22 @@ def test_perfect_power_matches_sympy():
     assert big >= 6
 
 
+def test_perfect_power_finds_prime_exponents_above_9973():
+    """r^k for prime k > 9973, their neighbours and 10^5-bit non-powers."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(10007)
+    cases = [rng.getrandbits(10**5) | 1 << (10**5 - 1) for _ in range(2)]
+    for base, k in ((2, 10009), (3, 10007), (10, 20011), (6, 20011), (12, 10007)):
+        cases += [base**k, base**k + 1, base**k - 1, base ** (2 * k)]
+    for n in cases:
+        want = sympy.perfect_power(n)
+        assert perfect_power(n) == (tuple(want) if want else (n, 1)), n.bit_length()
+    # no prime below 10^4 divides a power of 10007, so the exponents up to
+    # bits/13 are sieved; sympy takes seconds on it
+    assert perfect_power(10007**10007) == (10007, 10007)
+    assert perfect_power(10007**10007 + 1) == (10007**10007 + 1, 1)
+
+
 def test_power_sieve_primes_are_one_mod_k():
     for k in (2, 3, 5, 31, 1031, 9973):
         sieve = _power_sieve(k)
@@ -111,20 +128,12 @@ def test_iroot_matches_sympy_integer_nthroot():
 
 def test_split_primes_refuses_zero():
     # every prime divides 0 without end, so dividing them out never stops
-    def expire(*_):
-        raise TimeoutError("still dividing 0 after 5 s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(5)
-    try:
+    with time_limit(5):
         for primes in ((), (2,), (3, 5)):
             with pytest.raises(ValueError):
                 _split_primes(0, primes)
         with pytest.raises(ValueError):
             _exponent_vector(Fraction(0), (2,))
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
 
 
 def test_iroot():

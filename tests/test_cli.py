@@ -3,7 +3,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import signal
 import time
 from pathlib import Path
 
@@ -12,6 +11,8 @@ import pytest
 from gcdlab import arith, cli, harness
 from gcdlab.cli import EXIT_UNDECIDED, main
 from gcdlab.logreal import PrecisionExhausted
+
+from conftest import time_limit
 
 
 def run_cli(capsys, *argv):
@@ -100,16 +101,8 @@ def test_poly_gcd_cli_on_a_pair_no_certificate_line_settles(capsys, tmp_path):
         "count": 4,
     }
 
-    def timeout(*_):
-        raise TimeoutError("poly-gcd still running after 10 s")
-
-    old = signal.signal(signal.SIGALRM, timeout)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
+    with time_limit(10):
         code, stdout, err = _run_config(capsys, tmp_path, "poly-gcd", cfg, "--seed", "3")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
     assert code == 0, err
     assert "poly-gcd: 4 samples" in stdout
 
@@ -127,17 +120,9 @@ def test_sharpness_cli(capsys, tmp_path):
 def test_sharpness_at_a_large_m_start_exits_0(capsys, tmp_path):
     # the walk's points at m = 100000 carry 2-adic valuations near 10^5, so
     # dividing out one 2 per step would cost 10^5 big divisions per value
-    def timeout(*_):
-        raise TimeoutError("sharpness still running after 10 s")
-
-    old = signal.signal(signal.SIGALRM, timeout)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
+    with time_limit(10):
         code, stdout, err = _run_config(
             capsys, tmp_path, "sharpness", {"m_start": 100000, "delta": "99/100", "trials": 1})
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
     assert code == 0, err
     assert "window-certified" in stdout
 
@@ -466,22 +451,22 @@ def test_scans_beyond_the_work_bound_exit_2_at_once(capsys, tmp_path, sub, cfg, 
 )
 def test_sharpness_window_past_the_cap_exits_2_at_once(capsys, tmp_path, monkeypatch,
                                                        cap, cfg, m):
-    class Hang(BaseException):
-        pass
-
-    def timeout(*_):
-        raise Hang()
-
     monkeypatch.setattr(harness, "SHARPNESS_N_CAP", cap)
-    old = signal.signal(signal.SIGALRM, timeout)
-    signal.setitimer(signal.ITIMER_REAL, 2)
-    try:
+    with time_limit(2):
         start = time.perf_counter()
         code, _, err = _run_config(capsys, tmp_path, "sharpness", {"trials": 1, **cfg})
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
     assert code == 2 and f"m = {m} starts past n = {cap}" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_sharpness_past_the_work_bound_exits_2_at_once(capsys, tmp_path):
+    # one trial at m = 300000 and p = 3 walks points of about 480000 bits
+    # a coordinate, which took about 7 s on a 2-core Xeon
+    cfg = {"m_start": 300000, "delta": "99/100", "trials": 1, "p": 3}
+    with time_limit(2):
+        start = time.perf_counter()
+        code, _, err = _run_config(capsys, tmp_path, "sharpness", cfg)
+    assert code == 2 and "bits of points" in err
     assert time.perf_counter() - start < 1
 
 
@@ -527,7 +512,8 @@ def _fuzz_strategies():
     # past the bits bound for every sequence above
     over = {"lrs-scan": ("N", st.integers(5000, 10**12)),
             "rec1-scan": ("N", st.integers(10**7, 10**12)),
-            "example-pk": ("kmax", st.integers(30, 10**9))}
+            "example-pk": ("kmax", st.integers(30, 10**9)),
+            "sharpness": ("trials", st.integers(10**4, 10**12))}
     return st, valid, wrong, over
 
 
@@ -538,9 +524,6 @@ def test_fuzzed_configs_exit_with_a_documented_code(capsys, tmp_path, sub):
     sizes beyond the work bounds: every call exits 0, 2, 3 or 4 in time."""
     hypothesis = pytest.importorskip("hypothesis")
     st, valid, wrong, over = _fuzz_strategies()
-
-    def timeout(*_):
-        raise TimeoutError(f"{sub} did not finish within 5 s")
 
     @hypothesis.settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @hypothesis.given(cfg=valid[sub], data=st.data())
@@ -555,14 +538,9 @@ def test_fuzzed_configs_exit_with_a_documented_code(capsys, tmp_path, sub):
         elif kind == "size" and sub in over:
             key, size = over[sub]
             cfg = {**cfg, key: data.draw(size)}
-        old = signal.signal(signal.SIGALRM, timeout)
-        signal.setitimer(signal.ITIMER_REAL, 5)
-        try:
+        with time_limit(5):
             start = time.perf_counter()
             code, _, err = _run_config(capsys, tmp_path, sub, cfg)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, old)
         assert code in (0, 2, 3, 4), (cfg, code, err)
         assert code != 2 or err.startswith("error:"), err
         assert time.perf_counter() - start < 5

@@ -77,6 +77,9 @@ def test_dim_quotient_against_bruteforce_spotchecks():
     F1 = parse_poly("x1", nvars=3)
     F2 = parse_poly("x2", nvars=3)
     assert dim_quotient_bruteforce(F1, F2, 2) == 1
+    # no monomial has a negative degree, however far below -(nvars - 1)
+    for l in (-1, -2, -5):
+        assert dim_quotient_bruteforce(F1, F2, l) == 0 == graded_ideal_rank(F1, F2, l)
     F2b = parse_poly("x2^2 + x3^2", nvars=3)
     assert dim_quotient_bruteforce(F1, F2b, 3) == 2
     G1 = parse_poly("x1^2 + x2^2", nvars=2)

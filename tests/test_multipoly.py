@@ -1,7 +1,5 @@
 import random
-import signal
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -15,6 +13,8 @@ from gcdlab.multipoly import (
     poly_gcd,
 )
 from gcdlab.places import DomainError
+
+from conftest import time_limit
 
 
 def rand_poly(rng, nvars, maxdeg, terms=4):
@@ -339,25 +339,11 @@ BLIND_F = "-24*x1^4 + 74*x1^3*x2 - 61*x1^2*x2^2 + 19*x1*x2^3 - 2*x2^4 - x1^2 - 3
 BLIND_G = "24*x1^4 - 98*x1^3*x2 + 87*x1^2*x2^2 - 28*x1*x2^3 + 3*x2^4 - 2*x2^3 - x2"
 
 
-@contextmanager
-def _time_limit(seconds):
-    def expire(*_):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
-
-
 def test_poly_gcd_decides_a_pair_no_line_certifies():
     f, g = parse_poly(BLIND_F, 3), parse_poly(BLIND_G, 3)
     assert _top_vanishes_on_every_line(f) and _top_vanishes_on_every_line(g)
     h = parse_poly("x1*x2 - x3 + 2", 3)
-    with _time_limit(5):
+    with time_limit(5):
         start = time.perf_counter()
         assert coprime(f, g)
         assert time.perf_counter() - start < 1
@@ -388,7 +374,7 @@ def test_poly_gcd_matches_sympy_on_pairs_in_3_and_4_variables():
             f, g = P * f0 + low1, P * g0 + low2
             for f, g in [(f, g), (f, P + low2), (f * common, g * common)]:
                 want = sympy.gcd(_to_sympy(f, xs), _to_sympy(g, xs))
-                with _time_limit(10):
+                with time_limit(10):
                     got = poly_gcd(f, g)
                     is_coprime = coprime(f, g)
                 assert _to_sympy(got, xs).monic() == want.monic(), (str(f), str(g))
@@ -407,7 +393,7 @@ def test_poly_gcd_of_dense_univariate_pairs_of_degree_about_100():
         h = _dense_univariate(rng, degree_h)
         f = _dense_univariate(rng, degree_f - degree_h) * h
         g = _dense_univariate(rng, degree_g - degree_h) * h
-        with _time_limit(10):
+        with time_limit(10):
             got = poly_gcd(f, g)
         want = sympy.gcd(_to_sympy(f, xs), _to_sympy(g, xs))
         assert want.degree() >= degree_h
@@ -416,31 +402,50 @@ def test_poly_gcd_of_dense_univariate_pairs_of_degree_about_100():
 
 def test_poly_gcd_of_x500_minus_1_and_x300_minus_1():
     x, one = parse_poly("x1"), MultiPoly.one(1)
-    with _time_limit(5):
+    with time_limit(5):
         assert poly_gcd(x**500 - one, x**300 - one) == x**100 - one
         assert poly_gcd(x**300 - one, x**500 - one) == x**100 - one
 
 
-@pytest.mark.parametrize("shift", [-1, 1])
-def test_poly_gcd_refuses_a_wrong_gcd_degree(monkeypatch, shift):
-    """With a gcd degree one too high no cofactor exists; one too low, the
-    cofactor found leaves a nonzero residual: either way the result is
-    refused, never returned."""
+def test_poly_gcd_refuses_a_wrong_cofactor(monkeypatch):
+    """With the rows of f in reverse order the first dependent row is not
+    the cofactor's: the division check refuses it, never returning it."""
     from gcdlab import multipoly
 
-    gcd_degree = multipoly._gcd_degree
-    monkeypatch.setattr(multipoly, "_gcd_degree", lambda f, g: gcd_degree(f, g) + shift)
+    cofactor_rows = multipoly._cofactor_rows
+
+    def reversed_f_rows(f, g):
+        ncols, g_rows, f_rows = cofactor_rows(f, g)
+        return ncols, g_rows, f_rows[::-1]
+
     h = parse_poly("x1^2 + x2 + 1")
     f, g = h * parse_poly("x1 - x2 + 3"), h * parse_poly("x1*x2 + 2")
-    assert gcd_degree(f, g) == 2
-    with pytest.raises(ArithmeticError):
+    assert poly_gcd(f, g) == h
+    monkeypatch.setattr(multipoly, "_cofactor_rows", reversed_f_rows)
+    with pytest.raises(ArithmeticError, match="the cofactor does not divide g"):
         poly_gcd(f, g)
+
+
+def test_poly_gcd_and_coprime_take_no_rank(monkeypatch):
+    """poly_gcd reads the gcd off one elimination: no exact rank is taken."""
+    from gcdlab import linalg, multipoly
+
+    def refuse(rows):
+        raise AssertionError("int_rank called")
+
+    monkeypatch.setattr(linalg, "int_rank", refuse)
+    assert not hasattr(multipoly, "int_rank")
+    h = parse_poly("x1^2 + x2 + 1")
+    f, g = h * parse_poly("x1 - x2 + 3"), h * parse_poly("x1*x2 + 2")
+    assert poly_gcd(f, g) == h and not coprime(f, g)
+    f, g = parse_poly(BLIND_F, 3), parse_poly(BLIND_G, 3)
+    assert poly_gcd(f, g) == MultiPoly.one(3) and coprime(f, g)
 
 
 def test_poly_gcd_leaves_out_variables_neither_polynomial_has():
     h = parse_poly("x1^2 + 3*x1*x3 - 1", 6)
     f, g = h * parse_poly("x1^10 - 2*x3 + 5", 6), h * parse_poly("x3^9 + x1 + 7", 6)
-    with _time_limit(5):
+    with time_limit(5):
         start = time.perf_counter()
         assert poly_gcd(f, g) == h
         assert poly_gcd(g, f * parse_poly("x1 - x3", 6)) == h
