@@ -438,6 +438,22 @@ def _cofactor_rows(f: MultiPoly, g: MultiPoly) -> tuple[int, list, list]:
     )
 
 
+def _gcd_cofactor(f: MultiPoly, g: MultiPoly) -> MultiPoly | None:
+    """g/gcd(f, g) up to a scalar, read off the first row x^a * f that
+    depends on the rows before it (see poly_gcd), or None if no row
+    depends, that is if f and g are coprime.  Needs deg f >= deg g."""
+    ncols, g_rows, f_rows = _cofactor_rows(f, g)
+    span = LinearSpan(ncols, len(f_rows))
+    for row in g_rows:
+        span.add(row)
+    for j, row in enumerate(f_rows):
+        if not span.add(row, {j: 1}):
+            _, kernel = span.reduce(row, {j: 1})
+            n = f.nvars
+            return MultiPoly(n, dict(zip(monomials_upto(n, g.degree() - 1), kernel)))
+    return None
+
+
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """gcd in Q[x1..xn], normalized monic in graded-lex; gcd(0, g) = ~g.
 
@@ -472,17 +488,9 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if f.degree() < g.degree():
         f, g = g, f
     n = f.nvars
-    ncols, g_rows, f_rows = _cofactor_rows(f, g)
-    span = LinearSpan(ncols, len(f_rows))
-    for row in g_rows:
-        span.add(row)
-    for j, row in enumerate(f_rows):
-        if not span.add(row, {j: 1}):
-            _, kernel = span.reduce(row, {j: 1})
-            break
-    else:
+    u = _gcd_cofactor(f, g)
+    if u is None:
         return MultiPoly.one(nvars)
-    u = MultiPoly(n, dict(zip(monomials_upto(n, g.degree() - 1), kernel)))
     multipliers = monomials_upto(n, g.degree() - u.degree())
     column = _column_index(monomials_upto(n, g.degree()))
     span = LinearSpan(len(column), len(multipliers))

@@ -426,6 +426,24 @@ def test_poly_gcd_refuses_a_wrong_cofactor(monkeypatch):
         poly_gcd(f, g)
 
 
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_poly_gcd_refuses_a_wrong_gcd_degree(monkeypatch, shift):
+    """A cofactor one degree too low (gcd degree one too high) or one too
+    high (gcd degree one too low) does not divide g: either way the
+    result is refused, never returned."""
+    from gcdlab import multipoly
+
+    h = parse_poly("x1^2 + x2 + 1")
+    f, g = h * parse_poly("x1 - x2 + 3"), h * parse_poly("x1*x2 + 2")
+    u = multipoly._gcd_cofactor(f, g)
+    assert g.degree() - u.degree() == 2
+    wrong = u * parse_poly("x1 + 1", 2) if shift < 0 else parse_poly("x1 + 1", 2)
+    assert g.degree() - wrong.degree() == 2 + shift
+    monkeypatch.setattr(multipoly, "_gcd_cofactor", lambda f, g: wrong)
+    with pytest.raises(ArithmeticError, match="the cofactor does not divide g"):
+        poly_gcd(f, g)
+
+
 def test_poly_gcd_and_coprime_take_no_rank(monkeypatch):
     """poly_gcd reads the gcd off one elimination: no exact rank is taken."""
     from gcdlab import linalg, multipoly
