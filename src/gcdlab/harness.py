@@ -936,9 +936,10 @@ def sharpness_window_holds(p: int, m: int, n: int, delta: Fraction):
 
 SHARPNESS_N_CAP = 10_000  # the window walk in n gives up past this
 # Checked before the walk: the bits of the rows' points, trials times the
-# (m + n) log2 p bits of a coordinate at the last m, with n about
-# m (1 - delta) / delta.  A point's cost grows about quadratically in its
-# bits; at the bound one trial at p = 3 takes about 2 s on a 2-core Xeon.
+# (|m| + n) log2 p bits of a coordinate at the m farthest from 0, with n
+# about |m| (1 - delta) / delta.  A point's cost grows about quadratically
+# in its bits; at the bound one trial at p = 3 takes about 2 s on a 2-core
+# Xeon.
 SHARPNESS_MAX_BITS = 1 << 18
 
 
@@ -951,7 +952,7 @@ def run_sharpness(p: int = 2, delta: Fraction = Fraction(1, 5), trials: int = 10
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise DomainError("delta must lie in (0, 1)")
-    bits = trials * (m_start + trials - 1) * log2(p) / delta
+    bits = trials * max(abs(m_start), abs(m_start + trials - 1)) * log2(p) / delta
     if bits > SHARPNESS_MAX_BITS:
         raise DomainError(f"work estimated at {bits:.4g} bits of points, "
                           f"above the bound of {SHARPNESS_MAX_BITS} bits")
@@ -960,11 +961,14 @@ def run_sharpness(p: int = 2, delta: Fraction = Fraction(1, 5), trials: int = 10
     skipped: list[tuple[int, str]] = []
     m = m_start
     while len(rows) < trials:
-        # the window in n is roughly [m (1-delta)/delta, m (2-delta)/delta];
-        # walk n upward from below with the exact predicate
-        n = max(1, int(m * (1 - delta) / delta) - 2)
+        # the window in n is roughly [|m| (1-delta)/delta, |m| (2-delta)/delta]
+        # (for m < 0, h(P) = n log p + L and h_sbar(P) = L with
+        # L = log(1 + p^|m|) > |m| log p); walk n upward from below with the
+        # exact predicate
+        n = max(1, int(abs(m) * (1 - delta) / delta) - 2)
         if n > SHARPNESS_N_CAP:
-            # the start grows with m, so no later m has a window below the cap
+            # for m >= 0 the start grows with m, so no later m has a window
+            # below the cap; a walk that starts this far out is refused
             raise DomainError(f"the window for m = {m} starts past n = {SHARPNESS_N_CAP}")
         found = None
         while n <= SHARPNESS_N_CAP:

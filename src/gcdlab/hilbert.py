@@ -92,11 +92,7 @@ def multiindex_sum(n: int, m: int) -> tuple[int, ...]:
     coordinate sum m, by direct enumeration."""
     if n < 1 or m < 1:
         raise DomainError("n and m must be positive")
-    total = [0] * (n + 1)
-    for e in _monomial_table(n + 1, m)[0]:
-        for i, x in enumerate(e):
-            total[i] += x
-    return tuple(total)
+    return tuple(map(sum, zip(*_monomial_table(n + 1, m)[0])))
 
 
 def multiindex_sum_closed_form(n: int, m: int) -> tuple[int, ...]:

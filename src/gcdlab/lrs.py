@@ -2,10 +2,13 @@
 a term is a pair (coefficient polynomial, rational root) and a sequence is a
 finite sum of terms p_i(n) * root_i^n.
 
-Includes the ring operations, reindexing along arithmetic progressions,
-zero-structure scans, the multiplicative lattice of the roots (rank,
-generators, torsion), the Laurent-polynomial image with respect to a
-torsion-free root group, and the induced coprimality test."""
+A power sum is a term map on multipoly's core: the ring operations and the
+reindexing along arithmetic progressions emit pairs ((root, j), c) for
+c * n^j * root^n and sum them with ``multipoly._accumulate``.  Also here:
+zero-structure scans, whose progressions are read from the +/- pairs of
+roots, the multiplicative lattice of the roots (rank, generators,
+torsion), the Laurent-polynomial image with respect to a torsion-free root
+group, and the induced coprimality test."""
 
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from .arith import _split_primes, hnf_with_transform, integer_kernel, solve_in_r
 from .heights import height
 from .linalg import LinearSpan
 from .logreal import LogReal
-from .multipoly import LaurentPoly
+from .multipoly import LaurentPoly, _accumulate
 from .places import (
     DomainError,
     PlaceSet,
@@ -33,15 +36,8 @@ Coeffs = tuple[Fraction, ...]
 
 
 # ---------------------------------------------------------------------
-# little-endian univariate coefficient polynomials
+# power sums
 # ---------------------------------------------------------------------
-
-def _trim(cs: Sequence[Fraction]) -> Coeffs:
-    cs = list(cs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
 
 def _poly_eval(cs, x):
     """Horner's rule from the int 0: int coefficients at an int give an int,
@@ -52,61 +48,42 @@ def _poly_eval(cs, x):
     return total
 
 
-def _poly_add(a: Coeffs, b: Coeffs) -> Coeffs:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return _trim(out)
+def _canonical_terms(pairs) -> tuple[tuple[Coeffs, Fraction], ...]:
+    """PowerSum.terms of the sum of c * n^j * root^n over pairs
+    ((root, j), c): roots ascending, little-endian coefficients without
+    trailing zeros."""
+    polys: dict[Fraction, list[Fraction]] = {}
+    for (root, j), c in _accumulate(pairs).items():
+        cs = polys.setdefault(root, [])
+        cs.extend([Fraction(0)] * (j + 1 - len(cs)))
+        cs[j] = c
+    return tuple((tuple(polys[root]), root) for root in sorted(polys))
 
-
-def _poly_mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_compose_affine(cs: Coeffs, a: int, b: int) -> Coeffs:
-    """p(a*t + b) as a polynomial in t."""
-    out: Coeffs = ()
-    lin = (Fraction(b), Fraction(a))
-    for c in reversed(cs):
-        out = _poly_add(_poly_mul(out, lin), (c,))
-    return out
-
-
-# ---------------------------------------------------------------------
-# power sums
-# ---------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PowerSum:
     """sum p_i(n) * root_i^n with pairwise distinct nonzero rational roots,
-    canonically ordered by root."""
+    canonically ordered by root; each p_i is a little-endian Fraction tuple
+    without trailing zeros.  Built from a term map {(root, j): c} summed on
+    multipoly's core, then regrouped by root."""
 
     terms: tuple[tuple[Coeffs, Fraction], ...]
 
     def __init__(self, terms: Iterable[tuple[Sequence, Fraction]] = ()):
-        merged: dict[Fraction, Coeffs] = {}
+        pairs = []
         for coeffs, root in terms:
             root = Fraction(root)
             if root == 0:
                 raise DomainError("zero root in a power sum")
-            cs = _trim([Fraction(c) for c in coeffs])
-            if not cs:
-                continue
-            merged[root] = _poly_add(merged.get(root, ()), cs)
-        clean = tuple(
-            (cs, root)
-            for root, cs in sorted(merged.items())
-            if cs
-        )
-        object.__setattr__(self, "terms", clean)
+            pairs += (((root, j), Fraction(c)) for j, c in enumerate(coeffs))
+        object.__setattr__(self, "terms", _canonical_terms(pairs))
+
+    @classmethod
+    def _of_pairs(cls, pairs) -> "PowerSum":
+        """The sum of c * n^j * root^n over pairs ((root, j), c) of Fractions."""
+        F = object.__new__(cls)
+        object.__setattr__(F, "terms", _canonical_terms(pairs))
+        return F
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -187,25 +164,21 @@ class PowerSum:
         return self + (-other)
 
     def __mul__(self, other: "PowerSum") -> "PowerSum":
-        out = []
-        for cs1, r1 in self.terms:
-            for cs2, r2 in other.terms:
-                out.append((_poly_mul(cs1, cs2), r1 * r2))
-        return PowerSum(out)
+        return PowerSum._of_pairs(
+            ((r1 * r2, i + j), c1 * c2)
+            for cs1, r1 in self.terms for i, c1 in enumerate(cs1)
+            for cs2, r2 in other.terms for j, c2 in enumerate(cs2)
+        )
 
     def compose_ap(self, a: int, b: int) -> "PowerSum":
-        """The sequence t -> self(a*t + b)."""
+        """The sequence t -> self(a*t + b): each c * n^j * root^n becomes
+        sum_k c * C(j, k) * a^k * b^(j-k) * root^b * t^k * (root^a)^t."""
         if a < 1 or b < 0:
             raise DomainError("need a >= 1 and b >= 0")
-        out = []
-        for cs, root in self.terms:
-            out.append(
-                (
-                    tuple(c * root**b for c in _poly_compose_affine(cs, a, b)),
-                    root**a,
-                )
-            )
-        return PowerSum(out)
+        return PowerSum._of_pairs(
+            ((root**a, k), c * math.comb(j, k) * a**k * b ** (j - k) * root**b)
+            for cs, root in self.terms for j, c in enumerate(cs) for k in range(j + 1)
+        )
 
     def is_degenerate(self) -> bool:
         """Two distinct roots whose ratio is a root of unity; over Q the only
@@ -268,53 +241,54 @@ def power_sum_from_json(data) -> PowerSum:
 # recurrence-relation input
 # ---------------------------------------------------------------------
 
+def _divide_linear(ints: list[int], den: int, num: int) -> list[int] | None:
+    """ints / (den*x - num) for an integer polynomial (little-endian), or
+    None when the division leaves a remainder.  For coprime num, den the
+    quotient is integral exactly when num/den is a root (Gauss)."""
+    quotient = [0] * (len(ints) - 1)
+    carry = ints[-1]
+    for i in range(len(ints) - 2, -1, -1):
+        q, rem = divmod(carry, den)
+        if rem:
+            return None
+        quotient[i] = q
+        carry = ints[i] + num * q
+    return quotient if carry == 0 else None
+
+
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """Roots of a univariate rational polynomial that lie in Q, with
-    multiplicity, via the rational root theorem and deflation."""
+    multiplicity: the zeros first, then the candidates num/den of the
+    rational root theorem (num | a_0, den | a_d of the integral form; by
+    num, then den, ascending; + before -), each divided out while it is a
+    root.  A quotient's a_0 and a_d divide the original ones, so a_0 and a_d
+    are factored once."""
     from .arith import factorize
 
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
-    roots = []
-    while len(cs) > 1:
-        L = math.lcm(*(c.denominator for c in cs))
-        ints = [int(c * L) for c in cs]
-        low = next(i for i, c in enumerate(ints) if c)
-        for _ in range(low):
-            roots.append(Fraction(0))
-        ints = ints[low:]
-        if len(ints) == 1:
-            break
-        a0, an = abs(ints[0]), abs(ints[-1])
+    if not cs:
+        return []
+    L = math.lcm(*(c.denominator for c in cs))
+    ints = [int(c * L) for c in cs]
+    low = next(i for i, c in enumerate(ints) if c)
+    roots, ints = [Fraction(0)] * low, ints[low:]
 
-        def divisors(n):
-            out = {1}
-            for p, e in factorize(n).items():
-                out = {d * p**k for d in out for k in range(e + 1)}
-            return sorted(out)
-        found = None
-        for num in divisors(a0):
-            for den in divisors(an):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if _poly_eval(ints, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return roots  # no further rational roots
-        roots.append(found)
-        # synthetic division by (x - found)
-        cs = [Fraction(c) for c in ints]
-        out = [Fraction(0)] * (len(cs) - 1)
-        acc = Fraction(0)
-        for i in range(len(cs) - 1, 0, -1):
-            acc = cs[i] + acc * found
-            out[i - 1] = acc
-        cs = out
+    def divisors(n):
+        out = {1}
+        for p, e in factorize(n).items():
+            out = {d * p**k for d in out for k in range(e + 1)}
+        return sorted(out)
+    dens = divisors(abs(ints[-1]))
+    for num in divisors(abs(ints[0])):
+        for den in dens:
+            if math.gcd(num, den) > 1:
+                continue  # tried already, in lowest terms
+            for x in (num, -num):
+                while len(ints) > 1 and (q := _divide_linear(ints, den, x)) is not None:
+                    roots.append(Fraction(x, den))
+                    ints = q
     return roots
 
 
@@ -334,22 +308,16 @@ def from_recurrence(relation: Sequence, initial: Sequence) -> PowerSum:
         raise DomainError("characteristic polynomial does not split over Q")
     if any(r == 0 for r in roots):
         raise DomainError("zero characteristic root (degenerate leading form)")
-    mult: dict[Fraction, int] = {}
-    for r in roots:
-        mult[r] = mult.get(r, 0) + 1
     # solve for the coefficient polynomials from the initial values: the
     # columns n -> n^j root^n, tagged with unit vectors, span Q^d, and
     # reducing init to zero leaves minus its coordinates in the tag
-    unknown_slots = [(root, j) for root in sorted(mult) for j in range(mult[root])]
+    unknown_slots = [(root, j) for root in sorted(set(roots)) for j in range(roots.count(root))]
     span = LinearSpan(d, ntags=d)
     for k, (root, j) in enumerate(unknown_slots):
         if not span.add([Fraction(n) ** j * root**n for n in range(d)], {k: 1}):
             raise ArithmeticError("singular system")
     _, tag = span.reduce(init)
-    terms: dict[Fraction, list[Fraction]] = {r: [Fraction(0)] * mult[r] for r in mult}
-    for (root, j), c in zip(unknown_slots, tag):
-        terms[root][j] = -c
-    return PowerSum([(cs, r) for r, cs in terms.items()])
+    return PowerSum._of_pairs((slot, -c) for slot, c in zip(unknown_slots, tag))
 
 
 # ---------------------------------------------------------------------
@@ -374,28 +342,22 @@ def zero_scan(F: PowerSum, N: int) -> ZeroStructure:
 
 def _zero_structure(F: PowerSum, values: list) -> ZeroStructure:
     """zero_scan(F, N) from values[n] == F(n) for n = 0..N, so a caller that
-    has already evaluated F does not evaluate it again."""
+    has already evaluated F does not evaluate it again.
+
+    The progressions are read from the roots.  F(M t + r) is the sum of
+    p_root(M t + r) * root^r * (root^M)^t; over Q, root^M = s^M with
+    root != s only when s = -root and M is even, and terms with distinct
+    roots vanish together only if each does.  So a nonzero F vanishes on
+    r mod M exactly when M is even and p_{-root} = (-1)^(r+1) * p_root for
+    every root, which holds for at most one r mod 2."""
     N = len(values) - 1
     zeros = tuple(n for n, v in enumerate(values) if v == 0)
-    pairs = sum(
-        1 for i, r in enumerate(F.roots) for s in F.roots[i + 1 :] if r == -s
+    polys = {root: cs for cs, root in F.terms}
+    prog = ((0, 1),) if F.is_zero else tuple(
+        (r, 2) for r, sign in ((0, -1), (1, 1))
+        if all(polys.get(-root) == tuple(sign * c for c in cs) for cs, root in F.terms)
     )
-    max_mod = 2 * max(pairs, 1)
-    progressions: list[tuple[int, int]] = []
-
-    def covered(r: int, M: int) -> bool:
-        return any(M % M0 == 0 and r % M0 == r0 for r0, M0 in progressions)
-
-    for M in range(1, max_mod + 1):
-        for r in range(M):
-            if covered(r, M):
-                continue
-            if F.compose_ap(M, r).is_zero:
-                progressions.append((r, M))
-    prog = tuple(progressions)
-    sporadic = tuple(
-        n for n in zeros if not any(n % M == r for r, M in prog)
-    )
+    sporadic = tuple(n for n in zeros if not any(n % M == r for r, M in prog))
     return ZeroStructure(N, zeros, prog, sporadic)
 
 
@@ -529,16 +491,12 @@ def to_laurent(F: PowerSum, group: RootGroup) -> LaurentPoly:
     torsion-free group containing every root."""
     if group.has_torsion:
         raise DomainError("root group has torsion; split residue classes first")
-    nvars = 1 + group.rank
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for cs, root in F.terms:
-        exps = group.express(root)
-        for j, c in enumerate(cs):
-            if c == 0:
-                continue
-            key = (j,) + tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return LaurentPoly(nvars, terms)
+    # express is exact, so distinct roots never share an exponent vector
+    return LaurentPoly(1 + group.rank, {
+        (j, *exps): c
+        for cs, root in F.terms for exps in [group.express(root)]
+        for j, c in enumerate(cs)
+    })
 
 
 def laurent_identity_holds(F: PowerSum, group: RootGroup, upto: int = 5) -> bool:

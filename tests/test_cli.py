@@ -1,8 +1,10 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib.util
 import inspect
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -237,9 +239,8 @@ def test_rho_budget_is_precondition_failure(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: factorization of") and "Pollard rho steps" in err
 
 
-REFERENCE = json.loads(
-    (Path(__file__).resolve().parent.parent / "bench" / "reference.json").read_text()
-)
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+REFERENCE = json.loads((BENCH_DIR / "reference.json").read_text())
 
 
 def _csv_digest(capsys, tmp_path, *argv):
@@ -283,6 +284,36 @@ def test_csvs_match_the_benchmark_reference_digests(capsys, tmp_path):
         cfg.write_text(json.dumps({"m_start": m_start}))
         got = _csv_digest(capsys, tmp_path, "sharpness", "--config", str(cfg),
                           "--p", "2", "--delta", "1/5", "--trials", "1")
+        assert got == (audit[label]["exit"], audit[label]["sha256"]), label
+
+
+def test_rec1_and_unit_eq_csvs_match_the_benchmark_reference_digests(capsys, tmp_path,
+                                                                    monkeypatch):
+    """Byte identity of the 12 rec1-scan audit inputs (power sums read
+    through power_sum_from_json) and the 8 unit-eq ones, with configs built
+    from the benchmark's constants, against the digests it checks."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    audit = REFERENCE["audit"]
+    cases = {}
+    for i, seq in enumerate(workloads.REC1_SEQUENCES):
+        for eps in workloads.REC1_EPS:
+            for place in ("oo",) + workloads.REC1_FINITE_PLACES:
+                cases[f"rec1-scan F={i} place={place} eps={eps}"] = (
+                    "rec1-scan", {"F": seq, "place": place, "epsilon": eps, "N": 60})
+    for primes in workloads.UNIT_EQ_CASES:
+        for bound in workloads.UNIT_EQ_BOUNDS:
+            cases[f"unit-eq primes={','.join(map(str, primes))} bound={bound}"] = (
+                "unit-eq", {"primes": list(primes), "n": 1, "bound": bound,
+                            "delta": workloads.UNIT_EQ_DELTA})
+    assert len(cases) == 20
+    assert sorted(cases) == sorted(k for k in audit if k.startswith(("rec1-scan ", "unit-eq ")))
+    cfg = tmp_path / "cfg.json"
+    for label, (sub, config) in cases.items():
+        cfg.write_text(json.dumps(config))
+        got = _csv_digest(capsys, tmp_path, sub, "--config", str(cfg))
         assert got == (audit[label]["exit"], audit[label]["sha256"]), label
 
 

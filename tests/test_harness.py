@@ -32,6 +32,8 @@ from gcdlab.lrs import PowerSum, zero_scan
 from gcdlab.multipoly import parse_poly
 from gcdlab.places import DomainError, Place, PlaceSet, log_abs
 
+from conftest import time_limit
+
 
 def test_scan_pk_small_grid():
     F, G = pk_sequences(2)
@@ -817,6 +819,22 @@ def test_sharpness_window_and_bound():
     # h_sbar equals the gcd lower bound h(x+1) in this construction
     for r in rep.rows:
         assert r.lhs == r.h_sbar_P
+
+
+def test_sharpness_at_a_negative_m_start():
+    """For m < 0, h(P) = n log p + L and h_sbar(P) = L with
+    L = log(1 + p^|m|) > |m| log p, so each window starts above
+    |m| (1 - delta)/delta: the walk finds the first n a walk from n = 1
+    finds, and a start past the cap is refused before any walk."""
+    delta = Fraction(1, 5)
+    rep = run_sharpness(2, delta, 3, m_start=-12)
+    assert [r.m for r in rep.rows] == [-12, -11, -10]
+    for r in rep.rows:
+        assert r.n == next(n for n in range(1, r.n + 1)
+                           if sharpness_window_holds(2, r.m, n, delta)[0])
+    with time_limit(2):
+        with pytest.raises(DomainError, match="m = -3000 starts past n = 10000"):
+            run_sharpness(2, delta, 1, m_start=-3000)
 
 
 def test_rec1_scan():

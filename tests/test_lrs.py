@@ -6,6 +6,7 @@ import pytest
 from gcdlab.logreal import LogReal
 from gcdlab.lrs import (
     PowerSum,
+    _rational_roots,
     compute_S0,
     empirical_height_ratio,
     from_recurrence,
@@ -75,6 +76,32 @@ def test_values_and_eval_match_a_sympy_closed_form():
     check()
 
 
+def test_power_sum_terms_are_canonical():
+    """Roots ascending, little-endian Fraction tuples without trailing zeros,
+    one term per root, and no term whose coefficients cancel."""
+    def terms(*pairs):
+        return tuple((tuple(map(Fraction, cs)), Fraction(r)) for cs, r in pairs)
+
+    assert PowerSum.of(([0, 1, 0, 0], 2)).terms == terms(([0, 1], 2))
+    assert PowerSum.of(([0, 0], 3), ([], 5)).terms == ()
+    assert PowerSum.of(([1], 3), ([1], -5), ([1], Fraction(1, 2))).terms == terms(
+        ([1], -5), ([1], Fraction(1, 2)), ([1], 3))
+    # a repeated root is one term
+    assert PowerSum.of(([1, 2], 2), ([3], 2), ([0, 0, 1], 2)).terms == terms(([4, 2, 1], 2))
+    # terms that cancel, wholly or at the top degree
+    assert PowerSum.of(([1, 2], 2), ([-1, -2], 2), ([1], -1)).terms == terms(([1], -1))
+    assert PowerSum.of(([1, 2], 3), ([0, -2], 3)).terms == terms(([1], 3))
+    F = PowerSum.of(([1], 2), ([1], -2))
+    assert (F * PowerSum.of(([1], 2), ([-1], -2))).is_zero  # 4^n - 4^n
+    assert (F - F).terms == ()
+    assert PowerSum.of(([0, 1], 2)).compose_ap(2, 0).terms == terms(([0, 2], 4))
+    assert PowerSum.of(([Fraction(1, 2), 3], 1)).terms == terms(([Fraction(1, 2), 3], 1))
+    for G in (F * F, F.compose_ap(3, 2), PowerSum.of(([2, 1], 3))):
+        for cs, root in G.terms:
+            assert type(root) is Fraction and all(type(c) is Fraction for c in cs)
+            assert cs and cs[-1] != 0
+
+
 def test_ring_operations_examples():
     assert PowerSum.geometric(2) * PowerSum.geometric(3) == PowerSum.geometric(6)
     assert (PowerSum.geometric(2) + PowerSum.geometric(2, -1)).is_zero
@@ -139,6 +166,60 @@ def test_zero_scan_nondegenerate_corpus_is_finite():
         zs = zero_scan(F, 100)
         assert zs.progressions == ()
         assert zs.sporadic == zs.zeros
+
+
+def _vanishes_on(F: PowerSum, r: int, M: int) -> bool:
+    """F(M t + r) == 0 for every t, by an oracle that never reads the roots'
+    pairing: F(M t + r) is a power sum with at most s coefficients, s the
+    number of coefficients of F, so it satisfies a linear recurrence of
+    order s, and s zeros in a row make it zero."""
+    s = sum(len(cs) for cs, _ in F.terms)
+    return all(F.eval(M * t + r) == 0 for t in range(s))
+
+
+def _oracle_progressions(F: PowerSum, max_mod: int = 4) -> tuple:
+    found = []
+    for M in range(1, max_mod + 1):
+        for r in range(M):
+            if not any(M % M0 == 0 and r % M0 == r0 for r0, M0 in found) and _vanishes_on(F, r, M):
+                found.append((r, M))
+    return tuple(found)
+
+
+def test_zero_progressions_match_an_exact_oracle():
+    """Random power sums with planted opposite-root pairs p_{-root} = +-p_root
+    (a common sign, mixed signs, a perturbed coefficient, an unpaired root)
+    against the recurrence-order oracle for moduli up to 4."""
+    rng = random.Random(2301)
+    kinds = {"paired": 0, "mixed": 0, "perturbed": 0, "unpaired": 0, "zero": 0}
+    seen = set()
+    for _ in range(400):
+        kind = rng.choice(sorted(kinds))
+        kinds[kind] += 1
+        roots = rng.sample([Fraction(k, d) for k in range(1, 7) for d in (1, 2, 3)],
+                           rng.randint(1, 3))
+        sign = rng.choice((1, -1))
+        terms = []
+        for root in roots:
+            cs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+            cs[-1] = cs[-1] or Fraction(1)
+            s = rng.choice((1, -1)) if kind == "mixed" else sign
+            terms += [(cs, root), ([s * c for c in cs], -root)]
+        if kind == "perturbed":
+            cs, root = rng.choice(terms)
+            cs[rng.randrange(len(cs))] += Fraction(1, rng.randint(1, 3))
+        elif kind == "unpaired":
+            terms.append(([rng.randint(1, 3)], rng.choice((7, Fraction(-1, 7)))))
+        elif kind == "zero":
+            terms += [([-c for c in cs], root) for cs, root in terms]
+        F = PowerSum(terms)
+        want = _oracle_progressions(F)
+        zs = zero_scan(F, 13)
+        assert zs.progressions == want, (F, want)
+        assert zs.sporadic == tuple(n for n in zs.zeros if not any(n % M == r for r, M in want))
+        seen.add(want)
+    assert seen == {(), ((0, 1),), ((0, 2),), ((1, 2),)}
+    assert min(kinds.values()) > 50
 
 
 def test_root_group_examples():
@@ -323,6 +404,32 @@ def test_from_recurrence_matches_direct_iteration():
             seq.append(sum(c * a for c, a in zip(rel, reversed(seq[-d:]))))
         ps = from_recurrence(rel, seq[:d])
         assert [ps.eval(n) for n in range(30)] == seq
+
+
+def test_rational_roots_match_sympy_ground_roots():
+    """Roots with multiplicity against sympy on products of zero roots,
+    repeated rational roots and an irreducible quadratic, scaled by a
+    rational; the zeros come first, then the roots by |num|, den, sign."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2302)
+    for _ in range(150):
+        expr = sympy.Rational(rng.randint(1, 9), rng.randint(1, 9)) * x ** rng.randint(0, 3)
+        for _ in range(rng.randint(0, 4)):
+            root = sympy.Rational(rng.choice((1, -1)) * rng.randint(1, 12), rng.randint(1, 6))
+            expr *= (x - root) ** rng.randint(1, 3)
+        if rng.random() < 0.6:
+            expr *= rng.choice((x**2 - 2, x**2 + x + 1, 3 * x**2 - 5, x**2 + 4))
+        poly = sympy.Poly(expr, x, domain="QQ")
+        coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+        got = _rational_roots(coeffs)
+        want = {Fraction(int(r.p), int(r.q)): k for r, k in poly.ground_roots().items()}
+        assert {r: got.count(r) for r in got} == want, expr
+        nonzero = [r for r in got if r]
+        assert got == [Fraction(0)] * want.get(0, 0) + nonzero
+        key = [(abs(r.numerator), r.denominator, r < 0) for r in nonzero]
+        assert key == sorted(key)
+    assert _rational_roots([]) == [] and _rational_roots([Fraction(3), Fraction(0)]) == []
 
 
 def test_json_roundtrip():
