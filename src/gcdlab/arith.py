@@ -337,9 +337,3 @@ def solve_in_row_lattice(basis: list[list[int]], target: list[int]):
     if any(residual):
         return None
     return coeffs
-
-
-def integer_kernel(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of {c : sum c_i * rows_i == 0} over the integers."""
-    H, T = hnf_with_transform(rows)
-    return [T[i] for i in range(len(rows)) if not any(H[i])]

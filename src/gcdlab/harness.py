@@ -699,7 +699,6 @@ def run_poly_gcd_experiment(cfg: SampleConfig, seed: int = 0) -> PolyGcdReport:
             spart_poly = cand
             break
     spart_degree = spart_poly.degree() if spart_poly is not None else None
-    combined_available = spart_poly is not None
 
     rows: list[SampleRow] = []
     degenerate = []
@@ -726,16 +725,14 @@ def run_poly_gcd_experiment(cfg: SampleConfig, seed: int = 0) -> PolyGcdReport:
         main_ok = _sqrt_scaled_cmp(lhs_out, Fraction(consts.C_main), cfg.delta, H) < 0
         if spart_poly is not None:
             spart_rhs = Fraction(4 * n * spart_degree) * cfg.delta * H
-            lhs_single = -_neg_log_within(spart_poly.eval(u.coords), cfg.S)
+            # sum over v in S of log^+(1/|x|_v) = log gcd_S(x, 0)
+            lhs_single = log_gcd_within(fv if spart_poly is cfg.f else gv, 0, cfg.S)
             spart_ok = (spart_rhs - lhs_single).sign() > 0
-        else:
-            spart_ok = None
-        if combined_available:
             combined_ok = _sqrt_scaled_cmp(
                 lhs_tot, Fraction(consts.C_combined), cfg.delta, H
             ) < 0
         else:
-            combined_ok = None
+            spart_ok = combined_ok = None
         row = SampleRow(
             idx, u.coords, H, lhs_out, lhs_in, lhs_tot, main_ok, spart_ok, combined_ok
         )
@@ -745,18 +742,6 @@ def run_poly_gcd_experiment(cfg: SampleConfig, seed: int = 0) -> PolyGcdReport:
     return PolyGcdReport(
         cfg, consts, spart_degree, rows, degenerate, failures, violations
     )
-
-
-def _neg_log_within(value: Fraction, S: PlaceSet) -> LogReal:
-    """sum over v in S of log^- |value|_v (a nonpositive LogReal)."""
-    if value == 0:
-        raise DomainError("zero value")
-    total = LogReal.zero()
-    if S.contains_archimedean and abs(value) < 1:
-        total = total + LogReal.log_of_fraction(value)  # log|value| < 0
-    # |value|_p < 1 exactly at the primes of the numerator
-    exps, _ = _split_primes(abs(value.numerator), S.finite_primes)
-    return total + LogReal({p: Fraction(-w) for p, w in exps.items()})
 
 
 POLY_GCD_CSV_HEADER = (

@@ -16,7 +16,7 @@ from math import comb
 import mpmath
 
 from .heights import TorusPoint
-from .linalg import LinearSpan, int_rank, rational_rank
+from .linalg import LinearSpan, _accumulate, int_rank, rational_rank
 from .logreal import LogReal, escalating_sign
 from .multipoly import (
     MultiPoly,
@@ -329,12 +329,10 @@ class GreedyBasis:
 
 
 def _monomial_log(logs: list[LogReal], exponents) -> LogReal:
-    """Exact log|u^e|_v from the coordinate logs log|u_i|_v."""
-    total = LogReal.zero()
-    for lg, k in zip(logs, exponents):
-        if k:
-            total = total + lg * k
-    return total
+    """Exact log|u^e|_v from the coordinate logs log|u_i|_v, in one sum."""
+    return LogReal._wrap(_accumulate(
+        (b, c * k) for lg, k in zip(logs, exponents) if k for b, c in lg._coeffs.items()
+    ), False)
 
 
 def _sorted_by_logs(items: list, logs: dict, tiebreak) -> list:

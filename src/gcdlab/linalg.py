@@ -24,6 +24,23 @@ def _nonzero(vector: Vector, offset: int = 0) -> dict:
     return {offset + j: x for j, x in items if x}
 
 
+def _accumulate(pairs) -> dict:
+    """Sum (key, coefficient) pairs into a term map without zeros, keys in
+    first-seen order: the one sparse sum of polynomial terms, power-sum
+    terms and log combinations."""
+    out: dict = {}
+    for e, c in pairs:
+        if e in out:
+            c += out[e]
+            if not c:
+                del out[e]
+                continue
+        elif not c:
+            continue
+        out[e] = c
+    return out
+
+
 def _int_entries(vector: Vector) -> bool:
     """Whether a vector is a dict of nonzero ints, to be taken as it is."""
     return type(vector) is dict and all(type(x) is int and x for x in vector.values())

@@ -5,19 +5,22 @@ Every height, local height and generalized-gcd value in this library lives
 here.  Canonical form keeps the bases pairwise coprime and power-free, which
 makes the zero test exact (a nonzero rational combination of logs of pairwise
 coprime integers cannot vanish); nonzero signs are certified by interval
-arithmetic at escalating precision.  Canonicalization is lazy so that values
-built from huge unfactored integers (gcds of recurrence terms) stay cheap
-until an exact zero test actually needs them."""
+arithmetic at escalating precision.  A value is a term map {base: coeff}
+summed by linalg._accumulate, the sum of polynomial and power-sum terms too.
+Canonicalization is lazy so that values built from huge unfactored integers
+(gcds of recurrence terms) stay cheap until an exact zero test needs them."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, combinations
 from typing import Iterable, Mapping
 
 import mpmath
 
 from .arith import SMALL_PRIMES, _split_primes, factorize, perfect_power
+from .linalg import _accumulate
 
 _SPLIT_BOUND = 1000  # bases get their prime factors below this split off
 _SPLIT_PRIMES = tuple(p for p in SMALL_PRIMES if p < _SPLIT_BOUND)
@@ -38,73 +41,40 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
-def _merge(raw: Mapping[int, Fraction]) -> dict[int, Fraction]:
-    merged: dict[int, Fraction] = {}
+def _log_terms(pairs) -> dict[int, Fraction]:
+    """_accumulate of (base, coefficient) pairs, without the base 1."""
+    out = _accumulate(pairs)
+    out.pop(1, None)
+    return out
+
+
+def _checked(raw: Mapping[int, Fraction]):
+    """The (base, coefficient) pairs of raw, each checked in turn."""
     for base, coeff in raw.items():
         if not isinstance(base, int) or base < 1:
             raise ValueError(f"bad log base {base!r}")
-        coeff = _as_fraction(coeff)
-        if base == 1 or coeff == 0:
-            continue
-        cur = merged.get(base, Fraction(0)) + coeff
-        if cur == 0:
-            merged.pop(base, None)
-        else:
-            merged[base] = cur
-    return merged
+        yield base, _as_fraction(coeff)
 
 
 def _canonicalize(items: dict[int, Fraction]) -> dict[int, Fraction]:
     """Split bases until pairwise coprime, reduce perfect powers, peel small
     prime factors.  Terminates: every split replaces a base by strictly
     smaller cofactors."""
-    items = dict(items)
-
-    def push(d, base, coeff):
-        if base == 1 or coeff == 0:
-            return
-        cur = d.get(base, Fraction(0)) + coeff
-        if cur == 0:
-            d.pop(base, None)
-        else:
-            d[base] = cur
-
-    changed = True
-    while changed:
-        changed = False
-        bases = sorted(items)
-        for i in range(len(bases)):
-            for j in range(i + 1, len(bases)):
-                b1, b2 = bases[i], bases[j]
-                g = math.gcd(b1, b2)
-                if g == 1:
-                    continue
-                c1 = items.pop(b1)
-                c2 = items.pop(b2)
-                push(items, g, c1)
-                push(items, b1 // g, c1)
-                push(items, g, c2)
-                push(items, b2 // g, c2)
-                changed = True
-                break
-            if changed:
-                break
-
-    out: dict[int, Fraction] = {}
+    while pair := next((p for p in combinations(sorted(items), 2) if math.gcd(*p) > 1), None):
+        b1, b2 = pair
+        g = math.gcd(b1, b2)
+        c1, c2 = items[b1], items[b2]
+        untouched = ((b, c) for b, c in items.items() if b != b1 and b != b2)
+        items = _log_terms(chain(untouched, ((g, c1), (b1 // g, c1), (g, c2), (b2 // g, c2))))
+    pairs = []
     for base in sorted(items):
-        coeff = items[base]
-        if base >= 4:
-            root, k = perfect_power(base)
-            base = root
-            coeff = coeff * k
-        if base < _SPLIT_BOUND * _SPLIT_BOUND:
-            parts, base = factorize(base), 1
-        else:
-            parts, base = _split_primes(base, _SPLIT_PRIMES)
-        for p, e in parts.items():
-            push(out, p, coeff * e)
-        push(out, base, coeff)
-    return out
+        root, k = perfect_power(base)
+        coeff = items[base] * k
+        parts, rest = ((factorize(root), 1) if root < _SPLIT_BOUND ** 2
+                       else _split_primes(root, _SPLIT_PRIMES))
+        pairs += [(p, coeff * e) for p, e in parts.items()]
+        pairs.append((rest, coeff))
+    return _log_terms(pairs)
 
 
 class LogReal:
@@ -113,7 +83,7 @@ class LogReal:
     __slots__ = ("_coeffs", "_canonical")
 
     def __init__(self, coeffs: Mapping[int, Fraction] | None = None):
-        object.__setattr__(self, "_coeffs", _merge(coeffs or {}))
+        object.__setattr__(self, "_coeffs", _log_terms(_checked(coeffs or {})))
         object.__setattr__(self, "_canonical", False)
 
     @classmethod
@@ -172,14 +142,9 @@ class LogReal:
             return self
         if not self._coeffs:
             return other
-        merged = dict(self._coeffs)
-        for b, c in other._coeffs.items():
-            cur = merged.get(b, Fraction(0)) + c
-            if cur == 0:
-                merged.pop(b, None)
-            else:
-                merged[b] = cur
-        return LogReal._wrap(merged, False)
+        return LogReal._wrap(
+            _accumulate(chain(self._coeffs.items(), other._coeffs.items())), False
+        )
 
     def __sub__(self, other: "LogReal") -> "LogReal":
         return self.__add__(-other)
@@ -353,10 +318,13 @@ class LogReal:
 
 
 def logreal_sum(values: Iterable[LogReal]) -> LogReal:
-    total = LogReal.zero()
-    for v in values:
-        total = total + v
-    return total
+    """One pass over the terms of all values; a lone nonzero value is returned as is."""
+    values = [v for v in values if v._coeffs]
+    if len(values) == 1:
+        return values[0]
+    return LogReal._wrap(
+        _accumulate(chain.from_iterable(v._coeffs.items() for v in values)), False
+    )
 
 
 def escalating_sign(interval_fn) -> int:

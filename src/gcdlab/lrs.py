@@ -2,11 +2,11 @@
 a term is a pair (coefficient polynomial, rational root) and a sequence is a
 finite sum of terms p_i(n) * root_i^n.
 
-A power sum is a term map on multipoly's core: the ring operations and the
-reindexing along arithmetic progressions emit pairs ((root, j), c) for
-c * n^j * root^n and sum them with ``multipoly._accumulate``.  Also here:
-zero-structure scans, whose progressions are read from the +/- pairs of
-roots, the multiplicative lattice of the roots (rank, generators,
+A power sum is a term map: the ring operations and the reindexing along
+arithmetic progressions emit pairs ((root, j), c) for c * n^j * root^n
+and sum them with ``linalg._accumulate``, the package's one sparse sum.
+Also here: zero-structure scans, whose progressions are read from the +/-
+pairs of roots, the multiplicative lattice of the roots (rank, generators,
 torsion), the Laurent-polynomial image with respect to a torsion-free root
 group, and the induced coprimality test."""
 
@@ -19,11 +19,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .arith import _split_primes, hnf_with_transform, integer_kernel, solve_in_row_lattice
+from .arith import _split_primes, hnf_with_transform, solve_in_row_lattice
 from .heights import height
-from .linalg import LinearSpan
+from .linalg import LinearSpan, _accumulate
 from .logreal import LogReal
-from .multipoly import LaurentPoly, _accumulate
+from .multipoly import LaurentPoly
 from .places import (
     DomainError,
     PlaceSet,
@@ -65,7 +65,7 @@ class PowerSum:
     """sum p_i(n) * root_i^n with pairwise distinct nonzero rational roots,
     canonically ordered by root; each p_i is a little-endian Fraction tuple
     without trailing zeros.  Built from a term map {(root, j): c} summed on
-    multipoly's core, then regrouped by root."""
+    ``linalg._accumulate``, then regrouped by root."""
 
     terms: tuple[tuple[Coeffs, Fraction], ...]
 
@@ -438,7 +438,8 @@ def root_group(roots: Iterable[Fraction]) -> RootGroup:
         # torsion: some integer combination of the roots has trivial prime
         # part but negative sign
         torsion = False
-        for kvec in integer_kernel(rows):
+        # the rows of T whose row of H is zero span the integer kernel
+        for kvec in (T[i] for i in range(len(rows)) if not any(H[i])):
             sign = 1
             for r, c in zip(roots, kvec):
                 if r < 0 and c % 2:

@@ -27,27 +27,12 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import LinearSpan
-from .places import DomainError
+from .linalg import LinearSpan, _accumulate
+from .places import DomainError, parse_rational
 
 
 def _grlex_key(e: tuple[int, ...]) -> tuple:
     return (sum(e), e)
-
-
-def _accumulate(pairs) -> dict[tuple[int, ...], Fraction]:
-    """Sum (exponent, coefficient) pairs into a term map without zeros."""
-    out: dict[tuple[int, ...], Fraction] = {}
-    for e, c in pairs:
-        if e in out:
-            c += out[e]
-            if not c:
-                del out[e]
-                continue
-        elif not c:
-            continue
-        out[e] = c
-    return out
 
 
 class _SparsePoly:
@@ -219,8 +204,9 @@ class MultiPoly(_SparsePoly):
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def vanishes_at_origin(self) -> bool:
@@ -333,7 +319,7 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
         if kind == "op" and val == "-":
             return -parse_factor()
         if kind == "num":
-            base = MultiPoly.constant(n, Fraction(val))
+            base = MultiPoly.constant(n, parse_rational(val))
         elif kind == "var":
             base = MultiPoly.variable(n, int(val[1:]) - 1)
         elif kind == "op" and val == "(":

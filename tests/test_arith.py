@@ -12,12 +12,12 @@ from gcdlab.arith import (
     _split_primes,
     factorize,
     hnf_with_transform,
-    integer_kernel,
     is_prime,
     perfect_power,
     solve_in_row_lattice,
     sqrt_fraction_exact,
 )
+from gcdlab.linalg import int_rank
 from gcdlab.lrs import _exponent_vector
 from gcdlab.places import DomainError, PlaceSet
 
@@ -151,29 +151,33 @@ def test_sqrt_helpers():
 
 
 def test_hnf_preserves_row_lattice():
+    """H = T @ rows spans the row lattice of rows, and the rows of T whose
+    row of H is zero are rows - rank integer kernel vectors."""
     rng = random.Random(9)
-    for _ in range(100):
-        rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
+    cases = [[[1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1]], [[2, 4], [3, 6], [0, 0]]]
+    for m, n in [(3, 4)] * 100 + [(5, 3)] * 50 + [(4, 2)] * 50:
+        cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+    kernels = 0
+    for rows in cases:
+        m, n = len(rows), len(rows[0])
         H, T = hnf_with_transform(rows)
         # transform applied to the original rows reproduces H
-        for i in range(3):
+        for i in range(m):
             combo = [
-                sum(T[i][j] * rows[j][c] for j in range(3)) for c in range(4)
+                sum(T[i][j] * rows[j][c] for j in range(m)) for c in range(n)
             ]
             assert combo == H[i]
         # every original row is an integer combination of the H rows
         basis = [r for r in H if any(r)]
         for r in rows:
             assert solve_in_row_lattice(basis, r) is not None
-
-
-def test_integer_kernel():
-    rows = [[1, 0], [0, 1], [1, 1]]
-    for k in integer_kernel(rows):
-        assert all(
-            sum(k[i] * rows[i][c] for i in range(3)) == 0 for c in range(2)
-        )
-    assert integer_kernel([[1, 0], [0, 1]]) == []
+        kernel = [T[i] for i in range(m) if not any(H[i])]
+        assert len(kernel) == m - int_rank(rows)
+        for k in kernel:
+            assert any(k)
+            assert all(sum(k[i] * rows[i][c] for i in range(m)) == 0 for c in range(n))
+        kernels += bool(kernel)
+    assert kernels > 100
 
 
 # psi_t: the least strong pseudoprime to all of the first t prime bases

@@ -22,7 +22,6 @@ from gcdlab.harness import (
     run_sharpness,
     sharpness_window_holds,
     solve_unit_equation,
-    _neg_log_within,
     _unflagged_bits,
     tube_inequality_holds,
 )
@@ -937,7 +936,9 @@ def test_unit_equation_budget_truncation():
     assert rep.truncated
 
 
-def test_neg_log_within_matches_log_abs_sum():
+def test_spart_log_gcd_within_matches_log_abs_sum():
+    """The poly-gcd S-part, sum over v in S of log^+(1/|x|_v), is
+    log_gcd_within(x, 0, S): max(|x|_v, |0|_v) = |x|_v at every place."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     smooth = st.builds(
@@ -959,7 +960,7 @@ def test_neg_log_within_matches_log_abs_sum():
             term = log_abs(x, v)
             if term.sign() < 0:
                 want = want + term
-        assert _neg_log_within(x, S) == want
+        assert log_gcd_within(x, 0, S) == -want
 
     check()
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcdlab.linalg import LinearSpan, int_rank, rational_rank
+from gcdlab.linalg import LinearSpan, _accumulate, int_rank, rational_rank
 
 sympy = pytest.importorskip("sympy")
 
@@ -219,3 +219,13 @@ def test_int_dict_fraction_and_dense_entry_agree():
             assert len(results) == 1
 
     check()
+
+
+def test_accumulate_drops_zeros_and_keeps_first_seen_order():
+    pairs = [("b", 2), ("a", Fraction(1, 2)), ("z", 0), ("b", -2), ("c", 3),
+             ("a", Fraction(1, 2)), ("b", 5), ((1, 0), 1), ((1, 0), -1)]
+    out = _accumulate(pairs)
+    # b cancels to zero and is dropped, so its later 5 comes after c
+    assert list(out.items()) == [("a", 1), ("c", 3), ("b", 5)]
+    assert _accumulate([]) == {} and _accumulate([(7, 0), (7, 0)]) == {}
+    assert _accumulate([(2, Fraction(1, 3)), (2, Fraction(-1, 3))]) == {}

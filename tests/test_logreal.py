@@ -105,6 +105,77 @@ def test_sum_helper():
     assert logreal_sum(vals) == LogReal({25: 1})
 
 
+@pytest.mark.parametrize(
+    "coeffs, error",
+    [({1: "x"}, TypeError), ({2: 1.5}, TypeError), ({0: 1}, ValueError),
+     ({-3: 1}, ValueError), ({"2": 1}, ValueError), ({2: 1, 0: "x"}, ValueError)],
+)
+def test_constructor_checks_every_base_and_coefficient(coeffs, error):
+    """The base 1 is dropped only after its coefficient is checked."""
+    with pytest.raises(error):
+        LogReal(coeffs)
+
+
+def _prime_map(terms):
+    """The canonical map of sum c * log(b) at desk scale, from sympy's
+    factorizations of the bases: {p: sum c * v_p(b)} without zeros."""
+    sympy = pytest.importorskip("sympy")
+    out = {}
+    for b, c in terms.items():
+        for p, e in sympy.factorint(b).items():
+            out[int(p)] = out.get(int(p), 0) + c * e
+    return {p: c for p, c in out.items() if c}
+
+
+def _plain_sum(maps, scales=None):
+    total = {}
+    for m, k in zip(maps, scales or [1] * len(maps)):
+        for b, c in m.items():
+            total[b] = total.get(b, Fraction(0)) + c * k
+    return total
+
+
+def _assert_matches(value, terms):
+    want = _prime_map(terms)
+    assert value.coeffs == want
+    assert value.decimal(12) == LogReal(want).decimal(12)
+
+
+def test_sums_match_a_plain_fraction_dict_oracle():
+    """+, logreal_sum and the greedy bases' monomial logs against sums of
+    plain {base: Fraction} dicts, on inputs that often cancel to zero."""
+    from gcdlab.hilbert import _monomial_log
+
+    rng = random.Random(24)
+    bases = [2, 3, 4, 6, 8, 9, 10, 12, 15, 49, 360, 1001, 2**20, 999983]
+
+    def rand_map():
+        return {b: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                for b in rng.sample(bases, rng.randint(0, 4))}
+
+    zeros = 0
+    for _ in range(300):
+        maps = [rand_map() for _ in range(rng.randint(0, 5))]
+        if maps and rng.random() < 0.4:
+            maps.append({b: -c for b, c in _plain_sum(maps).items()})
+            rng.shuffle(maps)
+        values = [LogReal(m) for m in maps]
+        total = _plain_sum(maps)
+        zeros += not _prime_map(total)
+        _assert_matches(logreal_sum(values), total)
+        acc = LogReal.zero()
+        for v in values:
+            acc = acc + v
+        _assert_matches(acc, total)
+        if maps:
+            a, b = values[0], values[-1]
+            _assert_matches(a + b, _plain_sum([maps[0], maps[-1]]))
+            _assert_matches(a - b, _plain_sum([maps[0], maps[-1]], [1, -1]))
+        exps = [rng.choice([0, 0, 1, 2, 5]) for _ in maps]
+        _assert_matches(_monomial_log(values, exps), _plain_sum(maps, exps))
+    assert zeros > 50
+
+
 def test_unhashable_by_design():
     with pytest.raises(TypeError):
         hash(LogReal({2: 1}))

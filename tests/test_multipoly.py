@@ -7,6 +7,7 @@ import pytest
 from gcdlab.multipoly import (
     LaurentPoly,
     MultiPoly,
+    _SparsePoly,
     coprime,
     laurent_normalize,
     parse_poly,
@@ -37,6 +38,35 @@ def test_parse_print_roundtrip():
         parse_poly("x1 + y")
     with pytest.raises(DomainError):
         parse_poly("2x1")  # implicit multiplication rejected
+
+
+def test_parse_rejects_a_zero_denominator():
+    """'1/0' once escaped as ZeroDivisionError instead of a DomainError."""
+    with pytest.raises(DomainError, match="bad rational literal '1/0'"):
+        parse_poly("1/0*x1")
+
+
+def test_power_forms_no_product_above_its_degree(monkeypatch):
+    """p ** k once squared its base after the last bit, so p ** 16 formed
+    the 32nd power of p."""
+    p = parse_poly("x1 + x2 + 1")
+    expected = MultiPoly.one(2)
+    mul = _SparsePoly.__mul__
+    degrees = []
+
+    def spy(self, other):
+        out = mul(self, other)
+        degrees.append(out.degree())
+        return out
+
+    for k in range(18):
+        monkeypatch.setattr(_SparsePoly, "__mul__", spy)
+        degrees.clear()
+        got = p ** k
+        monkeypatch.undo()
+        assert got == expected
+        assert max(degrees, default=0) <= k * p.degree(), k
+        expected = expected * p
 
 
 @pytest.mark.parametrize("nvars", [None, 2])
