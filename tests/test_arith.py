@@ -150,15 +150,14 @@ def test_sqrt_helpers():
     assert sqrt_fraction_exact(Fraction(1, 2)) is None
 
 
-def test_hnf_preserves_row_lattice():
-    """H = T @ rows spans the row lattice of rows, and the rows of T whose
-    row of H is zero are rows - rank integer kernel vectors."""
-    rng = random.Random(9)
-    cases = [[[1, 0], [0, 1], [1, 1]], [[1, 0], [0, 1]], [[2, 4], [3, 6], [0, 0]]]
+def _random_matrices(seed):
+    rng = random.Random(seed)
     for m, n in [(3, 4)] * 100 + [(5, 3)] * 50 + [(4, 2)] * 50:
-        cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
-    kernels = 0
-    for rows in cases:
+        yield [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+
+
+def test_hnf_preserves_row_lattice():
+    for rows in _random_matrices(9):
         m, n = len(rows), len(rows[0])
         H, T = hnf_with_transform(rows)
         # transform applied to the original rows reproduces H
@@ -171,7 +170,28 @@ def test_hnf_preserves_row_lattice():
         basis = [r for r in H if any(r)]
         for r in rows:
             assert solve_in_row_lattice(basis, r) is not None
-        kernel = [T[i] for i in range(m) if not any(H[i])]
+
+
+def _integer_kernel(rows):
+    """The kernel as root_group reads it: the rows of T whose row of H is zero."""
+    H, T = hnf_with_transform(rows)
+    return [T[i] for i in range(len(rows)) if not any(H[i])]
+
+
+def test_integer_kernel():
+    rows = [[1, 0], [0, 1], [1, 1]]
+    kernel = _integer_kernel(rows)
+    assert len(kernel) == 1
+    for k in kernel:
+        assert all(
+            sum(k[i] * rows[i][c] for i in range(3)) == 0 for c in range(2)
+        )
+    assert _integer_kernel([[1, 0], [0, 1]]) == []
+    # rows - rank nonzero kernel vectors that annihilate the rows
+    kernels = 0
+    for rows in [[[2, 4], [3, 6], [0, 0]], *_random_matrices(9)]:
+        m, n = len(rows), len(rows[0])
+        kernel = _integer_kernel(rows)
         assert len(kernel) == m - int_rank(rows)
         for k in kernel:
             assert any(k)
