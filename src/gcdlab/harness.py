@@ -341,7 +341,7 @@ def _elimination(F: PowerSum, G: PowerSum, F_vals, G_vals, max_bits: list[int]):
 
 
 def _candidate_columns(F_vals, G_vals, max_bits: list[int], s_arch: bool,
-                       elimination: _DominantRootBounds | None = None):
+                       elimination: _DominantRootBounds | None):
     """For each m in 1..N, the ascending n whose pair (m, n) is a zero row or
     may be flagged.  The core divides gcd(num F(m), num G(n)), so a pair with
     no archimedean term whose smaller numerator has at most
@@ -375,21 +375,18 @@ def _candidate_columns(F_vals, G_vals, max_bits: list[int], s_arch: bool,
             hi = bisect_left(max_bits, bits_F, m + 1)
             upper = G_big[bisect_right(G_big, m):bisect_left(G_big, hi)]
             cuts = sorted(elimination.excluded(m)) if elimination else []
-            if not cuts:
-                ns = [*range(lo, m + 1), *upper]
-            else:
-                start = 1     # the n in [start, cut_lo) are kept
-                for cut_lo, cut_hi in (*cuts, (N + 1, N + 1)):
-                    if cut_lo > start:
-                        end = cut_lo - 1
-                        ns += range(max(start, lo), min(end, m) + 1)
-                        if end > m:
-                            ns += upper[bisect_left(upper, start):bisect_right(upper, end)]
-                    start = max(start, cut_hi + 1)
-                if irregular:
-                    extra = extra + irregular[bisect_left(irregular, lo):bisect_right(irregular, m)]
-                    extra += irregular_big[bisect_right(irregular_big, m):
-                                           bisect_left(irregular_big, hi)]
+            start = 1     # the n in [start, cut_lo) are kept
+            for cut_lo, cut_hi in (*cuts, (N + 1, N + 1)):
+                if cut_lo > start:
+                    end = cut_lo - 1
+                    ns += range(max(start, lo), min(end, m) + 1)
+                    if end > m:
+                        ns += upper[bisect_left(upper, start):bisect_right(upper, end)]
+                start = max(start, cut_hi + 1)
+            if irregular:
+                extra = extra + irregular[bisect_left(irregular, lo):bisect_right(irregular, m)]
+                extra += irregular_big[bisect_right(irregular_big, m):
+                                       bisect_left(irregular_big, hi)]
         if extra:
             ns = sorted({*ns, *extra})
         yield m, ns
@@ -1065,41 +1062,6 @@ def rec1_csv_rows(report: Rec1Report):
 
 
 # ---------------------------------------------------------------------
-# unit equation enumeration
-# ---------------------------------------------------------------------
-
-@dataclass
-class UnitEquationReport:
-    S: PlaceSet
-    n: int
-    bound: int
-    solutions: list[tuple[Fraction, ...]]           # no vanishing proper subsum
-    degenerate: list[tuple[Fraction, ...]]          # some proper subsum vanishes
-    truncated: bool
-    coordinate_frequency: Counter
-
-
-def s_unit_values(S: PlaceSet, bound: int) -> list[Fraction]:
-    """All +-prod p^e with p in S and |e| <= bound, canonically ordered."""
-    vals = [Fraction(1)]
-    for p in S.finite_primes:
-        vals = [
-            v * Fraction(p) ** e for v in vals for e in range(-bound, bound + 1)
-        ]
-    vals = sorted(set(vals))
-    return sorted([v for v in vals] + [-v for v in vals])
-
-
-def _proper_subsum_vanishes(x: tuple[Fraction, ...]) -> bool:
-    n = len(x)
-    for size in range(1, n):
-        for subset in itertools.combinations(range(n), size):
-            if sum(x[i] for i in subset) == 0:
-                return True
-    return False
-
-
-# ---------------------------------------------------------------------
 # combinatorial self-verification sweep
 # ---------------------------------------------------------------------
 
@@ -1258,40 +1220,75 @@ def hilbert_csv_rows(checks: list[VerifyCheck]):
 # unit equation enumeration
 # ---------------------------------------------------------------------
 
+@dataclass
+class UnitEquationReport:
+    S: PlaceSet
+    n: int
+    bound: int
+    solutions: list[tuple[Fraction, ...]]           # no vanishing proper subsum
+    degenerate: list[tuple[Fraction, ...]]          # some proper subsum vanishes
+    truncated: bool
+    coordinate_frequency: Counter
+
+
+def _proper_subsum_vanishes(x: tuple[int, ...]) -> bool:
+    """Whether some nonempty proper subset of x, whose total is not 0, sums
+    to 0: the sums of the nonempty subsets of x[:i], built one entry at a
+    time, hold 0 only for a proper subset."""
+    sums: set[int] = set()
+    for v in x:
+        sums |= {s + v for s in sums}
+        sums.add(v)
+        if 0 in sums:
+            return True
+    return False
+
+
+# Checked before the box is built: the estimated word operations of a run,
+# box values plus, for each tuple, n + 1 additions and, should it be a
+# solution, up to 2^(n+1) subsums, times the words of a value.  At the
+# default budget on a 2-core Xeon, n = 4 (3.9e6) takes about 0.3 s and
+# n = 5 (1.3e8), which is refused, took 6 s.
+UNIT_EQ_MAX_WORK = 1 << 25
+
+
 def solve_unit_equation(S: PlaceSet = PlaceSet.of(2, 3), n: int = 1, bound: int = 1,
                         budget: int = 2_000_000) -> UnitEquationReport:
     """Exhaustive tuples (x_0, ..., x_n) of S-units from the exponent box
     with x_0 + ... + x_n = 1; tuples with a vanishing proper subsum are
-    listed separately.  Hitting the budget yields a truncated report."""
+    listed separately.  Hitting the budget yields a truncated report.
+
+    Scaled by D = prod p^bound, the box holds the ints +-prod p^k with
+    0 <= k <= 2 bound, and the equation reads x_0 + ... + x_n = D in ints."""
     if n < 1 or bound < 1:
         raise DomainError("need n >= 1 and bound >= 1")
-    values = s_unit_values(S, bound)
+    primes = S.finite_primes
+    size = 2 * (2 * bound + 1) ** len(primes)
+    # size >= 2, so size ** n > budget once n >= budget.bit_length()
+    truncated = n >= budget.bit_length() or size ** n > budget
+    tuples = max(0, budget if truncated else size ** n)
+    words = 1 + 2 * bound * sum(p.bit_length() for p in primes) // 64
+    work = (size + tuples * (n + 1 + 2 ** min(n + 1, 64))) * words
+    if work > UNIT_EQ_MAX_WORK:
+        raise DomainError(f"unit-eq work estimated at 2^{log2(work):.1f} word operations, "
+                          f"above the bound of 2^{UNIT_EQ_MAX_WORK.bit_length() - 1}")
+    D = 1
+    box = [1]
+    for p in primes:
+        D *= p ** bound
+        box = [v * p ** k for v in box for k in range(2 * bound + 1)]
+    values = sorted([*box, *(-v for v in box)])
     value_set = set(values)
-    total = len(values) ** n
-    truncated = total > budget
-    solutions = []
-    degenerate = []
-    count = 0
-    for head in itertools.product(values, repeat=n):
-        count += 1
-        if count > budget:
-            break
-        last = 1 - sum(head)
-        if last not in value_set:
-            continue
-        x = tuple(head) + (last,)
-        if _proper_subsum_vanishes(x):
-            degenerate.append(x)
-        else:
-            solutions.append(x)
-    solutions.sort()
-    degenerate.sort()
-    freq = Counter()
-    for x in solutions:
-        freq.update(x)
-    return UnitEquationReport(
-        S, n, bound, solutions, degenerate, truncated, freq
-    )
+    solutions, degenerate = [], []
+    for head in itertools.islice(itertools.product(values, repeat=n), tuples):
+        last = D - sum(head)
+        if last in value_set:
+            x = (*head, last)
+            (degenerate if _proper_subsum_vanishes(x) else solutions).append(x)
+    solutions, degenerate = ([tuple(Fraction(v, D) for v in x) for x in sorted(xs)]
+                             for xs in (solutions, degenerate))
+    return UnitEquationReport(S, n, bound, solutions, degenerate, truncated,
+                              Counter(c for x in solutions for c in x))
 
 
 def unit_eq_csv_header(report: UnitEquationReport) -> tuple[str, ...]:

@@ -2,7 +2,8 @@
 for quotients by a coprime pair, the degree-bounded ideal (f,g) as a vector
 space with membership tests, place-adapted greedy monomial bases of the
 quotient, the degree-d-uple basis built from powers of a single form, and
-the explicit constants of the gcd inequalities."""
+the explicit constants of the gcd inequalities, all exact integers (the
+S-part degree by comparing integer d-th powers, not by intervals)."""
 
 from __future__ import annotations
 
@@ -13,11 +14,9 @@ from fractions import Fraction
 from functools import cmp_to_key
 from math import comb
 
-import mpmath
-
 from .heights import TorusPoint
 from .linalg import LinearSpan, _accumulate, int_rank, rational_rank
-from .logreal import LogReal, escalating_sign
+from .logreal import LogReal
 from .multipoly import (
     MultiPoly,
     _column_index,
@@ -449,23 +448,14 @@ def floor_scaled_inv_sqrt(a: int, delta: Fraction) -> int:
 
 
 def ceil_spart_degree(n: int, d: int) -> int:
-    """ceil(x) for x = (n - 2^(1/d) + 1) / (d (2^(1/d) - 1)) + 1.  For d >= 2
-    and n >= 1, x is irrational, so x - k never vanishes at an integer k and
-    the signs that pin k - 1 < x < k are certified by escalating_sign."""
-    if d == 1:
-        return n  # the expression is exactly (n - 1) + 1
-
-    def x():
-        iv = mpmath.iv
-        t = iv.mpf(2) ** (iv.mpf(1) / d)
-        return (iv.mpf(n) - t + 1) / (iv.mpf(d) * (t - 1)) + 1
-
-    t = 2 ** (1 / d)
-    k = math.ceil((n - t + 1) / (d * (t - 1)) + 1)
-    while escalating_sign(lambda: x() - k) > 0:
+    """ceil(x) for x = (n - t + 1) / (d (t - 1)) + 1 and t = 2^(1/d), for
+    n, d >= 1.  As t > 1, x > k at an integer k >= 1 exactly when
+    t < (n + 1 + (k-1) d) / (1 + (k-1) d), that is when
+    2 (1 + (k-1) d)^d < (n + 1 + (k-1) d)^d; so ceil(x) is the first k
+    where this fails."""
+    k = 1
+    while 2 * (1 + (k - 1) * d) ** d < (n + 1 + (k - 1) * d) ** d:
         k += 1
-    while escalating_sign(lambda: x() - (k - 1)) < 0:
-        k -= 1
     return k
 
 

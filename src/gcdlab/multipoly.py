@@ -236,6 +236,36 @@ def _coords(point) -> Sequence:
     return coords if coords is not None else point
 
 
+# Checked by parse_poly before each '*' and '^': the running total of its
+# estimated work, in term products, each weighted by (1 + b // 512)^2 for
+# the bits b of a coefficient operand, a schoolbook cost in units fitted to
+# measured parse times.  Near the bound a parse takes up to about 2.5 s on
+# a 2-core Xeon.
+PARSE_MAX_WORK = 1 << 19
+
+
+def _coefficient_bits(p: MultiPoly) -> int:
+    """The largest floor(log2 |a|) + floor(log2 b) of a coefficient a/b of p."""
+    return max((c.numerator.bit_length() + c.denominator.bit_length() - 2
+                for c in p.terms.values()), default=0)
+
+
+def _product_work(terms_p: int, terms_q: int, bits: int) -> int:
+    return terms_p * terms_q * (1 + bits // 512) ** 2
+
+
+def _power_work(p: MultiPoly, k: int) -> int:
+    """The work of the last squaring of p ** k, of p ** (k // 2) by itself.
+    p ** j has at most min(C(t + j - 1, j), C(nvars + j deg, nvars)) terms,
+    for the t terms of p, and coefficients of about j times the bits of p's
+    plus log2 t."""
+    j, t = k // 2, len(p.terms)
+    if not (j and t):
+        return 0
+    terms = min(math.comb(t + j - 1, j), math.comb(p.nvars + j * p.degree(), p.nvars))
+    return _product_work(terms, terms, j * (_coefficient_bits(p) + (t - 1).bit_length()))
+
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<op>[-+*^()]))"
 )
@@ -270,7 +300,15 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
 
     # shunting-free recursive descent: expr := term (('+'|'-') term)*
     # term := factor ('*' factor)* ; factor := num | var ['^' num] | '(' expr ')' | '-' factor
-    idx = 0
+    idx = work = 0
+
+    def bound_work(cost: int) -> None:
+        nonlocal work
+        work += cost
+        if work > PARSE_MAX_WORK:
+            raise DomainError(f"polynomial work estimated at 2^{math.log2(work):.1f} "
+                              f"term products so far, above the bound of "
+                              f"2^{PARSE_MAX_WORK.bit_length() - 1}")
 
     def peek():
         return items[idx] if idx < len(items) else (None, None)
@@ -282,22 +320,22 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
         return item
 
     def parse_expr() -> MultiPoly:
+        # one sum of all signed terms: a sum taken pairwise copies and checks
+        # the map at every sign, which is cubic in a sum of many variables
         kind, val = peek()
-        negate = False
+        sign = 1
         if kind == "op" and val in "+-":
             take()
-            negate = val == "-"
-        node = parse_term()
-        if negate:
-            node = -node
+            sign = -1 if val == "-" else 1
+        signed = [(sign, parse_term())]
         while True:
             kind, val = peek()
             if kind == "op" and val in "+-":
                 take()
-                rhs = parse_term()
-                node = node - rhs if val == "-" else node + rhs
+                signed.append((-1 if val == "-" else 1, parse_term()))
             else:
-                return node
+                return MultiPoly(n, _accumulate((e, sign * c) for sign, p in signed
+                                                for e, c in p.terms.items()))
 
     def parse_term() -> MultiPoly:
         node = parse_factor()
@@ -305,7 +343,10 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
             kind, val = peek()
             if kind == "op" and val == "*":
                 take()
-                node = node * parse_factor()
+                rhs = parse_factor()
+                bound_work(_product_work(len(node.terms), len(rhs.terms),
+                                         max(map(_coefficient_bits, (node, rhs)))))
+                node = node * rhs
             elif kind in ("num", "var") or (kind == "op" and val == "("):
                 # implicit multiplication like '2x1' is rejected on purpose
                 raise DomainError("missing '*' between factors")
@@ -335,6 +376,7 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
             kind2, exp = take() if idx < len(items) else (None, None)
             if kind2 != "num" or "/" in exp:
                 raise DomainError("exponent must be a nonnegative integer")
+            bound_work(_power_work(base, int(exp)))
             base = base ** int(exp)
         return base
 

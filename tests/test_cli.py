@@ -547,6 +547,31 @@ def test_sharpness_past_the_work_bound_exits_2_at_once(capsys, tmp_path):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "sub, cfg, word",
+    [
+        # 2 (2b + 1)^2 values of up to 2b log2 6 bits each
+        ("unit-eq", {"bound": 100000}, "word operations"),
+        # 18^n tuples, which the estimate never forms
+        ("unit-eq", {"n": 1000000000}, "word operations"),
+        ("unit-eq", {"n": 5}, "word operations"),
+        # took 9.3 s to parse before the bound
+        ("poly-gcd", {"f": "(x1+x2+x3+1)^40", "g": "x2", "nvars": 3}, "term products"),
+        ("poly-gcd", {"f": "x1", "g": "(x1+1)^100000"}, "term products"),
+        # a product of two sums of 800 terms, 640000 term products
+        ("poly-gcd", {"f": "({0})*({0})".format("+".join(f"x{i}" for i in range(1, 801))),
+                      "g": "x1"}, "term products"),
+    ],
+)
+def test_unit_eq_and_polynomials_past_the_work_bound_exit_2_at_once(capsys, tmp_path,
+                                                                    sub, cfg, word):
+    with time_limit(2):
+        start = time.perf_counter()
+        code, _, err = _run_config(capsys, tmp_path, sub, cfg)
+    assert code == 2 and err.startswith("error:") and word in err
+    assert time.perf_counter() - start < 1
+
+
 def _fuzz_strategies():
     st = pytest.importorskip("hypothesis.strategies")
     seqs = st.sampled_from([
@@ -586,11 +611,12 @@ def _fuzz_strategies():
         st.lists(st.integers(-3, 10), max_size=2),
         st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
     )
-    # past the bits bound for every sequence above
+    # past the work bound for every sequence and unit-eq config above
     over = {"lrs-scan": ("N", st.integers(5000, 10**12)),
             "rec1-scan": ("N", st.integers(10**7, 10**12)),
             "example-pk": ("kmax", st.integers(30, 10**9)),
-            "sharpness": ("trials", st.integers(10**4, 10**12))}
+            "sharpness": ("trials", st.integers(10**4, 10**12)),
+            "unit-eq": ("n", st.integers(10**3, 10**12))}
     return st, valid, wrong, over
 
 

@@ -1,7 +1,9 @@
 import csv
 import io
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -934,6 +936,62 @@ def test_unit_equation_degenerate_subsums():
 def test_unit_equation_budget_truncation():
     rep = solve_unit_equation(PlaceSet.of(2, 3, 5), 2, 2, budget=50)
     assert rep.truncated
+
+
+def _unit_equation_oracle(S, n, bound, budget):
+    """solutions, degenerate, truncated and frequencies by Fraction sums over
+    the unscaled box, every proper subset summed by itertools.combinations."""
+    box = [Fraction(1)]
+    for p in S.finite_primes:
+        box = [v * Fraction(p) ** e for v in box for e in range(-bound, bound + 1)]
+    values = sorted({*box, *(-v for v in box)})
+    value_set = set(values)
+    solutions, degenerate = [], []
+    for count, head in enumerate(itertools.product(values, repeat=n)):
+        if count >= budget:
+            break
+        last = 1 - sum(head)
+        if last in value_set:
+            x = (*head, last)
+            vanishes = any(sum(sub) == 0 for size in range(1, n + 1)
+                           for sub in itertools.combinations(x, size))
+            (degenerate if vanishes else solutions).append(x)
+    freq = Counter(c for x in solutions for c in x)
+    return sorted(solutions), sorted(degenerate), len(values) ** n > budget, freq
+
+
+def _unit_equation_summary(rep):
+    return rep.solutions, rep.degenerate, rep.truncated, rep.coordinate_frequency
+
+
+def test_unit_equation_matches_the_fraction_oracle():
+    rng = random.Random(25)
+    for primes in [(), (2,), (3,), (2, 3), (2, 5), (3, 7), (5, 11), (2, 3, 5), (3, 7, 11)] * 5:
+        S = PlaceSet.of(*primes)
+        n, bound = rng.randint(1, 4), rng.randint(1, 2)
+        budget = rng.choice([1, 50, 3000, 20000])
+        assert (_unit_equation_summary(solve_unit_equation(S, n, bound, budget))
+                == _unit_equation_oracle(S, n, bound, budget)), (S, n, bound, budget)
+
+
+@pytest.mark.parametrize("budget, truncated", [(0, True), (-1, True), (2**70, False)])
+def test_unit_equation_budgets_outside_islice_range(budget, truncated):
+    S = PlaceSet.of(2, 3)
+    rep = solve_unit_equation(S, 2, 1, budget)
+    assert _unit_equation_summary(rep) == _unit_equation_oracle(S, 2, 1, budget)
+    assert rep.truncated == truncated
+    assert (rep.solutions == rep.degenerate == []) == truncated
+
+
+def test_proper_subsum_vanishes_matches_combinations():
+    rng = random.Random(11)
+    for _ in range(3000):
+        x = tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 10)))
+        if sum(x) == 0:
+            continue
+        want = any(sum(sub) == 0 for size in range(1, len(x))
+                   for sub in itertools.combinations(x, size))
+        assert harness._proper_subsum_vanishes(x) == want, x
 
 
 def test_spart_log_gcd_within_matches_log_abs_sum():

@@ -453,8 +453,8 @@ def test_constants_examples():
 
 def test_ceil_spart_degree_against_mp_oracle():
     with mpmath.workdps(60):
-        for n in range(1, 9):
-            for d in range(1, 9):
+        for n in range(1, 41):
+            for d in range(1, 13):
                 t = mpmath.mpf(2) ** (mpmath.mpf(1) / d)
                 x = (n - t + 1) / (d * (t - 1)) + 1
                 assert ceil_spart_degree(n, d) == int(mpmath.ceil(x)), (n, d)
