@@ -162,7 +162,7 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)
 def _power_sieve(k: int) -> tuple[tuple[int, int], ...]:
     """The first ceil(24 / bit_length(k)) primes q = 1 (mod k), each with
     (q-1)/k.  A non-power passes the test at one q with probability about

@@ -268,7 +268,7 @@ def cmd_hilbert_verify(args) -> int:
     return EXIT_OK if ok else EXIT_PRECONDITION
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gcdlab",

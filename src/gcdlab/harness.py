@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as igcd, isfinite, log2, sqrt
+from math import ceil, gcd as igcd, isfinite, log2, sqrt
 from sys import float_info
 from typing import NamedTuple
 
@@ -36,7 +36,9 @@ from .hilbert import inequality_constants
 from .logreal import LogReal, escalating_sign, fraction_interval, logreal_sum
 from .lrs import PowerSum, _poly_eval as _int_poly, _zero_structure, compute_S0
 from .multipoly import MultiPoly, _monomial_table, monomials_upto
-from .places import DomainError, Place, PlaceSet, format_rational, support_primes
+from .places import (
+    DomainError, Place, PlaceSet, _refuse_past, format_rational, support_primes,
+)
 from .arith import _split_primes, sqrt_fraction_exact
 
 
@@ -47,10 +49,9 @@ MAX_BITS = 1 << 25
 MAX_KEPT_ROWS = 1 << 20
 
 
-def _bound_work(bits: float, rows: int = 0) -> None:
-    if bits > MAX_BITS or rows > MAX_KEPT_ROWS:
-        raise DomainError(f"work estimated at {bits:.4g} bits of values and {rows} kept rows, "
-                          f"above the bounds of {MAX_BITS} bits and {MAX_KEPT_ROWS} rows")
+def _bound_work(bits: int, rows: int = 0) -> None:
+    _refuse_past(bits, MAX_BITS, "bits of values")
+    _refuse_past(rows, MAX_KEPT_ROWS, "kept rows")
 
 
 # ---------------------------------------------------------------------
@@ -828,8 +829,10 @@ def run_example_pk(p: int = 2, epsilon: Fraction = Fraction(3, 5),
     if LogReal({p: Fraction(1)}).cmp(epsilon) <= 0:
         raise DomainError("epsilon must be smaller than log p")
     # F(p^k) and G(p^k + k) have about p^k log2 p bits, so all k <= kmax
-    # about 4 p^kmax log2 p; p^64 is past the bound already
-    _bound_work(4 * p ** min(kmax, 64) * log2(p))
+    # about 4 p^kmax log2 p; p >= 2, so p^k is past MAX_BITS by
+    # k = MAX_BITS.bit_length() and no larger power is formed
+    k = max(0, min(kmax, MAX_BITS.bit_length()))
+    _bound_work(ceil(4 * p**k * Fraction(log2(p))))
     F, G = pk_sequences(p)
     rows = []
     points = []
@@ -934,10 +937,9 @@ def run_sharpness(p: int = 2, delta: Fraction = Fraction(1, 5), trials: int = 10
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise DomainError("delta must lie in (0, 1)")
-    bits = trials * max(abs(m_start), abs(m_start + trials - 1)) * log2(p) / delta
-    if bits > SHARPNESS_MAX_BITS:
-        raise DomainError(f"work estimated at {bits:.4g} bits of points, "
-                          f"above the bound of {SHARPNESS_MAX_BITS} bits")
+    m_far = max(abs(m_start), abs(m_start + trials - 1))
+    _refuse_past(ceil(trials * m_far * Fraction(log2(p)) / delta), SHARPNESS_MAX_BITS,
+                 "bits of points")
     S = PlaceSet.of(p)
     rows: list[SharpnessRow] = []
     skipped: list[tuple[int, str]] = []
@@ -1128,8 +1130,9 @@ def run_hilbert_verify(seed: int = 0) -> list[VerifyCheck]:
     import random
 
     from .hilbert import (
-        dim_quotient_bruteforce,
+        _monomial_count,
         dim_quotient_formula,
+        graded_ideal_ranks,
         greedy_dominance_violations,
         greedy_monomial_basis,
         multiindex_sum,
@@ -1158,9 +1161,10 @@ def run_hilbert_verify(seed: int = 0) -> list[VerifyCheck]:
             for d2 in (1, 2, 3):
                 for _ in range(HILBERT_PAIRS_PER_CELL):
                     F1, F2 = random_coprime_forms(rng, n + 1, d1, d2)
-                    for l in range(d1 + d2 + 4):
+                    levels = range(d1 + d2 + 4)
+                    for l, rank in zip(levels, graded_ideal_ranks(F1, F2, levels)):
                         count += 1
-                        if dim_quotient_formula(n, l, d1, d2) != dim_quotient_bruteforce(F1, F2, l):
+                        if dim_quotient_formula(n, l, d1, d2) != _monomial_count(n + 1, l) - rank:
                             fail += 1
     checks.append(
         VerifyCheck("quotient dimension formula vs brute-force rank", count, fail)
@@ -1269,9 +1273,7 @@ def solve_unit_equation(S: PlaceSet = PlaceSet.of(2, 3), n: int = 1, bound: int 
     tuples = max(0, budget if truncated else size ** n)
     words = 1 + 2 * bound * sum(p.bit_length() for p in primes) // 64
     work = (size + tuples * (n + 1 + 2 ** min(n + 1, 64))) * words
-    if work > UNIT_EQ_MAX_WORK:
-        raise DomainError(f"unit-eq work estimated at 2^{log2(work):.1f} word operations, "
-                          f"above the bound of 2^{UNIT_EQ_MAX_WORK.bit_length() - 1}")
+    _refuse_past(work, UNIT_EQ_MAX_WORK, "word operations")
     D = 1
     box = [1]
     for p in primes:

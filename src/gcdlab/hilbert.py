@@ -23,6 +23,7 @@ from .multipoly import (
     _integral_terms,
     _monomial_table,
     _multiple_rows,
+    _product_columns,
     monomials_upto,
 )
 from .places import DomainError, Place, log_abs
@@ -44,20 +45,23 @@ _BYTE_RESIDUE = bytes(v % _RANK_PRIME for v in range(256))
 _INVERSE_MOD_P = (0,) + tuple(pow(a, -1, _RANK_PRIME) for a in range(1, _RANK_PRIME))
 
 
-def _packed_multiples(column: dict, F: MultiPoly, multipliers) -> list[int]:
-    """The rows of _multiple_rows reduced mod 13, each packed into one int
-    with column j in its byte j (bits 8j to 8j + 7)."""
-    terms = [(e, c % _RANK_PRIME) for e, c in _integral_terms(F)]
-    terms = [(e, c) for e, c in terms if c]
-    return [
-        sum(c << (column[tuple(map(operator.add, a, e))] << 3) for e, c in terms)
-        for a in multipliers
-    ]
+def _residue_terms(F: MultiPoly) -> list[tuple[tuple[int, ...], int]]:
+    """The nonzero terms of _integral_terms(F) reduced mod 13."""
+    return [(e, c % _RANK_PRIME) for e, c in _integral_terms(F) if c % _RANK_PRIME]
+
+
+def _packed_rows(nvars: int, da: int, db: int, terms) -> list[int]:
+    """The rows x^a * F mod 13 for the degree-da monomials a, in table
+    order, of a degree-db form F with the given residue terms, each packed
+    into one int with column j of the degree-(da + db) table in its byte j
+    (bits 8j to 8j + 7)."""
+    columns = _product_columns(nvars, da, db)
+    return [sum(row) for row in zip(*([c << shift for shift in columns[e]] for e, c in terms))]
 
 
 def _rank_mod_13(rows: list[int], ncols: int, cap: int) -> int:
-    """Rank mod 13 of rows packed by _packed_multiples over ncols columns,
-    or cap as soon as the rank reaches it.
+    """Rank mod 13 of rows packed by _packed_rows over ncols columns, or cap
+    as soon as the rank reaches it.
 
     Byte-slot invariant: between steps every byte of every row holds a
     residue 0..12.  A step w + (13 - e) * pivot, with e the leading byte of
@@ -117,8 +121,16 @@ def dim_quotient_formula(n: int, l: int, d1: int, d2: int) -> int:
 
 def graded_ideal_rank(F1: MultiPoly, F2: MultiPoly, l: int) -> int:
     """Exact dim of the degree-l piece of the ideal (F1, F2) for nonzero
-    forms F1, F2 in the same variables: the rank over Q of the matrix of
-    all monomial multiples, proven by two bounds that meet.
+    forms F1, F2 in the same variables; see graded_ideal_ranks."""
+    return graded_ideal_ranks(F1, F2, (l,))[0]
+
+
+def graded_ideal_ranks(F1: MultiPoly, F2: MultiPoly, levels) -> list[int]:
+    """Exact dims of the degree-l pieces of the ideal (F1, F2), for l in
+    levels, of nonzero forms F1, F2 in the same variables: each the rank
+    over Q of the matrix of all degree-l monomial multiples, proven by two
+    bounds that meet.  The pair is checked, reduced mod 13 and given its
+    leading-monomial order once for all levels.
 
     Upper bound: for each monomial q of degree l - d1 - d2 the Koszul
     relation (q F2) F1 - (q F1) F2 = 0 is a left-kernel vector of that
@@ -131,26 +143,31 @@ def graded_ideal_rank(F1: MultiPoly, F2: MultiPoly, l: int) -> int:
        monomial order are independent, since they form a triangular
        matrix.  The distinct ones are the degree-l monomials divisible by
        LM(F1) or LM(F2), b(l - d1) + b(l - d2) - b(l - D) of them with
-       D = deg lcm(LM(F1), LM(F2)), counted for each order of
-       _leading_lcm_degrees without building a row;
+       D = deg lcm(LM(F1), LM(F2)), counted without building a row.  b is
+       nondecreasing for nvars >= 1, so the order of _leading_lcm_degrees
+       with the largest D gives the most at every level (nvars = 0 has
+       one order);
     2. the rank mod 13 of the packed rows: an r x r minor nonzero mod 13
        is nonzero over Z, so the rank mod 13 is at most the rank over Q;
     3. otherwise the integer matrix is eliminated exactly by int_rank."""
     nvars = _check_form_pair(F1, F2)
     d1, d2 = F1.degree(), F2.degree()
+    D = max(_leading_lcm_degrees(F1, F2))
+    residues = ((d1, _residue_terms(F1)), (d2, _residue_terms(F2)))
 
     def b(k: int) -> int:
         return _monomial_count(nvars, k)
 
-    bound = min(b(l), b(l - d1) + b(l - d2) - b(l - d1 - d2))
-    # the leading monomials number at least bound iff b(l - D) <= slack
-    slack = b(l - d1) + b(l - d2) - bound
-    if any(b(l - D) <= slack for D in _leading_lcm_degrees(F1, F2)):
-        return bound
-    packed = _graded_multiple_rows(F1, F2, l, _packed_multiples)
-    if _rank_mod_13(packed, b(l), bound) == bound:
-        return bound
-    return int_rank(_graded_multiple_rows(F1, F2, l))
+    ranks = []
+    for l in levels:
+        bound = min(b(l), b(l - d1) + b(l - d2) - b(l - d1 - d2))
+        # the leading monomials number at least bound iff b(l - D) <= slack
+        if b(l - D) > b(l - d1) + b(l - d2) - bound:
+            packed = [row for d, terms in residues for row in _packed_rows(nvars, l - d, d, terms)]
+            if _rank_mod_13(packed, b(l), bound) < bound:
+                bound = int_rank(_graded_multiple_rows(F1, F2, l))
+        ranks.append(bound)
+    return ranks
 
 
 def _leading_lcm_degrees(F1: MultiPoly, F2: MultiPoly):
@@ -160,7 +177,8 @@ def _leading_lcm_degrees(F1: MultiPoly, F2: MultiPoly):
     the tuple.  Each is a total order with a < b => a + c < b + c, so
     LM(x^a F) = x^a LM(F) for the leading monomial LM, taken as the
     smallest term (as in _rank_mod_13, whose lowest column is the
-    lex-smallest tuple)."""
+    lex-smallest tuple).  graded_ideal_ranks takes the largest, once per
+    pair."""
     t1, t2 = F1.terms, F2.terms
     yield sum(map(max, min(t1), min(t2)))
     c1, c2 = list(zip(*t1)), list(zip(*t2))
@@ -191,15 +209,15 @@ def _check_form_pair(F1: MultiPoly, F2: MultiPoly) -> int:
     return F1.nvars
 
 
-def _graded_multiple_rows(F1: MultiPoly, F2: MultiPoly, l: int, build=_multiple_rows) -> list:
-    """Rows of the degree-l monomial multiples of F1, then of F2, as build
-    makes them: sparse {column: int} dicts by default."""
+def _graded_multiple_rows(F1: MultiPoly, F2: MultiPoly, l: int) -> list[dict[int, int]]:
+    """Rows of the degree-l monomial multiples of F1, then of F2, as sparse
+    {column: int} dicts."""
     nvars = F1.nvars
     column = _monomial_table(nvars, l)[1]
     return [
         row
         for F in (F1, F2)
-        for row in build(column, F, _monomial_table(nvars, l - F.degree())[0])
+        for row in _multiple_rows(column, F, _monomial_table(nvars, l - F.degree())[0])
     ]
 
 

@@ -146,13 +146,15 @@ class PowerSum:
                 bn *= b
         return [v.numerator if v.denominator == 1 else v for v in out]
 
-    def value_bits(self, n: int) -> float:
+    def value_bits(self, n: int) -> int:
         """Estimated bits of the largest numerator or denominator of a value
-        at an index up to n, from the sizes of the roots and coefficients."""
-        def lg(q: Fraction) -> float:
-            return math.log2(max(abs(q.numerator), q.denominator))
-        return max((n * lg(r) + max(map(lg, cs)) + (len(cs) - 1) * n.bit_length()
-                    for cs, r in self.terms), default=0.0)
+        at an index up to n, from the sizes of the roots and coefficients,
+        rounded up.  The float log2 of a size is taken as an exact Fraction,
+        so an n of any size multiplies it without overflow."""
+        def lg(q: Fraction) -> Fraction:
+            return Fraction(math.log2(max(abs(q.numerator), q.denominator)))
+        return max((math.ceil(n * lg(r) + max(map(lg, cs))) + (len(cs) - 1) * n.bit_length()
+                    for cs, r in self.terms), default=0)
 
     def __add__(self, other: "PowerSum") -> "PowerSum":
         return PowerSum(list(self.terms) + list(other.terms))
@@ -168,16 +170,6 @@ class PowerSum:
             ((r1 * r2, i + j), c1 * c2)
             for cs1, r1 in self.terms for i, c1 in enumerate(cs1)
             for cs2, r2 in other.terms for j, c2 in enumerate(cs2)
-        )
-
-    def compose_ap(self, a: int, b: int) -> "PowerSum":
-        """The sequence t -> self(a*t + b): each c * n^j * root^n becomes
-        sum_k c * C(j, k) * a^k * b^(j-k) * root^b * t^k * (root^a)^t."""
-        if a < 1 or b < 0:
-            raise DomainError("need a >= 1 and b >= 0")
-        return PowerSum._of_pairs(
-            ((root**a, k), c * math.comb(j, k) * a**k * b ** (j - k) * root**b)
-            for cs, root in self.terms for j, c in enumerate(cs) for k in range(j + 1)
         )
 
     def is_degenerate(self) -> bool:
@@ -500,15 +492,6 @@ def to_laurent(F: PowerSum, group: RootGroup) -> LaurentPoly:
     })
 
 
-def laurent_identity_holds(F: PowerSum, group: RootGroup, upto: int = 5) -> bool:
-    f = to_laurent(F, group)
-    for n in range(upto + 1):
-        point = [Fraction(n)] + [Fraction(g) ** n for g in group.generators]
-        if f.eval(point) != F.eval(n):
-            return False
-    return True
-
-
 def lrs_coprime(F: PowerSum, G: PowerSum) -> bool:
     """Coprimality of the Laurent polynomials attached to F and G over the
     combined root group.  A group with torsion (some ratio of roots is -1)
@@ -533,21 +516,3 @@ def monomial_height(group: RootGroup, exponents: Sequence[int]) -> LogReal:
     for g, e in zip(group.generators, exponents):
         val *= Fraction(g) ** int(e)
     return height(val)
-
-
-def empirical_height_ratio(group: RootGroup, bound: int):
-    """min over 0 != |i|_inf <= bound of h(u^i) / max|i_j|, as an exact pair
-    (height, scale) minimizing height/scale, plus the witness exponent."""
-    import itertools as it
-
-    if group.rank == 0:
-        raise DomainError("rank-0 group has no nontrivial monomials")
-    best = None  # (h, scale, exps)
-    for exps in it.product(range(-bound, bound + 1), repeat=group.rank):
-        if all(e == 0 for e in exps):
-            continue
-        h = monomial_height(group, exps)
-        scale = max(abs(e) for e in exps)
-        if best is None or (h * best[1] - best[0] * scale).sign() < 0:
-            best = (h, scale, exps)
-    return best

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .linalg import LinearSpan, _accumulate
-from .places import DomainError, parse_rational
+from .places import DomainError, _refuse_past, parse_rational
 
 
 def _grlex_key(e: tuple[int, ...]) -> tuple:
@@ -224,12 +224,6 @@ class MultiPoly(_SparsePoly):
             out[(d - sum(e),) + e] = c
         return MultiPoly(self.nvars + 1, out)
 
-    def dehomogenize(self) -> "MultiPoly":
-        """Set the first variable to 1."""
-        return MultiPoly(
-            self.nvars - 1, _accumulate((e[1:], c) for e, c in self.terms.items())
-        )
-
 
 def _coords(point) -> Sequence:
     coords = getattr(point, "coords", None)
@@ -305,10 +299,7 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
     def bound_work(cost: int) -> None:
         nonlocal work
         work += cost
-        if work > PARSE_MAX_WORK:
-            raise DomainError(f"polynomial work estimated at 2^{math.log2(work):.1f} "
-                              f"term products so far, above the bound of "
-                              f"2^{PARSE_MAX_WORK.bit_length() - 1}")
+        _refuse_past(work, PARSE_MAX_WORK, "term products")
 
     def peek():
         return items[idx] if idx < len(items) else (None, None)
@@ -409,6 +400,20 @@ def _monomial_table(nvars: int, degree: int) -> tuple[tuple, dict[tuple[int, ...
             for bars in itertools.combinations(range(slots), nvars - 1)
         )
     return monomials, _column_index(monomials)
+
+
+@functools.lru_cache(maxsize=256)
+def _product_columns(nvars: int, da: int, db: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """For each degree-db monomial e, the bit offsets 8 * column of a + e in
+    the degree-(da + db) table, for every a in the degree-da table in
+    order: where a term at e lands in each packed row x^a * F.  Built once
+    per (nvars, da, db) and shared between callers: not to be mutated."""
+    multipliers = _monomial_table(nvars, da)[0]
+    column = _monomial_table(nvars, da + db)[1]
+    return {
+        e: tuple(column[tuple(map(operator.add, a, e))] << 3 for a in multipliers)
+        for e in _monomial_table(nvars, db)[0]
+    }
 
 
 def monomials_upto(nvars: int, m: int) -> list[tuple[int, ...]]:
@@ -643,10 +648,6 @@ class LaurentPoly(_SparsePoly):
 
     __slots__ = ()
     _negative_exponents = True
-
-    @staticmethod
-    def from_poly(p: MultiPoly) -> "LaurentPoly":
-        return LaurentPoly(p.nvars, dict(p.terms))
 
     def normalize(self) -> tuple[tuple[int, ...], MultiPoly]:
         """Unique factorization monomial * f0 with f0 a polynomial divisible

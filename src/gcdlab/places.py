@@ -17,6 +17,15 @@ class DomainError(ValueError):
     """An operation was applied outside its mathematical domain."""
 
 
+def _refuse_past(estimate: int, cap: int, what: str) -> None:
+    """DomainError when a work estimate, an int in units of what, exceeds
+    its cap, a power of 2.  Estimates stay ints, so no input size, however
+    large, overflows a float on the way here."""
+    if estimate > cap:
+        raise DomainError(f"work estimated at 2^{estimate.bit_length() - 1} {what} or more, "
+                          f"above the bound of 2^{cap.bit_length() - 1}")
+
+
 @dataclass(frozen=True, order=True)
 class Place:
     """A place of Q: ``prime`` is None for the archimedean place."""

@@ -572,6 +572,25 @@ def test_unit_eq_and_polynomials_past_the_work_bound_exit_2_at_once(capsys, tmp_
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize(
+    "sub, cfg",
+    [
+        ("sharpness", {"trials": 10**400}),
+        ("sharpness", {"m_start": 10**400}),
+        ("rec1-scan", {"F": F_PK, "N": 10**400}),
+        ("lrs-scan", {"F": F_PK, "G": G_PK, "N": 10**400}),
+        # p^64 overflows a float at this valid prime
+        ("example-pk", {"p": 1000003, "kmax": 64}),
+    ],
+)
+def test_sizes_past_a_float_exit_2_at_once(capsys, tmp_path, sub, cfg):
+    with time_limit(2):
+        start = time.perf_counter()
+        code, _, err = _run_config(capsys, tmp_path, sub, cfg)
+    assert code == 2 and err.startswith("error:") and "work estimated at 2^" in err
+    assert time.perf_counter() - start < 1
+
+
 def _fuzz_strategies():
     st = pytest.importorskip("hypothesis.strategies")
     seqs = st.sampled_from([
@@ -611,12 +630,17 @@ def _fuzz_strategies():
         st.lists(st.integers(-3, 10), max_size=2),
         st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
     )
-    # past the work bound for every sequence and unit-eq config above
-    over = {"lrs-scan": ("N", st.integers(5000, 10**12)),
-            "rec1-scan": ("N", st.integers(10**7, 10**12)),
-            "example-pk": ("kmax", st.integers(30, 10**9)),
-            "sharpness": ("trials", st.integers(10**4, 10**12)),
-            "unit-eq": ("n", st.integers(10**3, 10**12))}
+    # past the work bound for every sequence and unit-eq config above, some
+    # far past a float
+    def past(key, low, high):
+        return st.one_of(st.just({key: 10**400}), st.fixed_dictionaries({key: st.integers(low, high)}))
+
+    over = {"lrs-scan": past("N", 5000, 10**12),
+            "rec1-scan": past("N", 10**7, 10**12),
+            "example-pk": st.one_of(st.sampled_from([{"kmax": 10**400}, {"p": 1000003, "kmax": 64}]),
+                                    st.fixed_dictionaries({"kmax": st.integers(30, 10**9)})),
+            "sharpness": st.one_of(past("trials", 10**4, 10**12), st.just({"m_start": 10**400})),
+            "unit-eq": past("n", 10**3, 10**12)}
     return st, valid, wrong, over
 
 
@@ -639,8 +663,7 @@ def test_fuzzed_configs_exit_with_a_documented_code(capsys, tmp_path, sub):
         elif kind == "shape":
             cfg = data.draw(st.sampled_from([[cfg], "cfg", 3, None]))
         elif kind == "size" and sub in over:
-            key, size = over[sub]
-            cfg = {**cfg, key: data.draw(size)}
+            cfg = {**cfg, **data.draw(over[sub])}
         with time_limit(5):
             start = time.perf_counter()
             code, _, err = _run_config(capsys, tmp_path, sub, cfg)

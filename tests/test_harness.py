@@ -50,6 +50,34 @@ def test_scan_pk_small_grid():
     assert rep.sporadic == []
 
 
+@pytest.mark.parametrize("run", [
+    lambda F, G: run_sharpness(trials=10**400),
+    lambda F, G: run_sharpness(m_start=10**400),
+    lambda F, G: run_sharpness(m_start=-10**400, trials=1),
+    lambda F, G: run_rec1_scan(G, N=10**400),
+    lambda F, G: run_lrs_scan(ScanConfig(F, G, N=10**400)),
+    lambda F, G: run_example_pk(p=1000003, kmax=64),
+    lambda F, G: run_example_pk(p=2, kmax=10**400),
+])
+def test_work_estimates_past_a_float_raise_domain_error(run):
+    """The work estimates are ints: sizes no float holds are refused by
+    their bound, not crashed on with an OverflowError."""
+    F, G = pk_sequences(2)
+    with time_limit(2), pytest.raises(DomainError, match="work estimated at 2"):
+        run(F, G)
+
+
+def test_value_bits_rounds_the_float_estimate_up():
+    for F in (*pk_sequences(3), PowerSum.of(([1, 2], Fraction(1, 3)), ([5], -1))):
+        for n in (0, 1, 7, 100, 12345):
+            lg = [math.log2(max(abs(r.numerator), r.denominator)) for _, r in F.terms]
+            assert isinstance(F.value_bits(n), int)
+            assert 0 <= F.value_bits(n) - max(
+                n * lg[i] + max(math.log2(max(abs(c.numerator), c.denominator)) for c in cs)
+                + (len(cs) - 1) * n.bit_length() for i, (cs, _) in enumerate(F.terms)) < 1
+    assert PowerSum.geometric(2).value_bits(10**400) == 10**400
+
+
 def test_scan_row_partition_and_height_bound():
     F, G = pk_sequences(2)
     rep = run_lrs_scan(ScanConfig(F, G, Fraction(3, 5), 12))

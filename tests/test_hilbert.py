@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -8,7 +9,7 @@ import mpmath
 import pytest
 
 from gcdlab import hilbert
-from gcdlab.harness import random_coprime_forms, random_form
+from gcdlab.harness import random_coprime_forms, random_form, run_hilbert_verify
 from gcdlab.heights import TorusPoint
 from gcdlab.hilbert import (
     ceil_spart_degree,
@@ -32,7 +33,7 @@ from gcdlab.hilbert import (
     veronese_rank,
 )
 from gcdlab.logreal import LogReal
-from gcdlab.multipoly import MultiPoly, parse_poly
+from gcdlab.multipoly import MultiPoly, _monomial_table, parse_poly
 from gcdlab.places import DomainError, Place, log_abs
 
 
@@ -145,14 +146,9 @@ def _sympy_rank_mod_13(vectors, column):
     return DomainMatrix(entries, (len(vectors), len(column)), GF13).rank()
 
 
-def test_graded_rank_matches_sympy_on_all_three_paths(monkeypatch):
-    """graded_ideal_rank equals sympy's rank, whether the rank mod 13 meets
-    the Koszul bound, falls short of it because 13 divides a minor, or falls
-    short because the forms share a factor; some input has its rank and its
-    rank mod 13 both one below the bound, so a rank taken as the bound from
-    a rank mod 13 within 1 of it shows.  Each of the three certificates
-    (leading monomials, rank mod 13, int_rank) settles some input, and the
-    leading monomials settle one that the plain tuple order alone does not."""
+def _count_rank_routes(monkeypatch) -> dict[str, int]:
+    """Counts of the calls that graded ranks make to _rank_mod_13 and
+    int_rank through hilbert's module globals, from here on."""
     calls = {"_rank_mod_13": 0, "int_rank": 0}
 
     def counted(name):
@@ -166,6 +162,18 @@ def test_graded_rank_matches_sympy_on_all_three_paths(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(hilbert, name, counted(name))
+    return calls
+
+
+def test_graded_rank_matches_sympy_on_all_three_paths(monkeypatch):
+    """graded_ideal_rank equals sympy's rank, whether the rank mod 13 meets
+    the Koszul bound, falls short of it because 13 divides a minor, or falls
+    short because the forms share a factor; some input has its rank and its
+    rank mod 13 both one below the bound, so a rank taken as the bound from
+    a rank mod 13 within 1 of it shows.  Each of the three certificates
+    (leading monomials, rank mod 13, int_rank) settles some input, and the
+    leading monomials settle one that the plain tuple order alone does not."""
+    calls = _count_rank_routes(monkeypatch)
     seen = set()
     for F1, F2 in _graded_rank_cases():
         nvars, d1, d2 = F1.nvars, F1.degree(), F2.degree()
@@ -230,6 +238,73 @@ def test_rank_mod_13_matches_sympy_on_packed_rows():
         assert hilbert._rank_mod_13(packed, ncols, 1) == min(want, 1)
 
 
+def test_graded_ideal_ranks_match_per_level_ranks_and_sympy():
+    """One graded_ideal_ranks call over all levels equals graded_ideal_rank
+    level by level and sympy's rank: on the three-path cases, on pairs in
+    one variable (monomials, which share x1 unless one is constant), and on
+    levels out of order, repeated, negative or below both degrees."""
+    pairs = _graded_rank_cases() + [
+        (parse_poly("2*x1^2", nvars=1), parse_poly("x1", nvars=1)),
+        (parse_poly("13*x1^3", nvars=1), parse_poly("x1^2", nvars=1)),
+        (parse_poly("3", nvars=1), parse_poly("x1", nvars=1)),
+    ]
+    for F1, F2 in pairs:
+        nvars, d1, d2 = F1.nvars, F1.degree(), F2.degree()
+        levels = [l for l in range(d1 + d2 + 3) if comb(l + nvars - 1, l) <= 40]
+        levels += [-2, min(d1, d2) - 1, 0, levels[-1]]
+        ranks = hilbert.graded_ideal_ranks(F1, F2, levels)
+        assert ranks == [graded_ideal_rank(F1, F2, l) for l in levels], (F1, F2)
+        for l, rank in zip(levels, ranks):
+            column = {e: j for j, e in enumerate(_exponents(nvars, [l]))}
+            rows = [t for F in (F1, F2) for t in _multiples(nvars, F, [l - F.degree()])]
+            assert rank == _sympy_rank(rows, column), (F1, F2, l)
+        assert ranks[-3] == 0
+
+
+def _per_term_packed_rows(nvars, da, db, terms):
+    """The packing that product columns replaced, as the oracle: row x^a * F
+    holds the residue of each term at e in byte column[a + e]."""
+    column = _monomial_table(nvars, da + db)[1]
+    return [sum(c << (column[tuple(map(operator.add, a, e))] << 3) for e, c in terms)
+            for a in _monomial_table(nvars, da)[0]]
+
+
+def test_product_column_packing_matches_per_term_packing():
+    rng = random.Random(73)
+    for nvars in (1, 2, 3, 4):
+        for _ in range(25):
+            da, db = rng.randint(-1, 4), rng.randint(0, 3)
+            monos = _monomial_table(nvars, db)[0]
+            F = MultiPoly(nvars, {
+                e: Fraction(rng.choice([1, -1, 12, 13, 26, rng.randint(-40, 40) or 1]),
+                            rng.choice([1, 1, 2, 13]))
+                for e in rng.sample(monos, rng.randint(1, len(monos)))
+            })
+            terms = hilbert._residue_terms(F)
+            want = _per_term_packed_rows(nvars, da, db, terms)
+            if not terms:
+                want = []   # a form that vanishes mod 13 packs no row
+            assert hilbert._packed_rows(nvars, da, db, terms) == want, (F, da)
+
+
+def test_hilbert_verify_rank_routes_are_pinned(monkeypatch):
+    """hilbert-verify seeds 0-3 rank 4320 levels, 1671 of them past the
+    leading-monomial count and 35 past the rank mod 13 as well: an order
+    choice that settles a different set of ranks shows here."""
+    calls = _count_rank_routes(monkeypatch)
+    levels = []
+    inner = hilbert.graded_ideal_ranks
+
+    def counted(F1, F2, ls):
+        levels.extend(ls)
+        return inner(F1, F2, ls)
+
+    monkeypatch.setattr(hilbert, "graded_ideal_ranks", counted)
+    for seed in range(4):
+        run_hilbert_verify(seed)
+    assert (len(levels), calls["_rank_mod_13"], calls["int_rank"]) == (4320, 1671, 35)
+
+
 def test_quotient_monomial_basis():
     F1 = parse_poly("x1", nvars=3)
     F2 = parse_poly("x2", nvars=3)
@@ -261,7 +336,7 @@ def test_truncated_ideal_dimension_identity():
 
     for _ in range(10):
         F1, F2 = random_coprime_forms(rng, 3, rng.randint(1, 2), rng.randint(1, 2))
-        f, g = F1.dehomogenize(), F2.dehomogenize()
+        f, g = _dehomogenize(F1), _dehomogenize(F2)
         if f.is_zero or g.is_zero or f.is_constant() or g.is_constant():
             continue
         m = max(f.degree(), g.degree()) + rng.randint(0, 2)
@@ -284,7 +359,7 @@ def test_affine_truncation_matches_projective_formula():
     done = 0
     while done < 8:
         F1, F2 = random_coprime_forms(rng, 3, rng.randint(1, 2), rng.randint(1, 2))
-        f, g = F1.dehomogenize(), F2.dehomogenize()
+        f, g = _dehomogenize(F1), _dehomogenize(F2)
         if f.is_zero or g.is_zero or f.is_constant() or g.is_constant():
             continue
         if f.degree() != F1.degree() or g.degree() != F2.degree():
@@ -521,7 +596,7 @@ def test_quotient_bound_for_n_at_least_2():
         n = 2
         d1, d2 = sorted((rng.randint(1, 2), rng.randint(1, 2)), reverse=True)
         F1, F2 = random_coprime_forms(rng, n + 1, d1, d2)
-        f, g = F1.dehomogenize(), F2.dehomogenize()
+        f, g = _dehomogenize(F1), _dehomogenize(F2)
         if f.degree() != d1 or g.degree() != d2 or not coprime(f, g):
             continue
         m = d1 * n + rng.randint(0, 2)
@@ -545,6 +620,14 @@ def _sympy_rank(vectors, column):
         if row:
             entries[i] = row
     return DomainMatrix(entries, (len(vectors), len(column)), QQ).rank()
+
+
+def _dehomogenize(F):
+    """F with its first variable set to 1."""
+    out = {}
+    for e, c in F.terms.items():
+        out[e[1:]] = out.get(e[1:], 0) + c
+    return MultiPoly(F.nvars - 1, out)
 
 
 def _exponents(nvars, degrees):

@@ -8,9 +8,7 @@ from gcdlab.lrs import (
     PowerSum,
     _rational_roots,
     compute_S0,
-    empirical_height_ratio,
     from_recurrence,
-    laurent_identity_holds,
     lrs_coprime,
     monomial_height,
     multiplicative_independence,
@@ -94,9 +92,8 @@ def test_power_sum_terms_are_canonical():
     F = PowerSum.of(([1], 2), ([1], -2))
     assert (F * PowerSum.of(([1], 2), ([-1], -2))).is_zero  # 4^n - 4^n
     assert (F - F).terms == ()
-    assert PowerSum.of(([0, 1], 2)).compose_ap(2, 0).terms == terms(([0, 2], 4))
     assert PowerSum.of(([Fraction(1, 2), 3], 1)).terms == terms(([Fraction(1, 2), 3], 1))
-    for G in (F * F, F.compose_ap(3, 2), PowerSum.of(([2, 1], 3))):
+    for G in (F * F, PowerSum.of(([2, 1], 3))):
         for cs, root in G.terms:
             assert type(root) is Fraction and all(type(c) is Fraction for c in cs)
             assert cs and cs[-1] != 0
@@ -115,24 +112,6 @@ def test_ring_homomorphism_random():
         for n in range(0, 25):
             assert (F + G).eval(n) == F.eval(n) + G.eval(n)
             assert (F * G).eval(n) == F.eval(n) * G.eval(n)
-
-
-def test_compose_ap_examples():
-    assert PowerSum.geometric(2).compose_ap(2, 1) == PowerSum.of(([2], 4))
-    F = PowerSum.of(([0, 1], 2))
-    for t in range(10):
-        assert F.compose_ap(2, 1).eval(t) == F.eval(2 * t + 1)
-    assert F.compose_ap(1, 0) == F
-
-
-def test_compose_ap_random():
-    rng = random.Random(62)
-    for _ in range(20):
-        F = rand_power_sum(rng)
-        a, b = rng.randint(1, 4), rng.randint(0, 5)
-        H = F.compose_ap(a, b)
-        for t in range(0, 31, 3):
-            assert H.eval(t) == F.eval(a * t + b)
 
 
 def test_degeneracy():
@@ -331,6 +310,7 @@ def test_to_laurent_examples():
 
 
 def test_to_laurent_identity():
+    """F(n) = f(n, g_1^n, ..., g_r^n) for f = to_laurent(F, group)."""
     rng = random.Random(64)
     done = 0
     while done < 15:
@@ -340,7 +320,9 @@ def test_to_laurent_identity():
         rg = root_group(F.roots)
         if rg.has_torsion:
             continue
-        assert laurent_identity_holds(F, rg, upto=20)
+        f = to_laurent(F, rg)
+        for n in range(21):
+            assert f.eval([Fraction(n)] + [Fraction(g) ** n for g in rg.generators]) == F.eval(n)
         done += 1
 
 
@@ -360,20 +342,6 @@ def test_monomial_height_examples():
     rg = root_group([Fraction(2), Fraction(3)])
     assert monomial_height(root_group([Fraction(2)]), [5]) == LogReal({2: 5})
     assert monomial_height(rg, [1, -1]) == LogReal({3: 1})
-    best = empirical_height_ratio(rg, 3)
-    assert best[0].sign() > 0
-
-
-def test_empirical_ratio_nonincreasing_in_box():
-    rg = root_group([Fraction(2), Fraction(3)])
-    prev = None
-    for bound in (1, 2, 3, 4):
-        h, scale, _ = empirical_height_ratio(rg, bound)
-        if prev is not None:
-            ph, ps = prev
-            # h/scale <= ph/ps as exact sign
-            assert (h * ps - ph * scale).sign() <= 0
-        prev = (h, scale)
 
 
 def test_from_recurrence():
