@@ -400,6 +400,8 @@ def run_lrs_scan(cfg: ScanConfig) -> ScanReport:
     N = cfg.N
     _bound_work((N + 1) * (cfg.F.value_bits(N) + cfg.G.value_bits(N)),
                 (N if cfg.mode == "diagonal" else N * N) if cfg.keep_rows else 0)
+    # _cluster_flagged lists and sorts every line a*m = b*n, 1 <= a, b <= tube_max_ab
+    _refuse_past(max(cfg.tube_max_ab, 0) ** 2, MAX_KEPT_ROWS, "candidate lines")
     S0 = compute_S0(cfg.F.roots, cfg.G.roots)
     S_used = S0.union(cfg.extra_S)
     s_primes = S_used.finite_primes
@@ -568,6 +570,20 @@ class SampleConfig:
             raise DomainError("S must contain the archimedean place")
         if self.f.nvars != self.g.nvars:
             raise DomainError("f and g must share their variables")
+        # the bits of the values a run builds, estimated before any: about
+        # n^2 (d + 1) for the line directions of coprime and the binomials
+        # of inequality_constants, in n variables at degree d; then for each
+        # sample n coordinates of about E sum log2 p + 2 log2 B bits, for
+        # the generator exponent bound E and the perturbation bound B, the
+        # values of f and g at them, about n d times as many, and the B^2
+        # perturbation choices of about 2 log2 B bits each.  A draw the
+        # almost-unit filter rejects is redrawn, up to SAMPLE_RETRIES times,
+        # and not counted.
+        n, d = self.f.nvars, max(1, self.f.degree(), self.g.degree())
+        B = max(0, self.perturbation_bound)
+        coordinate = (1 + abs(self.generator_exponent_bound)
+                      * sum(p.bit_length() for p in self.S.finite_primes) + 2 * B.bit_length())
+        _bound_work(n * n * (d + 1) + self.count * (n * d * coordinate + 2 * B * B * B.bit_length()))
         if not coprime(self.f, self.g):
             raise DomainError("f and g must be coprime")
 

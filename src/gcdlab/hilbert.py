@@ -322,7 +322,8 @@ def truncated_ideal(f: MultiPoly, g: MultiPoly, m: int) -> TruncatedIdeal:
 class GreedyBasis:
     """Quotient basis of monomials chosen greedily by increasing |u^i|_v,
     ties broken graded-lex; supports exact reduction of any monomial to the
-    chosen basis modulo the ideal."""
+    chosen basis modulo the ideal.  Keeps log|u^e|_v of every monomial of
+    the ideal's space, computed once when the basis is chosen."""
 
     place: Place
     point: TorusPoint
@@ -330,19 +331,25 @@ class GreedyBasis:
     ideal: TruncatedIdeal
     _span: LinearSpan = field(repr=False)
     _logs: list[LogReal] = field(repr=False)
+    _mono_logs: dict[tuple[int, ...], LogReal] = field(repr=False)
 
     def monomial_log(self, e) -> LogReal:
         return _monomial_log(self._logs, e)
 
+    def _reduced_tag(self, e) -> tuple[dict[int, int], int]:
+        """(w, s): w / s is the tag of x^e reduced to the basis, sparse and
+        keyed by ncols + j for the j-th basis monomial; DomainError if a
+        residual is left."""
+        w, s = self._span.reduce_sparse({self.ideal.column[tuple(e)]: 1})
+        if min(w, default=self._span.ncols) < self._span.ncols:
+            raise DomainError("monomial independent of ideal + basis")
+        return w, s
+
     def reduce_monomial(self, e) -> dict[tuple[int, ...], Fraction]:
         """Coefficients c with x^e == sum c_j x^(i_j) modulo the ideal."""
-        T = self.ideal
-        residual, tag = self._span.reduce({T.column[tuple(e)]: 1})
-        if any(residual):
-            raise DomainError("monomial independent of ideal + basis")
-        return {
-            self.monomials[j]: -tag[j] for j in range(len(self.monomials)) if tag[j]
-        }
+        w, s = self._reduced_tag(e)
+        ncols = self._span.ncols
+        return {self.monomials[j - ncols]: Fraction(-x, s) for j, x in sorted(w.items())}
 
 
 def _monomial_log(logs: list[LogReal], exponents) -> LogReal:
@@ -412,21 +419,43 @@ def greedy_monomial_basis(T: TruncatedIdeal, u: TorusPoint, v: Place) -> GreedyB
             chosen.append(e)
     if len(chosen) != T.Nprime:
         raise ArithmeticError("quotient basis construction failed")
-    return GreedyBasis(v, u, chosen, T, span, logs)
+    return GreedyBasis(v, u, chosen, T, span, logs, mono_logs)
 
 
 def greedy_dominance_violations(gb: GreedyBasis):
     """Monomials of degree <= m outside the basis whose reduction uses a
-    basis monomial of strictly larger |u^.|_v.  Always empty for a correctly
-    built greedy basis; returned for auditing."""
+    basis monomial of strictly larger |u^.|_v, as (monomial, basis
+    monomial) pairs in monomial order, then basis order.  Always empty for
+    a correctly built greedy basis; returned for auditing.
+
+    The support of each reduction is read off the span's sparse integral
+    tag; the logs are those greedy_monomial_basis kept, each with its
+    float_enclosure taken once.  Two logs whose enclosure midpoints lie
+    further apart than both radii plus the rounding slack of
+    LogReal._filter_sign are ordered by the midpoints; otherwise
+    (overlapping enclosures, exact ties, or a log without an enclosure) by
+    the exact LogReal sign."""
+    ncols = gb._span.ncols
+    logs = gb._mono_logs
+    enclosures = {e: lg.float_enclosure() for e, lg in logs.items()}
+    basis = set(gb.monomials)
+
+    def larger(mono, e) -> bool:
+        a, b = enclosures[mono], enclosures[e]
+        if a is not None and b is not None:
+            gap = a[0] - b[0]
+            if abs(gap) > a[1] + b[1] + 1e-12 * (abs(b[0]) + 1.0):
+                return gap > 0
+        return (logs[mono] - logs[e]).sign() > 0
+
     out = []
-    basis_logs = {mono: gb.monomial_log(mono) for mono in gb.monomials}
     for e in gb.ideal.monomials:
-        if e in basis_logs:
+        if e in basis:
             continue
-        target = gb.monomial_log(e)
-        for mono, coeff in gb.reduce_monomial(e).items():
-            if coeff and (basis_logs[mono] - target).sign() > 0:
+        w, _ = gb._reduced_tag(e)
+        for j in sorted(w):
+            mono = gb.monomials[j - ncols]
+            if larger(mono, e):
                 out.append((e, mono))
     return out
 

@@ -138,10 +138,16 @@ class LinearSpan:
                     s //= g
         return w, s
 
-    def reduce(self, vector: Vector, tag: Vector | None = None):
+    def reduce_sparse(self, vector: Vector, tag: Vector | None = None) -> tuple[dict[int, int], int]:
         """Residual of a vector against the span, with the accumulated tag,
-        as dense lists of Fractions."""
-        w, s = self._reduce(*self._integral(vector, tag), full=True)
+        as (w, s): w / s holds the nonzero entries, residual columns first
+        and then tag entry j at column ncols + j, w integral and coprime to
+        s."""
+        return self._reduce(*self._integral(vector, tag), full=True)
+
+    def reduce(self, vector: Vector, tag: Vector | None = None):
+        """reduce_sparse as dense lists of Fractions."""
+        w, s = self.reduce_sparse(vector, tag)
         zero = Fraction(0)
         out = [zero] * (self.ncols + self.ntags)
         for j, x in w.items():
@@ -149,7 +155,7 @@ class LinearSpan:
         return out[: self.ncols], out[self.ncols :]
 
     def contains(self, vector: Vector) -> bool:
-        w, _ = self._reduce(*self._integral(vector, None), full=True)
+        w, _ = self.reduce_sparse(vector)
         return min(w, default=self.ncols) >= self.ncols
 
     def add(self, vector: Vector, tag: Vector | None = None) -> bool:

@@ -14,8 +14,12 @@ line a + t*b, with the top-degree part of f or of g nonzero at b, have a
 constant univariate gcd only if f and g are coprime, because a common
 factor keeps its full degree on such a line.  The restrictions are taken
 mod a fixed prime that the top-degree part must also survive, so the
-certificate stays exact on bounded integers.  It settles most coprime
-pairs without the multivariate gcd, which decides what it leaves open."""
+certificate stays exact on bounded integers.  Each restriction is one exact
+evaluation of f, its coefficients reduced mod the prime first, at a point
+a + b*2^W wide enough that the coefficients of the restriction are its
+base-2^W digits (Kronecker substitution).  The certificate settles most
+coprime pairs without the multivariate gcd, which decides what it leaves
+open."""
 
 from __future__ import annotations
 
@@ -230,11 +234,12 @@ def _coords(point) -> Sequence:
     return coords if coords is not None else point
 
 
-# Checked by parse_poly before each '*' and '^': the running total of its
-# estimated work, in term products, each weighted by (1 + b // 512)^2 for
-# the bits b of a coefficient operand, a schoolbook cost in units fitted to
-# measured parse times.  Near the bound a parse takes up to about 2.5 s on
-# a 2-core Xeon.
+# Checked by parse_poly before each '*' and '^' and each number or
+# variable: the running total of its estimated work, in term products, each
+# weighted by (1 + b // 512)^2 for the bits b of a coefficient operand, a
+# schoolbook cost in units fitted to measured parse times, plus nvars for
+# each number or variable, whose one term has nvars exponents.  Near the
+# bound a parse takes up to about 2.5 s on a 2-core Xeon.
 PARSE_MAX_WORK = 1 << 19
 
 
@@ -350,6 +355,9 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
             raise DomainError("unexpected end of polynomial")
         if kind == "op" and val == "-":
             return -parse_factor()
+        if kind in ("num", "var"):
+            # one term of n exponents, counted as n term products
+            bound_work(n)
         if kind == "num":
             base = MultiPoly.constant(n, parse_rational(val))
         elif kind == "var":
@@ -555,40 +563,57 @@ def _line(nvars: int, k: int) -> tuple[list[int], list[int]]:
 
 def _restrict(f: MultiPoly, a: list[int], b: list[int]) -> list[int]:
     """Coefficients mod LINE_PRIME, constant first and without trailing
-    zeros, of f(a + t*b) made integral by _integral_terms."""
+    zeros, of f(a + t*b) made integral by _integral_terms.
+
+    One exact evaluation (Kronecker substitution): with the coefficients c
+    reduced mod P = LINE_PRIME first, each coefficient of the restriction
+    is at most B = sum c * prod (|a_i| + |b_i|)^e_i in absolute value, as
+    (|a_i| + |b_i|)^k is the absolute sum of the coefficients of
+    (a_i + b_i t)^k.  So at t = 2^W with 2^(W - 1) > B the value holds the
+    coefficients as signed base-2^W digits; adding 2^(W - 1) to every digit
+    makes them the plain digits of one nonnegative int, which are read off
+    its bytes (W is a multiple of 8) and reduced mod P."""
     P = LINE_PRIME
-    # powers[i][k]: the coefficients of (a_i + b_i t)^k, for the k in use
-    powers = []
-    for i, (ai, bi) in enumerate(zip(a, b)):
-        used = {e[i] for e in f.terms}
-        power, q = {}, [1]
-        for k in range(max(used) + 1):
+    terms = [(e, c % P) for e, c in _integral_terms(f)]
+    sizes = [abs(x) + abs(y) for x, y in zip(a, b)]
+    bound = 0
+    for e, c in terms:
+        for s, k in zip(sizes, e):
             if k:
-                q = [(ai * x + bi * y) % P for x, y in zip(q + [0], [0] + q)]
-            if k in used:
-                power[k] = q
+                c *= s**k
+        bound += c
+    if not bound:
+        return []
+    width = (bound.bit_length() + 8) // 8   # bytes of a digit: 2^(8 width - 1) > bound
+    T = 1 << (8 * width)
+    # the powers of a_i + b_i T that f uses, each from the one before it, so
+    # a dense f costs one product per power and a sparse one a pow per term
+    powers = []
+    for x, y, used in zip(a, b, zip(*(e for e, _ in terms))):
+        x += y * T
+        power, done, before = {}, 1, 0
+        for k in sorted(set(used)):
+            done *= x ** (k - before)
+            power[k] = done
+            before = k
         powers.append(power)
-    out = [0] * (f.degree() + 1)
-    for e, c in _integral_terms(f):
-        term = [c % P]
+    value = 0
+    for e, c in terms:
         for power, k in zip(powers, e):
             if k:
-                term = _mul(term, power[k])
-        for j, x in enumerate(term):
-            out[j] += x
-    out = [x % P for x in out]
+                c *= power[k]
+        value += c
+    # |value| lies in [T^D / 2, T^(D + 1) / 2) for the degree D of the
+    # restriction over Z, so it has n = D + 1 digits
+    n = abs(value).bit_length() // (8 * width) + 1
+    half = T >> 1
+    offset = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    digits = (value + offset).to_bytes(width * n, "little")
+    out = [(int.from_bytes(digits[j:j + width], "little") - half) % P
+           for j in range(0, width * n, width)]
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def _mul(p: list[int], q: list[int]) -> list[int]:
-    """Product of two coefficient lists mod LINE_PRIME."""
-    out = [0] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] += x * y
-    return [x % LINE_PRIME for x in out]
 
 
 def _coprime_mod_prime(p: list[int], q: list[int]) -> bool:
@@ -620,12 +645,14 @@ def coprime(f: MultiPoly, g: MultiPoly) -> bool:
     in Z[x], divides f in Z[x] (Gauss), so G's top-degree part divides f's
     and is nonzero mod P at b: G restricts to a polynomial of degree
     deg G in t that divides both restrictions mod P.  So if the two
-    restrictions have a constant gcd mod P, f and g are coprime.  The
-    arithmetic stays on integers below P whatever the degrees and
-    coefficients.  When no direction tried gives such a certificate (f and
-    g share a factor, every line meets a common zero, or both top-degree
-    parts vanish at every direction), poly_gcd decides: in the coprime
-    case its one elimination finds no dependent row of f."""
+    restrictions have a constant gcd mod P, f and g are coprime.  Each
+    restriction is read off one exact evaluation of f, with its
+    coefficients reduced mod P first (_restrict), and Euclid's algorithm
+    runs on integers below P whatever the degrees and coefficients.  When
+    no direction tried gives such a certificate (f and g share a factor,
+    every line meets a common zero, or both top-degree parts vanish at
+    every direction), poly_gcd decides: in the coprime case its one
+    elimination finds no dependent row of f."""
     if f.is_zero or g.is_zero:
         raise DomainError("coprimality of the zero polynomial is undefined")
     if f.nvars != g.nvars:

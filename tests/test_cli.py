@@ -572,17 +572,27 @@ def test_unit_eq_and_polynomials_past_the_work_bound_exit_2_at_once(capsys, tmp_
     assert time.perf_counter() - start < 1
 
 
-@pytest.mark.parametrize(
-    "sub, cfg",
-    [
-        ("sharpness", {"trials": 10**400}),
-        ("sharpness", {"m_start": 10**400}),
-        ("rec1-scan", {"F": F_PK, "N": 10**400}),
-        ("lrs-scan", {"F": F_PK, "G": G_PK, "N": 10**400}),
-        # p^64 overflows a float at this valid prime
-        ("example-pk", {"p": 1000003, "kmax": 64}),
-    ],
-)
+# f and g of the poly-gcd inputs below, in 2 variables
+POLY_GCD_PAIR = {"f": "x1 + 1", "g": "x2", "nvars": 2}
+PAST_A_FLOAT = [
+    ("sharpness", {"trials": 10**400}),
+    ("sharpness", {"m_start": 10**400}),
+    ("rec1-scan", {"F": F_PK, "N": 10**400}),
+    ("lrs-scan", {"F": F_PK, "G": G_PK, "N": 10**400}),
+    # p^64 overflows a float at this valid prime
+    ("example-pk", {"p": 1000003, "kmax": 64}),
+    # _cluster_flagged would list every line a*m = b*n up to it, after a quick scan
+    ("lrs-scan", {"F": F_PK, "G": G_PK, "N": 5, "tube_max_ab": 10**400}),
+    # parse_poly would build exponent tuples of this length
+    ("poly-gcd", {**POLY_GCD_PAIR, "nvars": 10**400}),
+    ("poly-gcd", {**POLY_GCD_PAIR, "count": 10**400}),
+    ("poly-gcd", {**POLY_GCD_PAIR, "perturbation_bound": 10**400}),
+    # with no prime in S the generator exponents go unused and the run finishes
+    ("poly-gcd", {**POLY_GCD_PAIR, "S": [2], "generator_exponent_bound": 10**400}),
+]
+
+
+@pytest.mark.parametrize("sub, cfg", PAST_A_FLOAT)
 def test_sizes_past_a_float_exit_2_at_once(capsys, tmp_path, sub, cfg):
     with time_limit(2):
         start = time.perf_counter()
@@ -630,18 +640,44 @@ def _fuzz_strategies():
         st.lists(st.integers(-3, 10), max_size=2),
         st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
     )
-    # past the work bound for every sequence and unit-eq config above, some
-    # far past a float
-    def past(key, low, high):
-        return st.one_of(st.just({key: 10**400}), st.fixed_dictionaries({key: st.integers(low, high)}))
+    # one key at a time at 10**400 or in its range past the work bound
+    def past(bounds):
+        return st.one_of(*(
+            st.one_of(st.just({key: 10**400}),
+                      *([st.fixed_dictionaries({key: st.integers(*r)})] if r else []))
+            for key, r in bounds.items()))
 
-    over = {"lrs-scan": past("N", 5000, 10**12),
-            "rec1-scan": past("N", 10**7, 10**12),
-            "example-pk": st.one_of(st.sampled_from([{"kmax": 10**400}, {"p": 1000003, "kmax": 64}]),
-                                    st.fixed_dictionaries({"kmax": st.integers(30, 10**9)})),
-            "sharpness": st.one_of(past("trials", 10**4, 10**12), st.just({"m_start": 10**400})),
-            "unit-eq": past("n", 10**3, 10**12)}
+    over = {sub: past(bounds) for sub, bounds in OVER_BOUND.items()}
+    over["example-pk"] = st.one_of(over["example-pk"], st.just({"p": 1000003, "kmax": 64}))
     return st, valid, wrong, over
+
+
+# per subcommand, the int keys the fuzz test sets to 10**400 and, where
+# given, to ints in a range past the work bound for every valid config drawn
+OVER_BOUND = {
+    "lrs-scan": {"N": (5000, 10**12), "tube_max_ab": (1025, 10**12)},
+    "poly-gcd": {"nvars": (10**4, 10**12), "count": (10**7, 10**12),
+                 "perturbation_bound": None, "generator_exponent_bound": None},
+    "rec1-scan": {"N": (10**7, 10**12)},
+    "example-pk": {"kmax": (30, 10**9), "p": None},
+    "sharpness": {"trials": (10**4, 10**12), "m_start": None, "p": None},
+    "unit-eq": {"n": (10**3, 10**12), "bound": None},
+}
+# int keys that finish at 10**400: a tube width and a cap on solutions
+FINISH_PAST_A_FLOAT = {("lrs-scan", "tube_kappa"), ("unit-eq", "budget")}
+
+
+def test_every_int_key_has_a_case_past_a_float():
+    """A config key read as an int is drawn at 10**400 by the fuzz test, or
+    pinned to exit 2 there, or known to finish: a new int key without a
+    work bound fails here."""
+    pinned = {(sub, key) for sub, cfg in PAST_A_FLOAT for key, value in cfg.items()
+              if value == 10**400}
+    fuzzed = {(sub, key) for sub, bounds in OVER_BOUND.items() for key in bounds}
+    for sub, keys in cli.CONFIG_KEYS.items():
+        for key, convert in keys.items():
+            if convert is cli._int:
+                assert (sub, key) in pinned | fuzzed | FINISH_PAST_A_FLOAT, (sub, key)
 
 
 @pytest.mark.parametrize("sub", ["lrs-scan", "poly-gcd", "example-pk", "sharpness",

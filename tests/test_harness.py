@@ -58,6 +58,11 @@ def test_scan_pk_small_grid():
     lambda F, G: run_lrs_scan(ScanConfig(F, G, N=10**400)),
     lambda F, G: run_example_pk(p=1000003, kmax=64),
     lambda F, G: run_example_pk(p=2, kmax=10**400),
+    lambda F, G: run_lrs_scan(ScanConfig(F, G, N=5, tube_max_ab=10**400)),
+    lambda F, G: parse_poly("x1 + 1", nvars=10**400),
+    lambda F, G: _sample_config(count=10**400),
+    lambda F, G: _sample_config(perturbation_bound=10**400),
+    lambda F, G: _sample_config(S=PlaceSet.of(2), generator_exponent_bound=10**400),
 ])
 def test_work_estimates_past_a_float_raise_domain_error(run):
     """The work estimates are ints: sizes no float holds are refused by
@@ -65,6 +70,10 @@ def test_work_estimates_past_a_float_raise_domain_error(run):
     F, G = pk_sequences(2)
     with time_limit(2), pytest.raises(DomainError, match="work estimated at 2"):
         run(F, G)
+
+
+def _sample_config(**keys):
+    return SampleConfig(parse_poly("x1 + 1", nvars=2), parse_poly("x2", nvars=2), **keys)
 
 
 def test_value_bits_rounds_the_float_estimate_up():

@@ -468,6 +468,83 @@ def test_sorted_by_logs_without_float_keys_sorts_exactly():
     assert got == _exact_order(list(logs), logs, lambda i: i) == [0, 2, 3, 1, 4, 5]
 
 
+def _dominance_oracle(gb):
+    """greedy_dominance_violations by the plain route: each reduction as
+    dense Fractions and each pair of logs settled by the exact sign."""
+    out = []
+    basis = set(gb.monomials)
+    for e in gb.ideal.monomials:
+        if e in basis:
+            continue
+        target = hilbert._monomial_log(gb._logs, e)
+        residual, tag = gb._span.reduce({gb.ideal.column[e]: 1})
+        assert not any(residual)
+        for mono, coeff in zip(gb.monomials, tag):
+            if coeff and (hilbert._monomial_log(gb._logs, mono) - target).sign() > 0:
+                out.append((e, mono))
+    return out
+
+
+def _reversed_order(items, logs, tiebreak):
+    """A wrong greedy order: decreasing |u^e|_v."""
+    return _exact_order(items, logs, tiebreak)[::-1]
+
+
+def test_greedy_dominance_matches_the_exact_oracle_on_wrong_bases(monkeypatch):
+    """On every greedy basis of hilbert-verify seeds 0-3, and on the bases
+    the same instances get from a reversed order, the check returns the
+    oracle's list; the wrong bases must give violations, so a check that
+    found none would fail here."""
+    bases = []
+    build = hilbert.greedy_monomial_basis
+
+    def record(T, u, v):
+        bases.append(build(T, u, v))
+        return bases[-1]
+
+    monkeypatch.setattr(hilbert, "greedy_monomial_basis", record)
+    for seed in range(4):
+        run_hilbert_verify(seed)
+    monkeypatch.undo()
+    assert len(bases) == 200
+    for gb in bases:
+        assert greedy_dominance_violations(gb) == _dominance_oracle(gb) == []
+    monkeypatch.setattr(hilbert, "_sorted_by_logs", _reversed_order)
+    found = 0
+    for gb in bases[:60]:
+        wrong = greedy_monomial_basis(gb.ideal, gb.point, gb.place)
+        got = greedy_dominance_violations(wrong)
+        assert got == _dominance_oracle(wrong)
+        found += bool(got)
+    assert found >= 10
+
+
+def test_greedy_dominance_on_exact_ties_takes_the_exact_sign(monkeypatch):
+    """At u = (2, 4) at oo, log|u^e| = (e1 + 2 e2) log 2, so monomials tie
+    exactly: their enclosures overlap and the exact LogReal sign decides,
+    returning 0 (no violation) for a tie."""
+    u = TorusPoint([Fraction(2), Fraction(4)])
+    calls = []
+    sign = LogReal.sign
+
+    def counted(value):
+        calls.append(value)
+        return sign(value)
+
+    # modulo x1^2 - x2, x^(2, 0) reduces to x^(0, 1), and |u^(2, 0)| = |u^(0, 1)|
+    # = 4: under both orders some reduction pairs tied monomials
+    T = truncated_ideal(parse_poly("x1^2 - x2", nvars=2), parse_poly("x1*x2 + 2", nvars=2), 4)
+    for order, violations in ((hilbert._sorted_by_logs, 0), (_reversed_order, 9)):
+        monkeypatch.setattr(hilbert, "_sorted_by_logs", order)
+        gb = greedy_monomial_basis(T, u, Place.archimedean())
+        monkeypatch.setattr(LogReal, "sign", counted)
+        del calls[:]
+        got = greedy_dominance_violations(gb)
+        monkeypatch.setattr(LogReal, "sign", sign)
+        assert got == _dominance_oracle(gb) and len(got) == violations
+        assert calls and all(sign(c) == 0 for c in calls)
+
+
 def test_reduce_monomial_tags_are_expressions_modulo_the_ideal():
     rng = random.Random(61)
     places = [Place.archimedean(), Place.finite(2), Place.finite(3)]

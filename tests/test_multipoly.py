@@ -209,6 +209,63 @@ def _restrict_line(f, a, b):
     return out
 
 
+def _restrict_per_term(f, a, b):
+    """The restriction of _restrict by expanding each term: the powers of
+    a_i + b_i t as coefficient lists mod P, multiplied term by term."""
+    from gcdlab.multipoly import LINE_PRIME as P, _integral_terms
+
+    def mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return [x % P for x in out]
+
+    out = [0] * (f.degree() + 1)
+    for e, c in _integral_terms(f):
+        term = [c % P]
+        for ai, bi, k in zip(a, b, e):
+            for _ in range(k):
+                term = mul(term, [ai, bi])
+        for j, x in enumerate(term):
+            out[j] = (out[j] + x) % P
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def test_restrict_matches_the_per_term_expansion():
+    """_restrict's one Kronecker evaluation against the per-term expansion,
+    on random polynomials in 1-4 variables, with small, huge and rational
+    coefficients (denominators with a large lcm, multiples of the prime),
+    over every certificate direction."""
+    from gcdlab.multipoly import LINE_DIRECTIONS, LINE_PRIME, _line, _restrict
+
+    rng = random.Random(91)
+    denominators = [1, 1, 2, 3, 7, 11, 10**20 + 39, 2**89 - 1, LINE_PRIME]
+    for trial in range(150):
+        nvars = rng.randint(1, 4)
+        degree = rng.randint(0, 9)
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            e = [0] * nvars
+            for _ in range(rng.randint(0, degree)):
+                e[rng.randrange(nvars)] += 1
+            size = 10 ** rng.choice([1, 1, 5, 40])
+            terms[tuple(e)] = Fraction(rng.randint(-size, size), rng.choice(denominators))
+        terms[(0,) * nvars] = Fraction(LINE_PRIME * rng.randint(-2, 2))
+        f = MultiPoly(nvars, terms)
+        for k in range(LINE_DIRECTIONS):
+            a, b = _line(nvars, k)
+            assert _restrict(f, a, b) == _restrict_per_term(f, a, b), (str(f), k)
+    for text, nvars in [("x1^60 - 1", 1), ("(x1 + x2 + x3 - 2)^7", 3), ("0", 2),
+                        ("(3*x1 + 3)^40", 1), ("x1^9*x4^3 + 1/7*x2^12 - 5/11", 4)]:
+        f = parse_poly(text, nvars)
+        for k in range(LINE_DIRECTIONS):
+            a, b = _line(nvars, k)
+            assert _restrict(f, a, b) == _restrict_per_term(f, a, b), (text, k)
+
+
 def test_gcd_divides_both():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(24)
