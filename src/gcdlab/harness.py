@@ -36,9 +36,7 @@ from .hilbert import inequality_constants
 from .logreal import LogReal, escalating_sign, fraction_interval, logreal_sum
 from .lrs import PowerSum, _poly_eval as _int_poly, _zero_structure, compute_S0
 from .multipoly import MultiPoly, _monomial_table, monomials_upto
-from .places import (
-    DomainError, Place, PlaceSet, _refuse_past, format_rational, support_primes,
-)
+from .places import DomainError, Place, PlaceSet, _refuse_past, format_rational
 from .arith import _split_primes, sqrt_fraction_exact
 
 
@@ -572,18 +570,18 @@ class SampleConfig:
             raise DomainError("f and g must share their variables")
         # the bits of the values a run builds, estimated before any: about
         # n^2 (d + 1) for the line directions of coprime and the binomials
-        # of inequality_constants, in n variables at degree d; then for each
-        # sample n coordinates of about E sum log2 p + 2 log2 B bits, for
-        # the generator exponent bound E and the perturbation bound B, the
-        # values of f and g at them, about n d times as many, and the B^2
-        # perturbation choices of about 2 log2 B bits each.  A draw the
-        # almost-unit filter rejects is redrawn, up to SAMPLE_RETRIES times,
-        # and not counted.
+        # of inequality_constants, in n variables at degree d; the B^2
+        # perturbation choices of about 2 log2 B bits each, for the
+        # perturbation bound B, built once per run; then for each sample n
+        # coordinates of about E sum log2 p + 2 log2 B bits, for the
+        # generator exponent bound E, and the values of f and g at them,
+        # about n d times as many.  A draw the almost-unit filter rejects
+        # is redrawn, up to SAMPLE_RETRIES times, and not counted.
         n, d = self.f.nvars, max(1, self.f.degree(), self.g.degree())
         B = max(0, self.perturbation_bound)
         coordinate = (1 + abs(self.generator_exponent_bound)
                       * sum(p.bit_length() for p in self.S.finite_primes) + 2 * B.bit_length())
-        _bound_work(n * n * (d + 1) + self.count * (n * d * coordinate + 2 * B * B * B.bit_length()))
+        _bound_work(n * n * (d + 1) + 2 * B * B * B.bit_length() + self.count * n * d * coordinate)
         if not coprime(self.f, self.g):
             raise DomainError("f and g must be coprime")
 
@@ -664,24 +662,30 @@ def _sqrt_scaled_cmp(lhs: LogReal, coeff: Fraction, delta: Fraction,
 SAMPLE_RETRIES = 200
 
 
-def sample_almost_unit_point(rng, nvars: int, S: PlaceSet, delta: Fraction,
-                             exp_bound: int, pert_bound: int):
-    """An exact member of the almost-(S, delta) class: signed S-unit core
-    times a perturbation supported outside S, rejection-filtered by the
-    exact predicate.  None if the filter passed none of SAMPLE_RETRIES
-    draws."""
+def perturbation_choices(S: PlaceSet, pert_bound: int) -> list[Fraction]:
+    """The rationals a/b for 1 <= a, b <= pert_bound, a-major and with
+    repeats, whose reduced numerator and denominator no prime of S divides:
+    the perturbations sample_almost_unit_point draws from."""
     primes = S.finite_primes
-    cfg = AlmostUnitConfig(S, delta)
-    s_set = set(primes)
-    pert_choices = [
+    return [
         q
         for q in (
             Fraction(a, b)
             for a in range(1, pert_bound + 1)
             for b in range(1, pert_bound + 1)
         )
-        if s_set.isdisjoint(support_primes(q))
+        if all(q.numerator % p and q.denominator % p for p in primes)
     ]
+
+
+def sample_almost_unit_point(rng, nvars: int, S: PlaceSet, delta: Fraction,
+                             exp_bound: int, pert_choices: list[Fraction]):
+    """An exact member of the almost-(S, delta) class: signed S-unit core
+    times a perturbation drawn from pert_choices (perturbation_choices),
+    rejection-filtered by the exact predicate.  None if the filter passed
+    none of SAMPLE_RETRIES draws."""
+    primes = S.finite_primes
+    cfg = AlmostUnitConfig(S, delta)
     for _ in range(SAMPLE_RETRIES):
         coords = []
         for _ in range(nvars):
@@ -718,10 +722,10 @@ def run_poly_gcd_experiment(cfg: SampleConfig, seed: int = 0) -> PolyGcdReport:
     degenerate = []
     violations = []
     failures = 0
+    pert_choices = perturbation_choices(cfg.S, cfg.perturbation_bound)
     for idx in range(cfg.count):
         u = sample_almost_unit_point(
-            rng, n, cfg.S, cfg.delta, cfg.generator_exponent_bound,
-            cfg.perturbation_bound,
+            rng, n, cfg.S, cfg.delta, cfg.generator_exponent_bound, pert_choices,
         )
         if u is None:
             failures += 1

@@ -8,10 +8,9 @@ S-part degree by comparing integer d-th powers, not by intervals)."""
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, partial
 from math import comb
 
 from .heights import TorusPoint
@@ -24,6 +23,7 @@ from .multipoly import (
     _monomial_table,
     _multiple_rows,
     _product_columns,
+    _shift_masks,
     monomials_upto,
 )
 from .places import DomainError, Place, log_abs
@@ -59,9 +59,10 @@ def _packed_rows(nvars: int, da: int, db: int, terms) -> list[int]:
     return [sum(row) for row in zip(*([c << shift for shift in columns[e]] for e, c in terms))]
 
 
-def _rank_mod_13(rows: list[int], ncols: int, cap: int) -> int:
+def _rank_mod_13(rows: list[int], ncols: int, cap: int) -> tuple[int, int]:
     """Rank mod 13 of rows packed by _packed_rows over ncols columns, or cap
-    as soon as the rank reaches it.
+    as soon as the rank reaches it, and the pivot columns as a bitmask with
+    bit j for column j.
 
     Byte-slot invariant: between steps every byte of every row holds a
     residue 0..12.  A step w + (13 - e) * pivot, with e the leading byte of
@@ -70,7 +71,8 @@ def _rank_mod_13(rows: list[int], ncols: int, cap: int) -> int:
     bytes.translate then takes every byte back mod 13 and clears the
     leading one.  The leading column of w is its lowest nonzero byte, found
     from its lowest set bit.  Pivot rows are zero below their pivot byte,
-    so the rows kept are independent mod 13."""
+    so the rows kept are independent mod 13, and once every row is reduced
+    their pivots are the leading columns of the row space mod 13."""
 
     def residues(w: int) -> int:
         return int.from_bytes(w.to_bytes(ncols, "little").translate(_BYTE_RESIDUE), "little")
@@ -83,11 +85,11 @@ def _rank_mod_13(rows: list[int], ncols: int, cap: int) -> int:
             pivot = pivots.get(shift)
             if pivot is None:
                 pivots[shift] = w if e == 1 else residues(w * _INVERSE_MOD_P[e])
-                if len(pivots) == cap:
-                    return cap
                 break
             w = residues(w + (_RANK_PRIME - e) * pivot)
-    return len(pivots)
+        if len(pivots) == cap:
+            break
+    return len(pivots), sum(1 << (shift >> 3) for shift in pivots)
 
 
 def multiindex_sum(n: int, m: int) -> tuple[int, ...]:
@@ -129,8 +131,8 @@ def graded_ideal_ranks(F1: MultiPoly, F2: MultiPoly, levels) -> list[int]:
     """Exact dims of the degree-l pieces of the ideal (F1, F2), for l in
     levels, of nonzero forms F1, F2 in the same variables: each the rank
     over Q of the matrix of all degree-l monomial multiples, proven by two
-    bounds that meet.  The pair is checked, reduced mod 13 and given its
-    leading-monomial order once for all levels.
+    bounds that meet.  The pair is checked and reduced mod 13 once for all
+    levels.
 
     Upper bound: for each monomial q of degree l - d1 - d2 the Koszul
     relation (q F2) F1 - (q F1) F2 = 0 is a left-kernel vector of that
@@ -139,54 +141,48 @@ def graded_ideal_ranks(F1: MultiPoly, F2: MultiPoly, levels) -> list[int]:
     the number of monomials of degree k.  Equality holds when F1, F2 are
     coprime.  Three lower bounds are tried in turn, and the first that
     meets the upper bound proves it is the rank:
-    1. leading monomials: rows with distinct leading monomials under a
-       monomial order are independent, since they form a triangular
-       matrix.  The distinct ones are the degree-l monomials divisible by
-       LM(F1) or LM(F2), b(l - d1) + b(l - d2) - b(l - D) of them with
-       D = deg lcm(LM(F1), LM(F2)), counted without building a row.  b is
-       nondecreasing for nvars >= 1, so the order of _leading_lcm_degrees
-       with the largest D gives the most at every level (nvars = 0 has
-       one order);
-    2. the rank mod 13 of the packed rows: an r x r minor nonzero mod 13
-       is nonzero over Z, so the rank mod 13 is at most the rank over Q;
-    3. otherwise the integer matrix is eliminated exactly by int_rank."""
+    1. leading monomials mod 13: take LM(h), for h mod 13, as its
+       lex-smallest monomial, the lowest column of _monomial_table.  The
+       order is monomial (a < b => a + c < b + c), so x_i LM(h) = LM(x_i h)
+       and x^a LM(F) = LM(x^a F).  A bitmask of degree-l columns is built
+       from the x_i multiples of the leading columns kept for level l - 1,
+       when that level was ranked just before, and from the columns of
+       x^a LM(F mod 13) for the forms not 0 mod 13 (after a carry only for
+       F itself, at l = deg F: the x_i multiples hold the rest).  Each is
+       the leading monomial of an element of the ideal mod 13, and
+       elements with distinct leading monomials are independent, so the
+       popcount is at most the rank mod 13, itself at most the rank over Q
+       (an r x r minor nonzero mod 13 is nonzero over Z);
+    2. the rank mod 13 of the packed rows;
+    3. otherwise the integer matrix is eliminated exactly by int_rank.
+    The columns kept for the next level are all the leading columns of the
+    degree-l piece mod 13: the pivots of 2, or a bitmask that settled the
+    rank, since it holds rank-mod-13 many of them."""
     nvars = _check_form_pair(F1, F2)
     d1, d2 = F1.degree(), F2.degree()
-    D = max(_leading_lcm_degrees(F1, F2))
-    residues = ((d1, _residue_terms(F1)), (d2, _residue_terms(F2)))
-
-    def b(k: int) -> int:
-        return _monomial_count(nvars, k)
-
+    residues = [(d, t) for d, t in ((d1, _residue_terms(F1)), (d2, _residue_terms(F2))) if t]
+    b = partial(_monomial_count, nvars)
     ranks = []
+    last_level, leading = None, 0
     for l in levels:
         bound = min(b(l), b(l - d1) + b(l - d2) - b(l - d1 - d2))
-        # the leading monomials number at least bound iff b(l - D) <= slack
-        if b(l - D) > b(l - d1) + b(l - d2) - bound:
+        carried = last_level == l - 1
+        shifts, mask = _shift_masks(nvars, l - 1) if carried else (), 0
+        while leading and shifts:
+            low = leading & -leading
+            mask |= shifts[low.bit_length() - 1]
+            leading ^= low
+        for d, terms in residues:
+            if l == d or not carried:
+                mask |= sum(1 << (s >> 3) for s in _product_columns(nvars, l - d, d)[min(terms)[0]])
+        if mask.bit_count() < bound:
             packed = [row for d, terms in residues for row in _packed_rows(nvars, l - d, d, terms)]
-            if _rank_mod_13(packed, b(l), bound) < bound:
+            rank, mask = _rank_mod_13(packed, b(l), bound)
+            if rank < bound:
                 bound = int_rank(_graded_multiple_rows(F1, F2, l))
         ranks.append(bound)
+        last_level, leading = l, mask
     return ranks
-
-
-def _leading_lcm_degrees(F1: MultiPoly, F2: MultiPoly):
-    """deg lcm(LM(F1), LM(F2)) under each of 2 nvars + 1 monomial orders,
-    in turn: the plain tuple order, then for each variable x_i the orders
-    that compare the exponent of x_i first, ascending or descending, then
-    the tuple.  Each is a total order with a < b => a + c < b + c, so
-    LM(x^a F) = x^a LM(F) for the leading monomial LM, taken as the
-    smallest term (as in _rank_mod_13, whose lowest column is the
-    lex-smallest tuple).  graded_ideal_ranks takes the largest, once per
-    pair."""
-    t1, t2 = F1.terms, F2.terms
-    yield sum(map(max, min(t1), min(t2)))
-    c1, c2 = list(zip(*t1)), list(zip(*t2))
-    for i in range(F1.nvars):
-        # the smallest (e[i], e), then the smallest (-e[i], e), over the terms e
-        yield sum(map(max, min(zip(c1[i], t1))[1], min(zip(c2[i], t2))[1]))
-        n1, n2 = map(operator.neg, c1[i]), map(operator.neg, c2[i])
-        yield sum(map(max, min(zip(n1, t1))[1], min(zip(n2, t2))[1]))
 
 
 def _monomial_count(nvars: int, k: int) -> int:

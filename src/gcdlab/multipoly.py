@@ -424,6 +424,15 @@ def _product_columns(nvars: int, da: int, db: int) -> dict[tuple[int, ...], tupl
     }
 
 
+@functools.lru_cache(maxsize=256)
+def _shift_masks(nvars: int, degree: int) -> tuple[int, ...]:
+    """For the j-th monomial m of the degree table, the bitmask of the
+    columns of x_1 m, ..., x_nvars m in the degree + 1 table, read off
+    _product_columns(nvars, 1, degree).  Built once per (nvars, degree)."""
+    return tuple(sum(1 << (s >> 3) for s in shifts)
+                 for shifts in _product_columns(nvars, 1, degree).values())
+
+
 def monomials_upto(nvars: int, m: int) -> list[tuple[int, ...]]:
     """All exponent tuples of total degree <= m, graded-lex sorted."""
     out = []

@@ -384,6 +384,41 @@ def test_poly_gcd_csvs_match_the_benchmark_reference_digests(capsys, tmp_path):
             assert got == (audit[label]["exit"], audit[label]["sha256"]), label
 
 
+# poly-gcd CSVs with perturbation_bound > 1, recorded before the
+# perturbation list was built once per run instead of once per sample
+PERTURBED_POLY_GCD_DIGESTS = [
+    ({"f": "x1 + 1", "g": "x2", "nvars": 2, "S": {"archimedean": True, "primes": [2]},
+      "delta": "1/5", "count": 4, "perturbation_bound": 5},
+     "ec5340ea99a104b53f9a5a896c6a9592aec522219b67042af240ebd07cf69697"),
+    ({"f": "x1 + x2 + 1", "g": "x1 - 2", "nvars": 2,
+      "S": {"archimedean": True, "primes": [2, 3]}, "delta": "1/7", "count": 6,
+      "perturbation_bound": 4},
+     "8bae05e6f64a26c975473ee0719d4848aaae503ebf68e9b624999f2f8fc58346"),
+]
+
+
+@pytest.mark.parametrize("config, digest", PERTURBED_POLY_GCD_DIGESTS)
+def test_perturbed_poly_gcd_csvs_keep_their_bytes(capsys, tmp_path, config, digest):
+    cfg = tmp_path / "poly.json"
+    cfg.write_text(json.dumps(config))
+    code, got = _csv_digest(capsys, tmp_path, "poly-gcd", "--config", str(cfg), "--seed", "3")
+    assert (code, got) == (0, digest)
+    rows = (tmp_path / "out.csv").read_text().splitlines()[1:]
+    assert len(rows) == config["count"]
+
+
+@pytest.mark.parametrize("count, seconds", [(4, 1.5), (25, 3)])
+def test_poly_gcd_builds_its_perturbations_once_per_run(capsys, tmp_path, count, seconds):
+    """The 90000 perturbation choices of B = 300 are built once per run,
+    not once per sample, and the work estimate counts them once, so 25
+    samples are not refused."""
+    cfg = {"f": "x1 + 1", "g": "x2", "nvars": 2, "S": {"archimedean": True, "primes": [2]},
+           "delta": "1/5", "count": count, "perturbation_bound": 300}
+    with time_limit(seconds):
+        code, _, err = _run_config(capsys, tmp_path, "poly-gcd", cfg, "--seed", "3")
+    assert code == 0, err
+
+
 def test_archimedean_flag_must_be_a_json_bool(capsys, tmp_path):
     """The string "false" once read as true through bool() and put oo in S."""
     cfg = tmp_path / "scan.json"

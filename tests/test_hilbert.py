@@ -109,17 +109,21 @@ def _graded_rank_cases():
     """(F1, F2) pairs over 2-4 variables and degrees <= 3 whose graded rank
     is reached by all three paths: random coprime pairs (rank equals the
     Koszul bound), pairs h*f0, h*g0 sharing a factor (rank below it), and
-    coprime pairs congruent mod 13 (rank mod 13 below the rank).  Two pairs
-    pin the leading-monomial certificate: x1 + x2, x1 + 14*x2 have the same
-    leading monomial under every order, so only int_rank settles them, and
-    x1^2 + x2*x3, x3^2 + x1*x2 have coprime leading monomials under the
-    order that takes x2 ascending first, but not under the plain one."""
+    coprime pairs congruent mod 13 (rank mod 13 below the rank).  x1 + x2,
+    x1 + 14*x2 have the same leading monomial mod 13, so only int_rank
+    settles them.  Two pairs share a factor and have residues whose leading
+    monomials differ from their rational ones: x1 + 13*x2 and its x2
+    multiple, whose lex-smallest coefficients are 13, and a pair whose
+    first form is 0 mod 13, so that its rank mod 13 counts the second
+    form's multiples alone."""
     rng = random.Random(71)
     pairs = [
         (parse_poly("13*x1 + x2", nvars=3), parse_poly("x2 + 26*x3", nvars=3)),
         (parse_poly("13*x1^2 + x2^2", nvars=2), parse_poly("x2^2 - 13*x1*x2", nvars=2)),
         (parse_poly("x1 + x2", nvars=2), parse_poly("x1 + 14*x2", nvars=2)),
         (parse_poly("x1^2 + x2*x3", nvars=3), parse_poly("x3^2 + x1*x2", nvars=3)),
+        (parse_poly("x1 + 13*x2", nvars=2), parse_poly("x1*x2 + 13*x2^2", nvars=2)),
+        (parse_poly("13*x1 + 26*x2", nvars=3), parse_poly("x1*x3 + 2*x2*x3", nvars=3)),
     ]
     for nvars in (2, 3, 4):
         for d1, d2 in ((1, 1), (1, 3), (2, 2), (3, 2)):
@@ -136,6 +140,13 @@ def _graded_rank_cases():
 
 def _sympy_rank_mod_13(vectors, column):
     """sympy's rank over GF(13) of integral {monomial: coefficient} vectors."""
+    return len(_sympy_pivots_mod_13(vectors, column))
+
+
+def _sympy_pivots_mod_13(vectors, column):
+    """The pivot columns of sympy's reduced echelon form over GF(13) of
+    integral {monomial: coefficient} vectors: the leading columns of their
+    span mod 13."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.matrices import DomainMatrix
 
@@ -143,7 +154,7 @@ def _sympy_rank_mod_13(vectors, column):
     entries = {i: {column[e]: GF13(int(c)) for e, c in v.items() if c % 13}
                for i, v in enumerate(vectors)}
     entries = {i: row for i, row in entries.items() if row}
-    return DomainMatrix(entries, (len(vectors), len(column)), GF13).rank()
+    return DomainMatrix(entries, (len(vectors), len(column)), GF13).rref()[1]
 
 
 def _count_rank_routes(monkeypatch) -> dict[str, int]:
@@ -171,8 +182,7 @@ def test_graded_rank_matches_sympy_on_all_three_paths(monkeypatch):
     short because the forms share a factor; some input has its rank and its
     rank mod 13 both one below the bound, so a rank taken as the bound from
     a rank mod 13 within 1 of it shows.  Each of the three certificates
-    (leading monomials, rank mod 13, int_rank) settles some input, and the
-    leading monomials settle one that the plain tuple order alone does not."""
+    (leading monomials, rank mod 13, int_rank) settles some input."""
     calls = _count_rank_routes(monkeypatch)
     seen = set()
     for F1, F2 in _graded_rank_cases():
@@ -207,22 +217,19 @@ def test_graded_rank_matches_sympy_on_all_three_paths(monkeypatch):
                 seen.add("both one below the bound")
             if not route:
                 seen.add("settled by leading monomials")
-                # the smallest terms are the leading monomials of the plain order
-                plain = sum(map(max, min(F1.terms), min(F2.terms)))
-                if b(l - d1) + b(l - d2) - b(l - plain) < bound:
-                    seen.add("settled by another order than the plain one")
             elif route == {"_rank_mod_13"}:
                 seen.add("settled by the rank mod 13")
             else:
                 seen.add("settled by int_rank")
     assert seen == {"rank mod 13 below the rank", "rank below the bound",
                     "both one below the bound", "settled by leading monomials",
-                    "settled by another order than the plain one",
                     "settled by the rank mod 13", "settled by int_rank",
                     "coprime, settled by int_rank"}
 
 
 def test_rank_mod_13_matches_sympy_on_packed_rows():
+    """The rank mod 13 and the pivot columns equal those of sympy's echelon
+    form; capped at 1, the one pivot is among them."""
     rng = random.Random(72)
     for _ in range(60):
         nrows, ncols, k = rng.randint(1, 14), rng.randint(1, 14), rng.randint(0, 6)
@@ -232,17 +239,28 @@ def test_rank_mod_13_matches_sympy_on_packed_rows():
         rows = [{j: sum(A[i][t] * B[t][j] for t in range(k)) for j in range(ncols)}
                 for i in range(nrows)]
         column = {(j,): j for j in range(ncols)}
-        want = _sympy_rank_mod_13([{(j,): c for j, c in r.items()} for r in rows], column)
+        pivots = _sympy_pivots_mod_13([{(j,): c for j, c in r.items()} for r in rows], column)
+        want = sum(1 << j for j in pivots)
         packed = [sum((c % 13) << (8 * j) for j, c in r.items()) for r in rows]
-        assert hilbert._rank_mod_13(packed, ncols, ncols + 1) == want
-        assert hilbert._rank_mod_13(packed, ncols, 1) == min(want, 1)
+        assert hilbert._rank_mod_13(packed, ncols, ncols + 1) == (len(pivots), want)
+        rank, first = hilbert._rank_mod_13(packed, ncols, 1)
+        assert rank == first.bit_count() == min(len(pivots), 1)
+        assert first & want == first
 
 
-def test_graded_ideal_ranks_match_per_level_ranks_and_sympy():
-    """One graded_ideal_ranks call over all levels equals graded_ideal_rank
-    level by level and sympy's rank: on the three-path cases, on pairs in
+def test_graded_ideal_ranks_match_per_level_ranks_and_sympy(monkeypatch):
+    """One graded_ideal_ranks call over consecutive levels equals
+    graded_ideal_rank level by level and sympy's rank, and so do calls over
+    the same levels skipped, reversed or repeated, where no level has the
+    one below it ranked just before, so each takes the route of its lone
+    rank: on the three-path cases (shared factors and residues whose
+    leading monomials are not the rational ones among them), on pairs in
     one variable (monomials, which share x1 unless one is constant), and on
-    levels out of order, repeated, negative or below both degrees."""
+    levels negative or below both degrees.  The
+    leading monomials carried from level to level settle some rank that the
+    level alone takes to _rank_mod_13."""
+    calls = _count_rank_routes(monkeypatch)
+    seen = set()
     pairs = _graded_rank_cases() + [
         (parse_poly("2*x1^2", nvars=1), parse_poly("x1", nvars=1)),
         (parse_poly("13*x1^3", nvars=1), parse_poly("x1^2", nvars=1)),
@@ -250,15 +268,45 @@ def test_graded_ideal_ranks_match_per_level_ranks_and_sympy():
     ]
     for F1, F2 in pairs:
         nvars, d1, d2 = F1.nvars, F1.degree(), F2.degree()
-        levels = [l for l in range(d1 + d2 + 3) if comb(l + nvars - 1, l) <= 40]
-        levels += [-2, min(d1, d2) - 1, 0, levels[-1]]
-        ranks = hilbert.graded_ideal_ranks(F1, F2, levels)
-        assert ranks == [graded_ideal_rank(F1, F2, l) for l in levels], (F1, F2)
-        for l, rank in zip(levels, ranks):
+        consecutive = [l for l in range(d1 + d2 + 3) if comb(l + nvars - 1, l) <= 40]
+        want = {}
+        for l in consecutive + [-2, -1]:
             column = {e: j for j, e in enumerate(_exponents(nvars, [l]))}
             rows = [t for F in (F1, F2) for t in _multiples(nvars, F, [l - F.degree()])]
-            assert rank == _sympy_rank(rows, column), (F1, F2, l)
-        assert ranks[-3] == 0
+            want[l] = _sympy_rank(rows, column)
+        routes = {}   # level -> (_rank_mod_13 calls, int_rank calls) of its lone rank
+        for l in want:
+            before = dict(calls)
+            assert graded_ideal_rank(F1, F2, l) == want[l], (F1, F2, l)
+            routes[l] = tuple(calls[name] - before[name] for name in calls)
+        before = calls["_rank_mod_13"]
+        assert hilbert.graded_ideal_ranks(F1, F2, consecutive) == [want[l] for l in consecutive]
+        if calls["_rank_mod_13"] - before < sum(routes[l][0] for l in consecutive):
+            seen.add("settled by the carried leading monomials")
+        top = consecutive[-1]
+        # no level here follows the one below it, bar -1 or 0 after a level of rank 0
+        for levels in (consecutive[::2], consecutive[::-1],
+                       [top, top, -2, min(d1, d2) - 1, 0, top]):
+            before = dict(calls)
+            ranks = hilbert.graded_ideal_ranks(F1, F2, levels)
+            assert ranks == [want[l] for l in levels], (F1, F2, levels)
+            # so each takes the route of its lone rank
+            assert tuple(calls[name] - before[name] for name in calls) == tuple(
+                map(sum, zip(*(routes[l] for l in levels)))), (F1, F2, levels)
+        assert want[min(d1, d2) - 1] == 0
+    assert seen == {"settled by the carried leading monomials"}
+
+
+def test_leading_monomials_are_read_off_the_residues(monkeypatch):
+    """x1 + 13*x2 and x2 have the same lex-smallest term x2 over Q, but
+    x1 + 13*x2 is x1 mod 13: the residues' leading monomials x1, x2 and
+    their multiples settle every level with no elimination.  (Leading
+    monomials taken from the rational terms would still give the right
+    ranks, but level 1 would need _rank_mod_13.)"""
+    calls = _count_rank_routes(monkeypatch)
+    F1, F2 = parse_poly("x1 + 13*x2", nvars=2), parse_poly("x2", nvars=2)
+    assert hilbert.graded_ideal_ranks(F1, F2, range(5)) == [0, 2, 3, 4, 5]
+    assert calls == {"_rank_mod_13": 0, "int_rank": 0}
 
 
 def _per_term_packed_rows(nvars, da, db, terms):
@@ -288,9 +336,9 @@ def test_product_column_packing_matches_per_term_packing():
 
 
 def test_hilbert_verify_rank_routes_are_pinned(monkeypatch):
-    """hilbert-verify seeds 0-3 rank 4320 levels, 1671 of them past the
-    leading-monomial count and 35 past the rank mod 13 as well: an order
-    choice that settles a different set of ranks shows here."""
+    """hilbert-verify seeds 0-3 rank 4320 levels, 601 of them past the
+    leading monomials mod 13 and 35 past the rank mod 13 as well: a change
+    to what each level carries to the next shows here."""
     calls = _count_rank_routes(monkeypatch)
     levels = []
     inner = hilbert.graded_ideal_ranks
@@ -302,7 +350,7 @@ def test_hilbert_verify_rank_routes_are_pinned(monkeypatch):
     monkeypatch.setattr(hilbert, "graded_ideal_ranks", counted)
     for seed in range(4):
         run_hilbert_verify(seed)
-    assert (len(levels), calls["_rank_mod_13"], calls["int_rank"]) == (4320, 1671, 35)
+    assert (len(levels), calls["_rank_mod_13"], calls["int_rank"]) == (4320, 601, 35)
 
 
 def test_quotient_monomial_basis():

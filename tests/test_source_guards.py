@@ -49,7 +49,10 @@ def test_every_lru_cache_has_a_finite_maxsize():
             if kind == "cache" or not _finite_maxsize(call):
                 bad.append(f"{path.name}:{line}")
     assert not bad, bad
-    assert found >= 2   # multipoly's monomial tables and product columns
+    # multipoly's monomial tables, product columns and shift masks (the x_i
+    # multiples that graded_ideal_ranks carries), arith's power sieve and
+    # cli's parser
+    assert found >= 5
 
 
 def test_the_maxsize_check_flags_unbounded_caches():
