@@ -33,14 +33,13 @@ def _arch_term(a: Fraction, b: Fraction) -> LogReal:
     return LogReal.zero()
 
 
+_NO_PLACES = PlaceSet(False, ())
+
+
 def log_gcd(a: Fraction, b: Fraction) -> LogReal:
     """Generalized log gcd over all places; equals log(gcd(a, b)) exactly for
-    integer inputs."""
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 and b == 0:
-        raise DomainError("log_gcd(0, 0) is undefined")
-    M, _ = _finite_core(a, b)
-    return LogReal.log_of_int(M) + _arch_term(a, b)
+    integer inputs.  It is the part outside the empty place set."""
+    return log_gcd_outside(a, b, _NO_PLACES)
 
 
 def log_gcd_within(a: Fraction, b: Fraction, S: PlaceSet) -> LogReal:

@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd as igcd, isfinite, log2, sqrt
+from math import ceil, gcd as igcd, log, log2, sqrt
 from sys import float_info
 from typing import NamedTuple
 
@@ -28,12 +28,12 @@ from .heights import (
     AlmostUnitConfig,
     TorusPoint,
     h_sbar,
-    height,
     is_almost_unit,
+    standard_height,
     torus_height,
 )
 from .hilbert import inequality_constants
-from .logreal import LogReal, escalating_sign, fraction_interval, logreal_sum
+from .logreal import LogReal, enclosure_sign, escalating_sign, fraction_interval
 from .lrs import PowerSum, _poly_eval as _int_poly, _zero_structure, compute_S0
 from .multipoly import MultiPoly, _monomial_table, monomials_upto
 from .places import DomainError, Place, PlaceSet, _refuse_past, format_rational
@@ -205,9 +205,7 @@ def _cluster_flagged(flagged: list[ScanRow], max_ab: int, kappa: int):
         for r in members:
             mx = max(r.m, r.n)
             if mx > 1:
-                kappa_hat = max(
-                    kappa_hat, abs(a * r.m - b * r.n) / float(LogReal.log_of_int(mx).to_float())
-                )
+                kappa_hat = max(kappa_hat, abs(a * r.m - b * r.n) / log(mx))
             assignment[(r.m, r.n)] = cid
         clusters.append(
             TubeCluster(cid, a, b, kappa, tuple((r.m, r.n) for r in members), kappa_hat)
@@ -611,42 +609,27 @@ class PolyGcdReport:
     violations: list[SampleRow]
 
 
-def _sqrt_scaled_filter(lhs: LogReal, coeff: Fraction, delta: Fraction,
-                        H: LogReal) -> int:
-    """+1 or -1 where the float enclosures of lhs and H separate
-    lhs - coeff * sqrt(delta) * H from 0, else 0.  The error budget is
-    LogReal._filter_sign's; k = coeff * sqrt(delta) in floating point is off
-    by a few ulps, far below it, as long as delta and k are normal floats."""
-    lhs_enc, h_enc = lhs.float_enclosure(), H.float_enclosure()
-    if lhs_enc is None or h_enc is None:
-        return 0
+def _sqrt_scaled_cmp(lhs: LogReal, coeff: Fraction, delta: Fraction,
+                     H: LogReal) -> int:
+    """Certified sign of lhs - coeff * sqrt(delta) * H for coeff > 0.  With
+    sqrt(delta) irrational the float filter enclosure_sign comes first, on
+    lhs and H scaled by k = coeff * sqrt(delta) in floating point; k is off
+    by a few ulps, far below the filter's error budget, as long as delta is
+    a normal float (enclosure_sign checks k).  The value vanishes only when
+    lhs and H both do (linear independence of logarithms), so past the
+    filter the interval ladder runs only on nonzero values."""
+    root = sqrt_fraction_exact(delta)
+    if root is not None:
+        return (lhs - (coeff * root) * H).sign()
     try:
         df = delta.numerator / delta.denominator
         k = coeff.numerator / coeff.denominator * sqrt(df)
     except OverflowError:
-        return 0
-    if df < float_info.min or k < float_info.min:
-        return 0
-    (ml, rl), (mh, rh) = lhs_enc, h_enc
-    mid = ml - k * mh
-    radius = rl + k * rh + 1e-12 * (abs(ml) + k * abs(mh) + 1.0)
-    if not isfinite(radius) or abs(mid) <= radius:
-        return 0
-    return 1 if mid > 0 else -1
-
-
-def _sqrt_scaled_cmp(lhs: LogReal, coeff: Fraction, delta: Fraction,
-                     H: LogReal) -> int:
-    """Certified sign of lhs - coeff * sqrt(delta) * H for coeff > 0.  With
-    sqrt(delta) irrational the value vanishes only when lhs and H both do
-    (linear independence of logarithms), so past the float filter the
-    interval ladder runs only on nonzero values."""
-    root = sqrt_fraction_exact(delta)
-    if root is not None:
-        return (lhs - (coeff * root) * H).sign()
-    s = _sqrt_scaled_filter(lhs, coeff, delta, H)
-    if s:
-        return s
+        df = k = 0.0   # no float scale: the exact path decides
+    if df >= float_info.min:
+        s = enclosure_sign(((1.0, lhs.float_enclosure()), (-k, H.float_enclosure())))
+        if s:
+            return s
     if lhs.is_zero and H.is_zero:
         return 0
 
@@ -736,7 +719,7 @@ def run_poly_gcd_experiment(cfg: SampleConfig, seed: int = 0) -> PolyGcdReport:
                 (idx, u.coords, "f(u)=0" if fv == 0 else "g(u)=0")
             )
             continue
-        H = logreal_sum(height(c) for c in u.coords)
+        H = standard_height(u)
         lhs_out = log_gcd_outside(fv, gv, cfg.S)
         lhs_in = log_gcd_within(fv, gv, cfg.S)
         lhs_tot = log_gcd(fv, gv)
@@ -868,7 +851,7 @@ def run_example_pk(p: int = 2, epsilon: Fraction = Fraction(3, 5),
         in_tube = 2 ** abs(m - n) <= max(m, n) ** 2
         rows.append(PkRow(k, m, n, fv == gv, lhs, threshold, flagged, in_tube))
         points.append((m, n))
-        kappa_hat = max(kappa_hat, k / LogReal.log_of_int(n).to_float())
+        kappa_hat = max(kappa_hat, k / log(n))
     max_col = _max_collinear(points)
     return PkReport(p, epsilon, rows, max_col, kappa_hat)
 

@@ -96,13 +96,7 @@ class AlmostUnitConfig:
 def local_height(x: Fraction, v: Place) -> LogReal:
     """log max(1, |x|_v); zero for x = 0."""
     x = Fraction(x)
-    if x == 0:
-        return LogReal.zero()
-    if v.is_archimedean:
-        ax = abs(x)
-        return LogReal.log_of_fraction(ax) if ax > 1 else LogReal.zero()
-    w = valuation(x, v.prime)
-    return LogReal({v.prime: Fraction(-w)}) if w < 0 else LogReal.zero()
+    return torus_local_height(TorusPoint((x,)), v) if x else LogReal.zero()
 
 
 def height(x: Fraction) -> LogReal:

@@ -15,7 +15,7 @@ from math import comb
 
 from .heights import TorusPoint
 from .linalg import LinearSpan, _accumulate, int_rank, rational_rank
-from .logreal import LogReal
+from .logreal import LogReal, enclosure_sign
 from .multipoly import (
     MultiPoly,
     _column_index,
@@ -329,9 +329,6 @@ class GreedyBasis:
     _logs: list[LogReal] = field(repr=False)
     _mono_logs: dict[tuple[int, ...], LogReal] = field(repr=False)
 
-    def monomial_log(self, e) -> LogReal:
-        return _monomial_log(self._logs, e)
-
     def _reduced_tag(self, e) -> tuple[dict[int, int], int]:
         """(w, s): w / s is the tag of x^e reduced to the basis, sparse and
         keyed by ncols + j for the j-th basis monomial; DomainError if a
@@ -426,9 +423,8 @@ def greedy_dominance_violations(gb: GreedyBasis):
 
     The support of each reduction is read off the span's sparse integral
     tag; the logs are those greedy_monomial_basis kept, each with its
-    float_enclosure taken once.  Two logs whose enclosure midpoints lie
-    further apart than both radii plus the rounding slack of
-    LogReal._filter_sign are ordered by the midpoints; otherwise
+    float_enclosure taken once.  Two logs are ordered by the float filter
+    enclosure_sign on their enclosures where it separates them; otherwise
     (overlapping enclosures, exact ties, or a log without an enclosure) by
     the exact LogReal sign."""
     ncols = gb._span.ncols
@@ -437,12 +433,8 @@ def greedy_dominance_violations(gb: GreedyBasis):
     basis = set(gb.monomials)
 
     def larger(mono, e) -> bool:
-        a, b = enclosures[mono], enclosures[e]
-        if a is not None and b is not None:
-            gap = a[0] - b[0]
-            if abs(gap) > a[1] + b[1] + 1e-12 * (abs(b[0]) + 1.0):
-                return gap > 0
-        return (logs[mono] - logs[e]).sign() > 0
+        s = enclosure_sign(((1.0, enclosures[mono]), (-1.0, enclosures[e])))
+        return (s or (logs[mono] - logs[e]).sign()) > 0
 
     out = []
     for e in gb.ideal.monomials:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, combinations
+from sys import float_info
 from typing import Iterable, Mapping
 
 import mpmath
@@ -27,6 +28,11 @@ _SPLIT_PRIMES = tuple(p for p in SMALL_PRIMES if p < _SPLIT_BOUND)
 
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 1 << 16
+
+# relative error budget of one float term (a division, a log and a
+# product), far above its rounding; enclosure_sign adds it once more for
+# combining enclosures
+FLOAT_TERM_ERROR = 1e-12
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -221,16 +227,15 @@ class LogReal:
 
     def float_enclosure(self) -> tuple[float, float] | None:
         """(mid, radius) with the value within radius of mid: each term in
-        floating point under a generous relative error budget of 1e-12, far
-        above the rounding of a division and a log; None if a coefficient
-        or term overflows a float."""
+        floating point under the relative error budget FLOAT_TERM_ERROR;
+        None if a coefficient or term overflows a float."""
         mid = 0.0
-        radius = 1e-12
+        radius = FLOAT_TERM_ERROR
         try:
             for b, c in self._coeffs.items():
                 t = (c.numerator / c.denominator) * math.log(b)
                 mid += t
-                radius += 1e-12 * (abs(t) + 1.0)
+                radius += FLOAT_TERM_ERROR * (abs(t) + 1.0)
         except OverflowError:
             return None
         return (mid, radius) if math.isfinite(mid) else None
@@ -238,18 +243,11 @@ class LogReal:
     def _filter_sign(self, const: Fraction) -> int:
         """+1 or -1 where the float enclosure separates the value from
         const, else 0."""
-        enclosure = self.float_enclosure()
         try:
             cf = const.numerator / const.denominator
         except OverflowError:
             return 0
-        if enclosure is None:
-            return 0
-        mid = enclosure[0] - cf
-        radius = enclosure[1] + 1e-12 * (abs(cf) + 1.0)
-        if abs(mid) <= radius:
-            return 0
-        return 1 if mid > 0 else -1
+        return enclosure_sign(((1.0, self.float_enclosure()), (-1.0, (cf, 0.0))))
 
     def _cmp_nonzero(self, const: Fraction) -> int:
         return self._filter_sign(const) or escalating_sign(
@@ -325,6 +323,31 @@ def logreal_sum(values: Iterable[LogReal]) -> LogReal:
     return LogReal._wrap(
         _accumulate(chain.from_iterable(v._coeffs.items() for v in values)), False
     )
+
+
+def enclosure_sign(parts) -> int:
+    """The package's one float filter: +1 or -1 where float enclosures
+    separate sum(k * x) from 0, else 0.
+
+    parts are pairs (k, enclosure) of a float scale k and an enclosure
+    (mid, radius) of x: a LogReal's float_enclosure, None for none, or
+    (float(q), 0.0) for a rational q.  The sum's radius is
+    sum(|k| * radius) + FLOAT_TERM_ERROR * (sum(|k * mid|) + 1), the slack
+    covering the rounding of the scaled sum.  A missing enclosure, a scale
+    below the smallest normal float (0 included; such a scale has lost
+    relative precision) or a radius that overflows gives 0."""
+    mid = radius = size = 0.0
+    for k, enclosure in parts:
+        if enclosure is None or abs(k) < float_info.min:
+            return 0
+        m, r = enclosure
+        mid += k * m
+        radius += abs(k) * r
+        size += abs(k * m)
+    radius += FLOAT_TERM_ERROR * (size + 1.0)
+    if not math.isfinite(radius) or abs(mid) <= radius:
+        return 0
+    return 1 if mid > 0 else -1
 
 
 def escalating_sign(interval_fn) -> int:

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from sys import float_info
 
 import mpmath
 import pytest
@@ -9,6 +11,7 @@ from gcdlab.logreal import (
     MAX_PRECISION,
     LogReal,
     PrecisionExhausted,
+    enclosure_sign,
     escalating_sign,
     logreal_sum,
 )
@@ -339,3 +342,123 @@ def test_sign_canonicalizes_only_what_the_float_filter_cannot_separate(monkeypat
     assert calls == []
     assert LogReal({6: 1, 2: -1, 3: -1}).sign() == 0   # an exact zero needs the canonical form
     assert len(calls) == 1
+
+
+def _random_log_terms(rng):
+    """A few c * log(b) terms, each base up to 10^6 or an odd 300-bit number."""
+    return {rng.choice((rng.randint(2, 10**6), rng.getrandbits(300) | 1)):
+            Fraction(rng.randint(-60, 60), rng.randint(1, 25))
+            for _ in range(rng.randint(1, 6))}
+
+
+def _mp_exact(x):
+    """x at the current mpmath precision: a {base: coeff} log map or a Fraction."""
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * mpmath.log(b)
+                       for b, c in x.items())
+
+
+def _mp_scaled_sum(parts):
+    return mpmath.fsum(mpmath.mpf(k) * _mp_exact(x) for k, x in parts)
+
+
+def _scaled_sum_oracle(parts):
+    """Sign of sum k * x at 4096 bits over (float k, exact x) pairs; a
+    nonzero value here is far above 2^-3900."""
+    with mpmath.workprec(4096):
+        value = _mp_scaled_sum(parts)
+        return 0 if abs(value) < mpmath.mpf(2) ** -3900 else int(mpmath.sign(value))
+
+
+def _enclosure(x):
+    """A LogReal's float_enclosure for a log map, (float(q), 0.0) for a rational q."""
+    return LogReal(x).float_enclosure() if isinstance(x, dict) else (float(x), 0.0)
+
+
+def _enclosure_sign_of(parts):
+    return enclosure_sign([(k, _enclosure(x)) for k, x in parts])
+
+
+def test_enclosure_sign_never_contradicts_mpmath_at_4096_bits():
+    rng = random.Random(29)
+    got_signs = []
+    for i in range(300):
+        parts = [(rng.choice((1.0, -1.0, rng.uniform(-50, 50),
+                              math.ldexp(rng.uniform(-1, 1), rng.randint(-60, 60)))),
+                  _random_log_terms(rng) if rng.random() < 0.7
+                  else Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)))
+                 for _ in range(rng.randint(1, 3))]
+        if i % 3 == 0:   # a rational agreeing with the sum to 8-20 digits
+            with mpmath.workprec(4096):
+                text = mpmath.nstr(_mp_scaled_sum(parts), rng.randint(8, 20),
+                                   min_fixed=-1, max_fixed=-1)
+            parts.append((-1.0, Fraction(text)))
+        want = _scaled_sum_oracle(parts)
+        got = _enclosure_sign_of(parts)
+        assert got in (0, want), parts
+        got_signs.append(got)
+    # the filter decides most sums and leaves the closest ties to the exact path
+    assert got_signs.count(0) >= 20 and len(got_signs) - got_signs.count(0) >= 200
+
+
+def _cancelling_logs(n, offset):
+    """{2: n, 3: -c}: n log 2 - c log 3 lies within 10^-50 of offset, with
+    terms of about n / 1.44 each, so its float midpoint is rounding noise."""
+    with mpmath.workprec(4096):
+        c = (n * mpmath.log(2) - _mp_exact(offset)) / mpmath.log(3)
+        return {2: Fraction(n), 3: -Fraction(int(mpmath.nint(c * 10**60)), 10**60)}
+
+
+@pytest.mark.parametrize("offset", (Fraction(1, 10**9), Fraction(-1, 10**9),
+                                    Fraction(7, 10**20), Fraction(-7, 10**20)))
+def test_enclosure_sign_leaves_a_log_that_cancels_within_itself_to_the_exact_path(offset):
+    # only the combination's own radius covers the error of its midpoint
+    for n in (10**6, 3 * 10**7, 10**8, 10**12):
+        parts = [(1.0, _cancelling_logs(n, offset))]
+        assert _scaled_sum_oracle(parts) == (1 if offset > 0 else -1)
+        assert _enclosure_sign_of(parts) == 0, n
+
+
+@pytest.mark.parametrize("offset", (Fraction(7, 10**20), Fraction(-7, 10**20),
+                                    Fraction(1, 10**31), Fraction(-1, 10**31)))
+def test_enclosure_sign_leaves_near_ties_to_the_exact_path(offset):
+    # a scaled log against another, and a log against a rational
+    h_terms = {2: Fraction(3), 5: Fraction(-1, 2), 10**30 + 1: Fraction(1, 3)}
+    k = 14 * math.sqrt(0.2)
+    with mpmath.workprec(4096):
+        c = (mpmath.mpf(k) * _mp_exact(h_terms) + _mp_exact(offset)) / mpmath.log(3)
+        lhs_terms = {3: Fraction(int(mpmath.nint(c * 10**80)), 10**80)}
+        q = Fraction(int(mpmath.nint((_mp_exact(lhs_terms) - _mp_exact(offset)) * 10**60)), 10**60)
+    for parts in ([(1.0, lhs_terms), (-k, h_terms)], [(1.0, lhs_terms), (-1.0, q)]):
+        assert _scaled_sum_oracle(parts) == (1 if offset > 0 else -1)
+        assert _enclosure_sign_of(parts) == 0
+
+
+def test_enclosure_sign_covers_the_rounding_of_its_own_sum():
+    # exactly 1 + 3/2^54 - 1 - 9/(10 * 2^52) = -3/(20 * 2^52) < 0, but in
+    # floats 1 + 3/2^54 rounds up to 1 + 2^-52 and the sum comes out > 0
+    parts = [(1.0, Fraction(1)), (1.0, Fraction(3, 2**54)),
+             (-1.0, Fraction(1)), (-1.0, Fraction(9, 10 * 2**52))]
+    assert _scaled_sum_oracle(parts) == -1
+    assert 0.0 + 1.0 + 3 / 2**54 - 1.0 - 9 / (10 * 2**52) > 0
+    assert _enclosure_sign_of(parts) == 0
+
+
+def test_enclosure_sign_gives_0_without_a_usable_enclosure_or_scale():
+    one = (1.0, 0.0)
+    assert enclosure_sign([(1.0, one)]) == 1
+    assert enclosure_sign([(-2.5, one), (1.0, (1.0, 0.5))]) == -1
+    # no enclosure: a LogReal whose coefficient overflows a float
+    huge = LogReal({2: Fraction(10**400, 3)}).float_enclosure()
+    assert huge is None
+    assert enclosure_sign([(1.0, huge), (1.0, one)]) == 0
+    # a scale below the smallest normal float, 0 included; the smallest normal is kept
+    for k in (float_info.min / 2, 5e-324, 0.0, -0.0, -float_info.min / 3):
+        assert enclosure_sign([(1.0, one), (k, one)]) == 0, k
+    assert enclosure_sign([(1.0, one), (float_info.min, one)]) == 1
+    # a sum or radius past the float range
+    assert enclosure_sign([(1.0, (1e308, 0.0)), (1.0, (1e308, 0.0))]) == 0
+    assert enclosure_sign([(1e300, (1e300, 0.0))]) == 0
+    assert enclosure_sign([(1e300, (1.0, 1e300))]) == 0
+    assert enclosure_sign([(1.0, (1.0, float("inf")))]) == 0

@@ -66,3 +66,38 @@ def test_the_maxsize_check_flags_unbounded_caches():
                                 for kind, _, call in uses), source
     ok = "import functools\n@functools.lru_cache(maxsize=8)\ndef f(): pass"
     assert all(_finite_maxsize(call) for _, _, call in _functools_caches(ast.parse(ok)))
+
+
+def _float_budget_literals(name, source):
+    """(file:line, is the constant) for every float literal 1e-12 in a
+    source file; the constant is the assignment FLOAT_TERM_ERROR = 1e-12
+    in logreal.py."""
+    tree = ast.parse(source)
+    constant = {id(node.value) for node in ast.walk(tree)
+                if name == "logreal.py" and isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["FLOAT_TERM_ERROR"]}
+    return [(f"{name}:{node.lineno}", id(node) in constant) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and node.value == 1e-12]
+
+
+def test_the_float_error_budget_is_written_once():
+    """logreal.enclosure_sign is the one float filter, so its error budget
+    lives in one place: the float literal 1e-12 occurs under src/gcdlab
+    only as logreal.FLOAT_TERM_ERROR, and a hand-copied filter that
+    writes the budget out again is flagged."""
+    found = [hit for path in sorted(SRC.glob("*.py"))
+             for hit in _float_budget_literals(path.name, path.read_text(encoding="utf-8"))]
+    assert [is_constant for _, is_constant in found] == [True], found
+    assert found[0][0].startswith("logreal.py:")
+
+
+def test_the_budget_check_flags_a_planted_literal():
+    for name, source in (("harness.py", "radius = r + 1e-12 * (abs(m) + 1.0)"),
+                         ("hilbert.py", "FLOAT_TERM_ERROR = 1e-12"),
+                         ("logreal.py", "FLOAT_TERM_ERROR = 1e-12\nslack = 1.0E-12 * size"),
+                         ("logreal.py", "budget = 0.000000000001")):
+        hits = _float_budget_literals(name, source)
+        assert not all(is_constant for _, is_constant in hits), (name, source)
+    ok = "FLOAT_TERM_ERROR = 1e-12\nradius = FLOAT_TERM_ERROR * 2e-12  # 1e-12"
+    assert _float_budget_literals("logreal.py", ok) == [("logreal.py:1", True)]
