@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import inspect
 import json
 import sys
 from contextlib import contextmanager
@@ -108,6 +107,18 @@ def _given(args, names) -> dict:
     return {name: getattr(args, name) for name in names if name in args}
 
 
+@functools.lru_cache(maxsize=16)
+def _required(target) -> tuple[str, ...]:
+    """The parameters of a runner, or of a config dataclass's __init__,
+    that have no default, in signature order."""
+    fn = target.__init__ if isinstance(target, type) else target
+    code, defaults = fn.__code__, fn.__defaults__ or ()
+    positional = code.co_varnames[isinstance(target, type):code.co_argcount]
+    kwonly = code.co_varnames[code.co_argcount:code.co_argcount + code.co_kwonlyargcount]
+    return (positional[:len(positional) - len(defaults)]
+            + tuple(name for name in kwonly if name not in (fn.__kwdefaults__ or {})))
+
+
 def _options(args, target) -> dict:
     """The config keys merged over the flags the command line gave (the
     config wins), each converted; a key that ``target`` takes without a
@@ -120,8 +131,8 @@ def _options(args, target) -> dict:
         if key not in keys:
             raise DomainError(f"unknown config key {key!r}")
     given = {**_given(args, keys), **cfg}
-    for name, param in inspect.signature(target).parameters.items():
-        if name in keys and name not in given and param.default is param.empty:
+    for name in _required(target):
+        if name in keys and name not in given:
             raise DomainError(f"config is missing {name!r}")
     opts = {}
     for key, value in given.items():

@@ -21,8 +21,6 @@ from math import ceil, gcd as igcd, log, log2, sqrt
 from sys import float_info
 from typing import NamedTuple
 
-import mpmath
-
 from .gengcd import _finite_core, log_gcd, log_gcd_outside, log_gcd_within
 from .heights import (
     AlmostUnitConfig,
@@ -514,6 +512,8 @@ def scan_csv_rows(report: ScanReport):
     notes) tail once."""
     if report.rows is None:
         raise DomainError("scan was run without keep_rows")
+    import mpmath
+
     encode = _csv_encoder()
     eps = report.config.epsilon
     thresholds = [
@@ -634,6 +634,8 @@ def _sqrt_scaled_cmp(lhs: LogReal, coeff: Fraction, delta: Fraction,
         return 0
 
     def fn():
+        import mpmath
+
         iv = mpmath.iv
         return lhs.interval() - fraction_interval(coeff) * iv.sqrt(
             fraction_interval(delta)
@@ -753,6 +755,8 @@ POLY_GCD_CSV_HEADER = (
 
 
 def poly_gcd_csv_rows(report: PolyGcdReport):
+    import mpmath
+
     cfg = report.config
     consts = report.constants
     with mpmath.workdps(CSV_DIGITS + 10):

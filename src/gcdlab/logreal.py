@@ -8,7 +8,9 @@ coprime integers cannot vanish); nonzero signs are certified by interval
 arithmetic at escalating precision.  A value is a term map {base: coeff}
 summed by linalg._accumulate, the sum of polynomial and power-sum terms too.
 Canonicalization is lazy so that values built from huge unfactored integers
-(gcds of recurrence terms) stay cheap until an exact zero test needs them."""
+(gcds of recurrence terms) stay cheap until an exact zero test needs them.
+mpmath is imported inside the functions that compute a decimal or an
+interval, so a process that needs neither never loads it."""
 
 from __future__ import annotations
 
@@ -17,8 +19,6 @@ from fractions import Fraction
 from itertools import chain, combinations
 from sys import float_info
 from typing import Iterable, Mapping
-
-import mpmath
 
 from .arith import SMALL_PRIMES, _split_primes, factorize, perfect_power
 from .linalg import _accumulate
@@ -195,6 +195,8 @@ class LogReal:
     def interval(self):
         """Enclosure of the value as an mpmath interval at the current
         mpmath.iv.prec."""
+        import mpmath
+
         iv = mpmath.iv
         total = iv.mpf(0)
         for b, c in self._coeffs.items():
@@ -267,6 +269,8 @@ class LogReal:
         representation of zero."""
         if not self._coeffs:
             return "0"
+        import mpmath
+
         terms = sorted(self._coeffs.items())
         extra = 10
         while 3.33 * (digits + extra) <= MAX_PRECISION:   # bits of working precision
@@ -359,6 +363,8 @@ def escalating_sign(interval_fn) -> int:
     after the last.  The precision starts at DEFAULT_PRECISION and doubles
     up to MAX_PRECISION; an enclosure that still contains zero there raises
     PrecisionExhausted.  Callers rule out an exact zero first."""
+    import mpmath
+
     iv = mpmath.iv
     saved = iv.prec
     try:
@@ -380,5 +386,7 @@ def escalating_sign(interval_fn) -> int:
 
 def fraction_interval(q):
     """mpmath.iv enclosure of a rational at the current mpmath.iv.prec."""
+    import mpmath
+
     q = _as_fraction(q)
     return mpmath.iv.mpf(q.numerator) / mpmath.iv.mpf(q.denominator)

@@ -490,18 +490,21 @@ def test_unit_eq_delta_is_read_and_ignored(capsys, tmp_path):
     assert code == 0 and "S={oo, 2, 3} n=1 bound=1: 9 nondegenerate" in out
 
 
+# the runner or config dataclass each subcommand's config keys go to
+CLI_TARGETS = {
+    "lrs-scan": harness.ScanConfig, "poly-gcd": harness.SampleConfig,
+    "example-pk": harness.run_example_pk, "sharpness": harness.run_sharpness,
+    "rec1-scan": harness.run_rec1_scan, "unit-eq": harness.solve_unit_equation,
+}
+
+
 def test_every_config_key_reaches_its_runner():
     """A renamed runner parameter must not leave a config key behind."""
-    targets = {
-        "lrs-scan": harness.ScanConfig, "poly-gcd": harness.SampleConfig,
-        "example-pk": harness.run_example_pk, "sharpness": harness.run_sharpness,
-        "rec1-scan": harness.run_rec1_scan, "unit-eq": harness.solve_unit_equation,
-    }
     read_by_the_cli = {"poly-gcd": {"nvars"}, "unit-eq": {"delta"}}
     renamed = {"unit-eq": {"primes": "S"}}
-    assert set(cli.CONFIG_KEYS) == set(targets)
+    assert set(cli.CONFIG_KEYS) == set(CLI_TARGETS)
     for sub, keys in cli.CONFIG_KEYS.items():
-        target = targets[sub]
+        target = CLI_TARGETS[sub]
         if dataclasses.is_dataclass(target):
             params = {f.name for f in dataclasses.fields(target)}
         else:
@@ -515,6 +518,29 @@ def test_every_config_key_reaches_its_runner():
         for action in parser._actions:
             if action.dest not in ("help", "config", "out", "seed"):
                 assert action.dest in cli.CONFIG_KEYS[sub], (sub, action.dest)
+
+
+def test_required_keys_are_the_parameters_without_a_default():
+    for target in CLI_TARGETS.values():
+        want = tuple(name for name, param in inspect.signature(target).parameters.items()
+                     if param.default is param.empty)
+        assert cli._required(target) == want, target
+
+    def runner(a, b=1, *args, c, d=2, **kwargs):
+        pass
+
+    assert cli._required(runner) == ("a", "c")
+
+
+@pytest.mark.parametrize("sub, cfg, missing", [
+    ("lrs-scan", {"G": G_PK}, "F"),
+    ("lrs-scan", {"F": F_PK}, "G"),
+    ("poly-gcd", {"g": "x2"}, "f"),
+    ("rec1-scan", {"N": 5}, "F"),
+])
+def test_a_missing_required_key_exits_2_and_names_it(capsys, tmp_path, sub, cfg, missing):
+    code, _, err = _run_config(capsys, tmp_path, sub, cfg)
+    assert (code, err) == (2, f"error: config is missing {missing!r}\n")
 
 
 def test_parser_is_built_once_per_process(capsys, tmp_path):

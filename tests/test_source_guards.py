@@ -50,9 +50,9 @@ def test_every_lru_cache_has_a_finite_maxsize():
                 bad.append(f"{path.name}:{line}")
     assert not bad, bad
     # multipoly's monomial tables, product columns and shift masks (the x_i
-    # multiples that graded_ideal_ranks carries), arith's power sieve and
-    # cli's parser
-    assert found >= 5
+    # multiples that graded_ideal_ranks carries), arith's power sieve, and
+    # cli's parser and required config keys
+    assert found >= 6
 
 
 def test_the_maxsize_check_flags_unbounded_caches():
@@ -101,3 +101,55 @@ def test_the_budget_check_flags_a_planted_literal():
         assert not all(is_constant for _, is_constant in hits), (name, source)
     ok = "FLOAT_TERM_ERROR = 1e-12\nradius = FLOAT_TERM_ERROR * 2e-12  # 1e-12"
     assert _float_budget_literals("logreal.py", ok) == [("logreal.py:1", True)]
+
+
+def _mpmath_imports(tree):
+    """(line, runs at import) for every import of mpmath or a submodule: it
+    runs at import unless it sits in a function body, so one in a top-level
+    if, try, with or class body counts."""
+    hits, todo = [], [(node, True) for node in tree.body]
+    while todo:
+        node, at_import = todo.pop()
+        at_import = at_import and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "mpmath" for name in names):
+            hits.append((node.lineno, at_import))
+        todo.extend((child, at_import) for child in ast.iter_child_nodes(node))
+    return sorted(hits)
+
+
+def test_mpmath_is_imported_only_inside_functions():
+    """mpmath serves only decimals and the rare interval sign, so it is
+    imported in the functions that compute them and a process that needs
+    neither (hilbert-verify, a scan without rows) never loads it."""
+    local, bad = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for line, at_import in _mpmath_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            if at_import:
+                bad.append(f"{path.name}:{line}")
+            local += not at_import
+    assert not bad, bad
+    # logreal's interval, decimal, ladder and fraction_interval; harness's
+    # threshold decimals, sqrt-scaled intervals and poly-gcd decimals
+    assert local >= 7
+
+
+def test_the_mpmath_check_flags_import_time_imports():
+    for source in ("import mpmath",
+                   "from mpmath import iv",
+                   "import os, mpmath.libmp as libmp",
+                   "if True:\n    import mpmath",
+                   "try:\n    import mpmath\nexcept ImportError:\n    mpmath = None",
+                   "with open('x'):\n    from mpmath import mp",
+                   "class A:\n    import mpmath",
+                   "def f():\n    pass\nimport mpmath"):
+        assert any(at_import for _, at_import in _mpmath_imports(ast.parse(source))), source
+    ok = ("def f():\n    import mpmath\n"
+          "class A:\n    def g(self):\n        if True:\n            from mpmath import iv\n"
+          "from .mpmath_free import x")
+    assert _mpmath_imports(ast.parse(ok)) == [(2, False), (6, False)]
