@@ -13,6 +13,7 @@ from fractions import Fraction
 from gcdlab import (
     Place,
     TorusPoint,
+    delta_for_epsilon,
     dim_quotient_formula,
     dim_quotient_bruteforce,
     greedy_monomial_basis,
@@ -55,3 +56,5 @@ print("\nexplicit constants of the inequalities at (n, d1, d2) = (2, 3, 2):")
 c = inequality_constants(2, 3, 2, Fraction(1, 100))
 print(f"  C_main = {c.C_main}, m_main = {c.m_main}, C_combined = {c.C_combined}")
 print(f"  C_spart = {c.C_spart}, m_spart = {c.m_spart} (<= 2n), I_spart = {c.I_spart}")
+print(f"  the eps-form at eps = 1/10 holds with delta = "
+      f"{delta_for_epsilon(Fraction(1, 10), 2, 3, 2)} = (eps / (6 n^3 (d1 + d2)))^2")

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from gcdlab import (
     PowerSum,
+    from_recurrence,
     lrs_coprime,
     multiplicative_independence,
     root_group,
@@ -29,6 +30,11 @@ G = PowerSum.of(([1], 2), ([-4], 1))       # 2^n - 4
 zs2 = zero_scan(G, 40)
 print(f"\nG(n) = {G}: zeros {zs2.zeros}, progressions {zs2.progressions}, "
       f"sporadic {zs2.sporadic}")
+
+# a(n+2) = 3 a(n+1) - 2 a(n) with a(0), a(1) = 0, 1 is 2^n - 1
+H = from_recurrence([3, -2], [0, 1])
+assert H == PowerSum.of(([1], 2), ([-1], 1))
+print(f"\nfrom the recurrence a(n+2) = 3 a(n+1) - 2 a(n), a(0..1) = 0, 1: {H}")
 
 print("\nroot groups and multiplicative structure:")
 rg = root_group([Fraction(4), Fraction(8), Fraction(6)])

@@ -16,25 +16,19 @@ from .places import (
 )
 from .heights import (
     AlmostUnitConfig,
-    ProjPoint,
     TorusPoint,
     h_sbar,
-    h_sbar_standard,
     height,
-    hypersurface_local_height,
     is_almost_unit,
     local_height,
-    proj_height,
     standard_height,
     torus_height,
-    tuple_heights,
 )
 from .gengcd import log_gcd, log_gcd_outside, log_gcd_within
 from .multipoly import (
     LaurentPoly,
     MultiPoly,
     coprime,
-    laurent_normalize,
     parse_poly,
     poly_gcd,
 )
@@ -51,8 +45,6 @@ from .hilbert import (
     multiindex_sum_closed_form,
     ord_sum_check,
     truncated_ideal,
-    veronese_basis,
-    veronese_rank,
 )
 from .lrs import (
     PowerSum,
@@ -61,10 +53,8 @@ from .lrs import (
     compute_S0,
     from_recurrence,
     lrs_coprime,
-    monomial_height,
     multiplicative_independence,
     power_sum_from_json,
-    power_sum_to_json,
     root_group,
     to_laurent,
     zero_scan,

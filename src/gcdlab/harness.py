@@ -30,12 +30,24 @@ from .heights import (
     standard_height,
     torus_height,
 )
-from .hilbert import inequality_constants
+from .hilbert import (
+    _monomial_count,
+    dim_quotient_formula,
+    graded_ideal_ranks,
+    greedy_dominance_violations,
+    greedy_monomial_basis,
+    inequality_constants,
+    multiindex_sum,
+    multiindex_sum_closed_form,
+    ord_sum_check,
+    quotient_monomial_basis,
+    truncated_ideal,
+)
 from .logreal import LogReal, enclosure_sign, escalating_sign, fraction_interval
 from .lrs import PowerSum, _poly_eval as _int_poly, _zero_structure, compute_S0
-from .multipoly import MultiPoly, _monomial_table, monomials_upto
-from .places import DomainError, Place, PlaceSet, _refuse_past, format_rational
-from .arith import _split_primes, sqrt_fraction_exact
+from .multipoly import MultiPoly, _monomial_table, coprime, monomials_upto
+from .places import DomainError, Place, PlaceSet, _refuse_past, format_rational, valuation
+from .arith import _split_primes, is_prime, sqrt_fraction_exact
 
 
 # Checked before any evaluation: the estimated bits of all values a run
@@ -558,14 +570,14 @@ class SampleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", Fraction(self.delta))
-        from .multipoly import coprime
-
         if not 0 < self.delta < 1:
             raise DomainError("delta must lie in (0, 1)")
         if not self.S.contains_archimedean:
             raise DomainError("S must contain the archimedean place")
         if self.f.nvars != self.g.nvars:
             raise DomainError("f and g must share their variables")
+        if self.count < 1:
+            raise DomainError("count must be at least 1")
         # the bits of the values a run builds, estimated before any: about
         # n^2 (d + 1) for the line directions of coprime and the binomials
         # of inequality_constants, in n variables at degree d; the B^2
@@ -828,17 +840,17 @@ def pk_sequences(p: int) -> tuple[PowerSum, PowerSum]:
 
 def run_example_pk(p: int = 2, epsilon: Fraction = Fraction(3, 5),
                    kmax: int = 10) -> PkReport:
-    from .arith import is_prime
-
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
+    if kmax < 1:
+        raise DomainError("kmax must be at least 1")
     epsilon = Fraction(epsilon)
     if LogReal({p: Fraction(1)}).cmp(epsilon) <= 0:
         raise DomainError("epsilon must be smaller than log p")
     # F(p^k) and G(p^k + k) have about p^k log2 p bits, so all k <= kmax
     # about 4 p^kmax log2 p; p >= 2, so p^k is past MAX_BITS by
     # k = MAX_BITS.bit_length() and no larger power is formed
-    k = max(0, min(kmax, MAX_BITS.bit_length()))
+    k = min(kmax, MAX_BITS.bit_length())
     _bound_work(ceil(4 * p**k * Fraction(log2(p))))
     F, G = pk_sequences(p)
     rows = []
@@ -937,13 +949,13 @@ SHARPNESS_MAX_BITS = 1 << 18
 
 def run_sharpness(p: int = 2, delta: Fraction = Fraction(1, 5), trials: int = 10,
                   m_start: int = 4) -> SharpnessReport:
-    from .arith import is_prime
-
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise DomainError("delta must lie in (0, 1)")
+    if trials < 1:
+        raise DomainError("trials must be at least 1")
     m_far = max(abs(m_start), abs(m_start + trials - 1))
     _refuse_past(ceil(trials * m_far * Fraction(log2(p)) / delta), SHARPNESS_MAX_BITS,
                  "bits of points")
@@ -1021,11 +1033,11 @@ def run_rec1_scan(F: PowerSum, place: Place = Place.archimedean(),
     """All n <= N with -log|F(n)|_v >= epsilon * n at v = ``place`` (the
     decay inequality violators); the hypothesis needs some root with
     |root|_v >= 1 and a nondegenerate F."""
-    from .places import valuation
-
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
+    if N < 0:
+        raise DomainError("N must be at least 0")
     if F.is_degenerate():
         raise DomainError("degenerate recurrence")
     if F.is_zero:
@@ -1093,8 +1105,6 @@ def random_form(rng, nvars: int, degree: int) -> MultiPoly:
 
 def random_coprime_forms(rng, nvars: int, d1: int,
                          d2: int) -> tuple[MultiPoly, MultiPoly]:
-    from .multipoly import coprime
-
     for _ in range(COPRIME_TRIES):
         F1 = random_form(rng, nvars, d1)
         F2 = random_form(rng, nvars, d2)
@@ -1135,21 +1145,6 @@ def run_hilbert_verify(seed: int = 0) -> list[VerifyCheck]:
     order-sum bounds on a quotient monomial basis), and greedy dominance on
     random truncated ideals."""
     import random
-
-    from .hilbert import (
-        _monomial_count,
-        dim_quotient_formula,
-        graded_ideal_ranks,
-        greedy_dominance_violations,
-        greedy_monomial_basis,
-        multiindex_sum,
-        multiindex_sum_closed_form,
-        ord_sum_check,
-        quotient_monomial_basis,
-        truncated_ideal,
-    )
-    from .multipoly import coprime
-    from .places import Place
 
     rng = random.Random(seed)
     checks = []

@@ -1,5 +1,5 @@
-"""Absolute, local, projective and torus-point heights over Q, the non-S
-height, and the almost-unit predicates built on it.
+"""Absolute, local and torus-point heights over Q, the non-S height, and
+the almost-unit predicates built on it.
 
 All values are exact LogReals; the local-global identity
 sum_v local_height(x, v) == height(x) holds with zero discrepancy because we
@@ -9,45 +9,17 @@ The heights of torus points, the non-S heights and the quasi-S-integer test
 sum their finite places in closed form, without factoring anything: over Q
 the finite part of a height is log lcm(denominators), that of the height of
 the inverse is log lcm(|numerators|), and the places of S are divided out of
-those integers with the known primes of S.  Only tuple_heights, whose output
-is the per-place table, walks the places one by one."""
+those integers with the known primes of S."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .arith import _split_primes
 from .logreal import LogReal, logreal_sum
 from .places import DomainError, Place, PlaceSet, support_primes, valuation
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """A point of projective space, stored in canonical integer coordinates:
-    denominators cleared, integer content divided out, first nonzero
-    coordinate positive."""
-
-    coords: tuple[Fraction, ...]
-
-    def __init__(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
-        if not coords or all(c == 0 for c in coords):
-            raise DomainError("projective point needs a nonzero coordinate")
-        L = lcm(*(c.denominator for c in coords))
-        ints = [int(c * L) for c in coords]
-        content = 0
-        for a in ints:
-            content = gcd(content, a)
-        ints = [a // content for a in ints]
-        first = next(a for a in ints if a != 0)
-        if first < 0:
-            ints = [-a for a in ints]
-        object.__setattr__(self, "coords", tuple(Fraction(a) for a in ints))
-
-    def __str__(self) -> str:
-        return "(" + " : ".join(str(c) for c in self.coords) + ")"
 
 
 @dataclass(frozen=True)
@@ -63,9 +35,6 @@ class TorusPoint:
         if any(c == 0 for c in coords):
             raise DomainError("torus point coordinates must be nonzero")
         object.__setattr__(self, "coords", coords)
-
-    def inverse(self) -> "TorusPoint":
-        return TorusPoint(tuple(1 / c for c in self.coords))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -115,12 +84,6 @@ def relevant_places(*values: Fraction) -> list[Place]:
     ]
 
 
-def proj_height(P: ProjPoint) -> LogReal:
-    """Height of a projective point; with canonical integer coordinates the
-    finite places contribute nothing, leaving log max|coordinate|."""
-    return LogReal.log_of_int(max(abs(c.numerator) for c in P.coords))
-
-
 def _arch_height(coords) -> LogReal:
     """log max(1, |c_1|, ..., |c_n|) at the archimedean place."""
     m = max(Fraction(1), *(abs(c) for c in coords))
@@ -148,17 +111,6 @@ def standard_height(u: TorusPoint) -> LogReal:
     return logreal_sum(height(c) for c in u.coords)
 
 
-def tuple_heights(u: TorusPoint):
-    """Projective-style torus height, the per-place local height table on the
-    support, and the standard (coordinate-sum) height."""
-    table = {}
-    for v in relevant_places(*u.coords):
-        lam = torus_local_height(u, v)
-        if not lam.is_zero:
-            table[v] = lam
-    return logreal_sum(table.values()), table, standard_height(u)
-
-
 def _as_torus(u) -> TorusPoint:
     if isinstance(u, TorusPoint):
         return u
@@ -180,12 +132,6 @@ def h_sbar(u, S: PlaceSet) -> LogReal:
     if not S.contains_archimedean:
         total = total + _arch_height(coords) + _arch_height([1 / c for c in coords])
     return total
-
-
-def h_sbar_standard(u, S: PlaceSet) -> LogReal:
-    """Non-S height in the standard (coordinate-sum) normalization: the sum
-    of the coordinates' non-S heights."""
-    return logreal_sum(h_sbar(c, S) for c in _as_torus(u).coords)
 
 
 def is_almost_unit(u, cfg: AlmostUnitConfig) -> bool:
@@ -216,24 +162,3 @@ def is_quasi_s_integer(x: Fraction, S: PlaceSet, eps: Fraction) -> bool:
         lhs = lhs + _arch_height([x])
     diff = lhs - Fraction(eps) * height(x)
     return diff.sign() >= 0
-
-
-def hypersurface_local_height(F, P: ProjPoint, v: Place) -> LogReal:
-    """Local height of P relative to the hypersurface F = 0, for F a
-    homogeneous polynomial of degree d: log(|P|_v^d / |F(P)|_v).  The value
-    does not depend on the coordinate representative."""
-    from .multipoly import MultiPoly  # local import to avoid a cycle
-
-    if not isinstance(F, MultiPoly):
-        raise TypeError("F must be a MultiPoly")
-    if not F.is_homogeneous():
-        raise DomainError("hypersurface polynomial must be homogeneous")
-    d = F.degree()
-    value = F.eval(P.coords)
-    if value == 0:
-        raise DomainError("point lies on the hypersurface")
-    if v.is_archimedean:
-        m = max(abs(c) for c in P.coords)
-        return LogReal.log_of_fraction(m) * d - LogReal.log_of_fraction(value)
-    w = min(valuation(c, v.prime) for c in P.coords)
-    return LogReal({v.prime: Fraction(-w * d + valuation(value, v.prime))})

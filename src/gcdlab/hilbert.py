@@ -1,9 +1,9 @@
 """Combinatorics of truncated polynomial ideals: exact dimension formulas
-for quotients by a coprime pair, the degree-bounded ideal (f,g) as a vector
-space with membership tests, place-adapted greedy monomial bases of the
-quotient, the degree-d-uple basis built from powers of a single form, and
-the explicit constants of the gcd inequalities, all exact integers (the
-S-part degree by comparing integer d-th powers, not by intervals)."""
+for quotients by a coprime pair, the degree-bounded ideal (f,g) as an
+echelon span of its monomial multiples, place-adapted greedy monomial bases
+of the quotient, and the explicit constants of the gcd inequalities, all
+exact integers (the S-part degree by comparing integer d-th powers, not by
+intervals)."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from functools import cmp_to_key, partial
 from math import comb
 
 from .heights import TorusPoint
-from .linalg import LinearSpan, _accumulate, int_rank, rational_rank
+from .linalg import LinearSpan, _accumulate, int_rank
 from .logreal import LogReal, enclosure_sign
 from .multipoly import (
     MultiPoly,
@@ -279,20 +279,6 @@ class TruncatedIdeal:
     def nvars(self) -> int:
         return self.f.nvars
 
-    def _vector(self, p: MultiPoly) -> dict[int, Fraction]:
-        """p's coordinates, unscaled: the residual of p itself is returned."""
-        if p.degree() > self.m:
-            raise DomainError("degree exceeds the truncation bound")
-        return {self.column[e]: c for e, c in p.terms.items()}
-
-    def contains(self, p: MultiPoly) -> bool:
-        """Membership of a degree-<= m polynomial, by exact reduction."""
-        return self.span.contains(self._vector(p))
-
-    def reduce(self, p: MultiPoly) -> list[Fraction]:
-        residual, _ = self.span.reduce(self._vector(p))
-        return residual
-
 
 def truncated_ideal(f: MultiPoly, g: MultiPoly, m: int) -> TruncatedIdeal:
     if f.is_zero or g.is_zero:
@@ -317,9 +303,9 @@ def truncated_ideal(f: MultiPoly, g: MultiPoly, m: int) -> TruncatedIdeal:
 @dataclass
 class GreedyBasis:
     """Quotient basis of monomials chosen greedily by increasing |u^i|_v,
-    ties broken graded-lex; supports exact reduction of any monomial to the
-    chosen basis modulo the ideal.  Keeps log|u^e|_v of every monomial of
-    the ideal's space, computed once when the basis is chosen."""
+    ties broken graded-lex; its tagged span reduces any monomial exactly to
+    the chosen basis modulo the ideal.  Keeps log|u^e|_v of every monomial
+    of the ideal's space, computed once when the basis is chosen."""
 
     place: Place
     point: TorusPoint
@@ -337,12 +323,6 @@ class GreedyBasis:
         if min(w, default=self._span.ncols) < self._span.ncols:
             raise DomainError("monomial independent of ideal + basis")
         return w, s
-
-    def reduce_monomial(self, e) -> dict[tuple[int, ...], Fraction]:
-        """Coefficients c with x^e == sum c_j x^(i_j) modulo the ideal."""
-        w, s = self._reduced_tag(e)
-        ncols = self._span.ncols
-        return {self.monomials[j - ncols]: Fraction(-x, s) for j, x in sorted(w.items())}
 
 
 def _monomial_log(logs: list[LogReal], exponents) -> LogReal:
@@ -532,53 +512,3 @@ def delta_for_epsilon(eps: Fraction, n: int, d1: int, d2: int) -> Fraction:
     if eps <= 0:
         raise DomainError("eps must be positive")
     return (eps / (6 * n**3 * (d1 + d2))) ** 2
-
-
-# ---------------------------------------------------------------------
-# basis from powers of a single form (d-uple embedding)
-# ---------------------------------------------------------------------
-
-@dataclass
-class PowerBasis:
-    """For a form F of degree d with nonzero x0^d coefficient: the degree
-    m*d basis {x^i / x0^(k_i d) * F^(k_i)} with k_i = floor(ord_x0(x^i)/d),
-    together with I = sum k_i."""
-
-    F: MultiPoly
-    m: int
-    elements: list[MultiPoly]
-    exponents: list[tuple[int, ...]]
-    k_values: list[int]
-    I: int
-
-
-def veronese_basis(F: MultiPoly, m: int) -> PowerBasis:
-    if not F.is_homogeneous() or F.is_zero:
-        raise DomainError("need a nonzero homogeneous form")
-    d = F.degree()
-    nvars = F.nvars
-    top = tuple([d] + [0] * (nvars - 1))
-    if F.terms.get(top, Fraction(0)) == 0:
-        raise DomainError("x0^d coefficient vanishes (dehomogenization hits the origin)")
-    powers = [MultiPoly.one(nvars)]
-    for _ in range(m):
-        powers.append(powers[-1] * F)
-    elements, ks = [], []
-    exps = monomials_exact(nvars, m * d)
-    for e in exps:
-        k = e[0] // d
-        rest = (e[0] - k * d,) + e[1:]
-        elements.append(MultiPoly.monomial(nvars, rest) * powers[k])
-        ks.append(k)
-    return PowerBasis(F, m, elements, exps, ks, sum(ks))
-
-
-def veronese_rank(basis: PowerBasis) -> int:
-    """Exact rank of the power basis inside the degree m*d forms (full rank
-    equals C(n + m*d, n))."""
-    nvars = basis.F.nvars
-    column = _monomial_table(nvars, basis.m * basis.F.degree())[1]
-    origin = [(0,) * nvars]
-    return rational_rank(
-        [row for p in basis.elements for row in _multiple_rows(column, p, origin)]
-    )

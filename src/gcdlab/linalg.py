@@ -154,10 +154,6 @@ class LinearSpan:
             out[j] = Fraction(x, s)
         return out[: self.ncols], out[self.ncols :]
 
-    def contains(self, vector: Vector) -> bool:
-        w, _ = self.reduce_sparse(vector)
-        return min(w, default=self.ncols) >= self.ncols
-
     def add(self, vector: Vector, tag: Vector | None = None) -> bool:
         """Insert a vector; returns False if it was already in the span."""
         w, _ = self._reduce(*self._integral(vector, tag), full=False)

@@ -19,11 +19,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .arith import _split_primes, hnf_with_transform, solve_in_row_lattice
-from .heights import height
+from .arith import _split_primes, factorize, hnf_with_transform, solve_in_row_lattice
 from .linalg import LinearSpan, _accumulate
-from .logreal import LogReal
-from .multipoly import LaurentPoly
+from .multipoly import LaurentPoly, coprime as poly_coprime
 from .places import (
     DomainError,
     PlaceSet,
@@ -199,21 +197,12 @@ class PowerSum:
 
 
 # ---------------------------------------------------------------------
-# JSON wire format
+# JSON input
 # ---------------------------------------------------------------------
 
-def power_sum_to_json(F: PowerSum) -> dict:
-    """{"terms": [{"coeff": [...little-endian rational strings...],
-    "root": "a/b"}, ...]}"""
-    return {
-        "terms": [
-            {"coeff": [format_rational(c) for c in cs], "root": format_rational(r)}
-            for cs, r in F.terms
-        ]
-    }
-
-
 def power_sum_from_json(data) -> PowerSum:
+    """The power sum {"terms": [{"coeff": [...little-endian rationals...],
+    "root": rational}, ...]}, given as a dict or as JSON text."""
     if isinstance(data, str):
         data = json.loads(data)
     if not (isinstance(data, dict) and set(data) <= {"terms"}
@@ -255,8 +244,6 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     num, then den, ascending; + before -), each divided out while it is a
     root.  A quotient's a_0 and a_d divide the original ones, so a_0 and a_d
     are factored once."""
-    from .arith import factorize
-
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
@@ -496,8 +483,6 @@ def lrs_coprime(F: PowerSum, G: PowerSum) -> bool:
     """Coprimality of the Laurent polynomials attached to F and G over the
     combined root group.  A group with torsion (some ratio of roots is -1)
     raises DomainError."""
-    from .multipoly import coprime as poly_coprime
-
     if F.is_zero or G.is_zero:
         raise DomainError("coprimality with the zero sequence is undefined")
     combined = root_group(F.roots + G.roots)
@@ -508,11 +493,3 @@ def lrs_coprime(F: PowerSum, G: PowerSum) -> bool:
     if f0.is_constant() or g0.is_constant():
         return True
     return poly_coprime(f0, g0)
-
-
-def monomial_height(group: RootGroup, exponents: Sequence[int]) -> LogReal:
-    """Exact height of prod generators^exponents."""
-    val = Fraction(1)
-    for g, e in zip(group.generators, exponents):
-        val *= Fraction(g) ** int(e)
-    return height(val)

@@ -216,18 +216,6 @@ class MultiPoly(_SparsePoly):
     def vanishes_at_origin(self) -> bool:
         return self.constant_term() == 0
 
-    # -- variable plumbing ---------------------------------------------
-    def homogenize(self) -> "MultiPoly":
-        """Homogenization with a fresh first variable x0: the result H
-        satisfies H(1, x) == self(x) and is homogeneous of degree deg(self)."""
-        if self.is_zero:
-            raise DomainError("cannot homogenize the zero polynomial")
-        d = self.degree()
-        out = {}
-        for e, c in self.terms.items():
-            out[(d - sum(e),) + e] = c
-        return MultiPoly(self.nvars + 1, out)
-
 
 def _coords(point) -> Sequence:
     coords = getattr(point, "coords", None)
@@ -697,7 +685,3 @@ class LaurentPoly(_SparsePoly):
             tuple(a - b for a, b in zip(e, mins)): c for e, c in self.terms.items()
         }
         return mins, MultiPoly(self.nvars, shifted)
-
-
-def laurent_normalize(f: LaurentPoly) -> tuple[tuple[int, ...], MultiPoly]:
-    return f.normalize()

@@ -662,6 +662,25 @@ def test_sizes_past_a_float_exit_2_at_once(capsys, tmp_path, sub, cfg):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("sub, cfg, message", [
+    ("rec1-scan", {"F": F_PK, "N": -3}, "N must be at least 0"),
+    ("sharpness", {"trials": 0}, "trials must be at least 1"),
+    ("sharpness", {"trials": -2}, "trials must be at least 1"),
+    ("example-pk", {"kmax": 0}, "kmax must be at least 1"),
+    ("example-pk", {"kmax": -3}, "kmax must be at least 1"),
+    ("poly-gcd", {**POLY_GCD_PAIR, "count": 0}, "count must be at least 1"),
+    ("poly-gcd", {**POLY_GCD_PAIR, "count": -4}, "count must be at least 1"),
+    ("lrs-scan", {"F": F_PK, "G": G_PK, "N": 0}, "N must be at least 1"),
+    ("unit-eq", {"n": 0}, "need n >= 1"),
+])
+def test_runs_that_examine_nothing_exit_2(capsys, tmp_path, sub, cfg, message):
+    """Each of these once exited 0 with a report over no index, trial,
+    coincidence or sample."""
+    code, out, err = _run_config(capsys, tmp_path, sub, cfg)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
 def _fuzz_strategies():
     st = pytest.importorskip("hypothesis.strategies")
     seqs = st.sampled_from([

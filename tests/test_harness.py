@@ -1075,10 +1075,8 @@ HILBERT_DRAW_DIGESTS = {
 def test_hilbert_verify_draws_are_pinned(seed, monkeypatch):
     import hashlib
 
-    from gcdlab import hilbert
-
     lines = []
-    draw_forms, build_greedy = harness.random_coprime_forms, hilbert.greedy_monomial_basis
+    draw_forms, build_greedy = harness.random_coprime_forms, harness.greedy_monomial_basis
 
     def forms(rng, nvars, d1, d2):
         F1, F2 = draw_forms(rng, nvars, d1, d2)
@@ -1090,7 +1088,7 @@ def test_hilbert_verify_draws_are_pinned(seed, monkeypatch):
         return build_greedy(T, u, v)
 
     monkeypatch.setattr(harness, "random_coprime_forms", forms)
-    monkeypatch.setattr(hilbert, "greedy_monomial_basis", greedy)
+    monkeypatch.setattr(harness, "greedy_monomial_basis", greedy)
     checks = harness.run_hilbert_verify(seed)
     assert all(c.ok for c in checks)
     assert len(lines) == 135 + 8 + 50
@@ -1113,17 +1111,15 @@ GREEDY_BASIS_DIGESTS = {
 def test_hilbert_verify_greedy_bases_are_pinned(seed, monkeypatch):
     import hashlib
 
-    from gcdlab import hilbert
-
     lines = []
-    build_greedy = hilbert.greedy_monomial_basis
+    build_greedy = harness.greedy_monomial_basis
 
     def greedy(T, u, v):
         gb = build_greedy(T, u, v)
         lines.append(f"{gb.monomials}")
         return gb
 
-    monkeypatch.setattr(hilbert, "greedy_monomial_basis", greedy)
+    monkeypatch.setattr(harness, "greedy_monomial_basis", greedy)
     harness.run_hilbert_verify(seed)
     assert len(lines) == 50
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -5,24 +5,18 @@ import pytest
 
 from gcdlab.heights import (
     AlmostUnitConfig,
-    ProjPoint,
     TorusPoint,
     h_sbar,
-    h_sbar_standard,
     height,
-    hypersurface_local_height,
     is_almost_unit,
     is_quasi_s_integer,
     local_height,
-    proj_height,
     relevant_places,
     standard_height,
     torus_local_height,
     torus_height,
-    tuple_heights,
 )
 from gcdlab.logreal import LogReal, logreal_sum
-from gcdlab.multipoly import parse_poly
 from gcdlab.places import DomainError, Place, PlaceSet
 
 
@@ -62,29 +56,12 @@ def test_height_power_rule():
             assert height(x**n) == abs(n) * height(x)
 
 
-def test_proj_height():
-    assert proj_height(ProjPoint([1, 1])).is_zero
-    assert proj_height(ProjPoint([2, 3])) == LogReal({3: 1})
-    assert proj_height(ProjPoint([1, Fraction(3, 2)])) == height(Fraction(3, 2))
-    with pytest.raises(DomainError):
-        ProjPoint([0, 0])
-    # scaling invariance through the canonical form
-    rng = random.Random(33)
-    for _ in range(50):
-        coords = [rand_rational(rng, 99) for _ in range(3)]
-        lam = rand_rational(rng, 99)
-        assert proj_height(ProjPoint(coords)) == proj_height(
-            ProjPoint([lam * c for c in coords])
-        )
-
-
 def test_tuple_heights_examples():
-    h, table, hstand = tuple_heights(TorusPoint([2, 3]))
-    assert h == LogReal({3: 1})
-    assert hstand == LogReal({2: 1, 3: 1})
-    assert tuple_heights(TorusPoint([1, 1]))[0].is_zero
-    h2, _, _ = tuple_heights(TorusPoint([Fraction(1, 2), Fraction(1, 3)]))
-    assert h2 == LogReal({2: 1, 3: 1})
+    # the torus height of a tuple and its coordinate-sum (standard) height
+    assert torus_height(TorusPoint([2, 3])) == LogReal({3: 1})
+    assert standard_height(TorusPoint([2, 3])) == LogReal({2: 1, 3: 1})
+    assert torus_height(TorusPoint([1, 1])).is_zero
+    assert torus_height(TorusPoint([Fraction(1, 2), Fraction(1, 3)])) == LogReal({2: 1, 3: 1})
     with pytest.raises(DomainError):
         TorusPoint([1, 0])
 
@@ -162,7 +139,7 @@ def test_standard_height_bridge_chain():
         if not is_almost_unit(pt, AlmostUnitConfig(S, delta)):
             continue
         checked += 1
-        lhs = h_sbar_standard(pt, S)
+        lhs = logreal_sum(h_sbar(c, S) for c in pt)
         mid1 = n * h_sbar(pt, S)
         mid2 = n * delta * torus_height(pt)
         rhs = n * delta * standard_height(pt)
@@ -188,51 +165,6 @@ def test_quasi_s_integer_inclusions():
             assert is_quasi_s_integer(x, S, eps)
         if is_quasi_s_integer(x, S, eps):
             assert (h_sbar(x, S) - (2 - eps) * height(x)).sign() <= 0
-
-
-def test_hypersurface_local_height_examples():
-    F0 = parse_poly("x1", nvars=2)
-    F1 = parse_poly("x1 + x2")
-    assert hypersurface_local_height(F0, ProjPoint([1, 1]), Place.archimedean()).is_zero
-    assert hypersurface_local_height(F1, ProjPoint([1, 1]), Place.archimedean()) == LogReal({2: -1})
-    assert hypersurface_local_height(F0, ProjPoint([2, 3]), Place.finite(2)) == LogReal({2: 1})
-    with pytest.raises(DomainError):
-        hypersurface_local_height(F0, ProjPoint([0, 1]), Place.archimedean())
-
-
-def test_hypersurface_height_scaling_invariance():
-    F = parse_poly("x1^2 + x2*x3", nvars=3)
-    rng = random.Random(39)
-    for _ in range(30):
-        coords = [rand_rational(rng, 60) for _ in range(3)]
-        if F.eval(coords) == 0:
-            continue
-        lam = rand_rational(rng, 60)
-        P1, P2 = ProjPoint(coords), ProjPoint([lam * c for c in coords])
-        for v in (Place.archimedean(), Place.finite(2), Place.finite(5)):
-            assert hypersurface_local_height(F, P1, v) == hypersurface_local_height(F, P2, v)
-
-
-def test_hypersurface_local_global():
-    # summing the hypersurface local heights over all places gives
-    # d * h(P) - log|F(P)| evaluated through the product formula
-    F = parse_poly("x1^2 + x2^2", nvars=2)
-    rng = random.Random(40)
-    for _ in range(20):
-        coords = [rand_rational(rng, 50) for _ in range(2)]
-        if F.eval(coords) == 0:
-            continue
-        P = ProjPoint(coords)
-        value = F.eval(P.coords)
-        places = set(relevant_places(value, *P.coords))
-        total = logreal_sum(hypersurface_local_height(F, P, v) for v in places)
-        assert total == 2 * proj_height(P) - LogReal.zero() - _log_abs_global(value)
-
-
-def _log_abs_global(value):
-    # sum over all places of log|value|_v is zero; the global height pairing
-    # leaves d*h(P) plus nothing, so the expected correction term is zero
-    return LogReal.zero()
 
 
 def _outside(S, places):
@@ -264,12 +196,12 @@ def test_closed_forms_match_per_place_sums():
         u = TorusPoint(coords)
         places = relevant_places(*coords)
         assert torus_height(u) == logreal_sum(torus_local_height(u, v) for v in places)
-        inv = u.inverse()
+        inv = TorusPoint([1 / c for c in coords])
         assert h_sbar(u, S) == logreal_sum(
             torus_local_height(u, v) + torus_local_height(inv, v)
             for v in _outside(S, places)
         )
-        assert h_sbar_standard(u, S) == logreal_sum(
+        assert logreal_sum(h_sbar(c, S) for c in coords) == logreal_sum(
             local_height(c, v) + local_height(1 / c, v)
             for v in _outside(S, places) for c in coords
         )
@@ -304,7 +236,7 @@ def test_heights_with_200_bit_prime_factors():
     # lcm(3q, 8) * lcm(4p, r) = 96pqr; r/8 is the largest coordinate
     assert torus_height(u) == LogReal({3: 1, q: 1, r: 1})
     assert h_sbar(u, S) == LogReal({3: 1, p: 1, q: 1, r: 1})
-    assert h_sbar_standard(u, S) == LogReal({3: 1, p: 1, q: 1, r: 1})
+    assert logreal_sum(h_sbar(c, S) for c in u) == LogReal({3: 1, p: 1, q: 1, r: 1})
     # without oo in S the archimedean terms of u and 1/u join: log(r/8) + 0
     no_oo = PlaceSet.of(2, archimedean=False)
     assert h_sbar(u, no_oo) == LogReal({2: -3, 3: 1, p: 1, q: 1, r: 2})

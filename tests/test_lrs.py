@@ -3,23 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from gcdlab.logreal import LogReal
 from gcdlab.lrs import (
     PowerSum,
     _rational_roots,
     compute_S0,
     from_recurrence,
     lrs_coprime,
-    monomial_height,
     multiplicative_independence,
     power_sum_from_json,
-    power_sum_to_json,
     root_group,
     to_laurent,
     zero_scan,
 )
 from gcdlab.multipoly import LaurentPoly
-from gcdlab.places import DomainError, PlaceSet
+from gcdlab.places import DomainError, PlaceSet, format_rational
 
 
 def rand_power_sum(rng, max_terms=3, max_deg=2):
@@ -338,12 +335,6 @@ def test_lrs_coprime_examples():
         lrs_coprime(PowerSum.of(([1], 2), ([1], -2)), B)
 
 
-def test_monomial_height_examples():
-    rg = root_group([Fraction(2), Fraction(3)])
-    assert monomial_height(root_group([Fraction(2)]), [5]) == LogReal({2: 5})
-    assert monomial_height(rg, [1, -1]) == LogReal({3: 1})
-
-
 def test_from_recurrence():
     ps = from_recurrence([3, -2], [0, 1])
     assert ps == PowerSum.of(([1], 2), ([-1], 1))
@@ -400,9 +391,16 @@ def test_rational_roots_match_sympy_ground_roots():
     assert _rational_roots([]) == [] and _rational_roots([Fraction(3), Fraction(0)]) == []
 
 
+def _to_json(F):
+    """The wire format power_sum_from_json reads: little-endian rational
+    coefficient strings per root."""
+    return {"terms": [{"coeff": [format_rational(c) for c in cs], "root": format_rational(r)}
+                      for cs, r in F.terms]}
+
+
 def test_json_roundtrip():
     F = PowerSum.of(([0, 1], 2), ([1], 1))
-    blob = power_sum_to_json(F)
+    blob = _to_json(F)
     assert blob == {
         "terms": [
             {"coeff": ["1"], "root": "1"},
@@ -412,7 +410,7 @@ def test_json_roundtrip():
     assert power_sum_from_json(blob) == F
     assert power_sum_from_json({"terms": []}).is_zero
     G = PowerSum.of(([Fraction(1, 2)], Fraction(3, 2)))
-    assert power_sum_from_json(power_sum_to_json(G)) == G
+    assert power_sum_from_json(_to_json(G)) == G
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from gcdlab.multipoly import (
     MultiPoly,
     _SparsePoly,
     coprime,
-    laurent_normalize,
     parse_poly,
     poly_gcd,
 )
@@ -119,28 +118,6 @@ def test_eval_examples():
     assert parse_poly("x1*x2 - x1 - x2 + 1", nvars=2).eval([1, 7]) == 0
     with pytest.raises(DomainError):
         LaurentPoly(1, {(-1,): 1}).eval([0])
-
-
-def test_homogenize_examples():
-    # the fresh homogenizing variable is inserted first
-    f = parse_poly("x1 + 1")
-    assert f.homogenize() == parse_poly("x2 + x1", nvars=2)
-    g = parse_poly("x1^2 + x2", nvars=2)
-    gh = g.homogenize()
-    assert gh.is_homogeneous() and gh.degree() == 2
-    assert MultiPoly(2, {e[1:]: c for e, c in gh.terms.items()}) == g
-    c = MultiPoly.constant(2, 3)
-    assert c.homogenize().degree() == 0
-
-
-def test_eval_homogenize_identity():
-    rng = random.Random(21)
-    for _ in range(50):
-        f = rand_poly(rng, 2, 3)
-        if f.is_zero:
-            continue
-        u = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in range(2)]
-        assert f.homogenize().eval([Fraction(1)] + u) == f.eval(u)
 
 
 def test_coprime_examples():
@@ -281,10 +258,10 @@ def test_gcd_divides_both():
 
 
 def test_laurent_normalize_examples():
-    mono, f0 = laurent_normalize(LaurentPoly(1, {(-2,): 1, (-1,): 1}))
+    mono, f0 = LaurentPoly(1, {(-2,): 1, (-1,): 1}).normalize()
     assert mono == (-2,) and f0 == parse_poly("x1 + 1")
-    assert laurent_normalize(LaurentPoly(2, {(1, 1): 1})) == ((1, 1), MultiPoly.one(2))
-    mono3, f3 = laurent_normalize(LaurentPoly(2, {(2, 0): 1, (3, 1): 1}))
+    assert LaurentPoly(2, {(1, 1): 1}).normalize() == ((1, 1), MultiPoly.one(2))
+    mono3, f3 = LaurentPoly(2, {(2, 0): 1, (3, 1): 1}).normalize()
     assert mono3 == (2, 0) and f3 == parse_poly("1 + x1*x2", nvars=2)
 
 
@@ -298,7 +275,7 @@ def test_laurent_normalize_roundtrip():
         f = LaurentPoly(2, terms)
         if f.is_zero:
             continue
-        mono, f0 = laurent_normalize(f)
+        mono, f0 = f.normalize()
         rebuilt = LaurentPoly(2, {mono: 1}) * LaurentPoly(2, f0.terms)
         assert rebuilt == f
         # f0 is divisible by no variable

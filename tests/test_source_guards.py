@@ -153,3 +153,97 @@ def test_the_mpmath_check_flags_import_time_imports():
           "class A:\n    def g(self):\n        if True:\n            from mpmath import iv\n"
           "from .mpmath_free import x")
     assert _mpmath_imports(ast.parse(ok)) == [(2, False), (6, False)]
+
+
+ROOT = SRC.parents[1]
+
+
+def _unreached_exports(init_source, sources):
+    """The names that ``from .module import name`` in the package's
+    __init__ binds and that no file in sources uses outside the name's own
+    definition.  sources maps a path to its text: the package's modules
+    as "src/gcdlab/<module>.py", the demos and bench files under their own
+    paths.  A use is a load of the name or an attribute of that name; a
+    bare import, and a use inside the top-level def, class or assignment
+    that defines the name in its own module, do not count."""
+    trees = {path: ast.parse(text) for path, text in sources.items()}
+    exports = [(node.module, alias.asname or alias.name, alias.name)
+               for node in ast.parse(init_source).body
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names]
+    unreached = []
+    for module, bound, name in exports:
+        home = trees.get(f"src/gcdlab/{module}.py")
+        skip = set()
+        for node in home.body if home else ():
+            targets = [t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+            if getattr(node, "name", None) == name or name in targets:
+                skip.update(id(child) for child in ast.walk(node))
+        used = any(
+            id(node) not in skip and (
+                (isinstance(node, ast.Name) and node.id in (name, bound))
+                or (isinstance(node, ast.Attribute) and node.attr in (name, bound)))
+            for tree in trees.values() for node in ast.walk(tree))
+        if not used:
+            unreached.append(bound)
+    return unreached
+
+
+def test_every_export_is_reached_outside_the_tests():
+    """Each name gcdlab/__init__.py imports is used by a module of the
+    package, a demo or a bench file: library code that only its own tests
+    call is not exported, and an export that nothing runs is flagged."""
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for pattern in ("src/gcdlab/*.py", "demos/*.py", "bench/*.py")
+               for path in sorted(ROOT.glob(pattern)) if path.name != "__init__.py"}
+    init = (SRC / "__init__.py").read_text(encoding="utf-8")
+    assert _unreached_exports(init, sources) == []
+    # with no sources every export is unreached: the check read all of them
+    assert len(_unreached_exports(init, {})) >= 60
+
+
+def test_the_export_check_flags_a_planted_unreached_export():
+    init = "from .mod import used, by_demo, recursive, shadowed, CONST\n"
+    sources = {
+        "src/gcdlab/mod.py": ("def used(): pass\n"
+                              "def by_demo(): pass\n"
+                              "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+                              "def shadowed(): pass\n"
+                              "CONST = 3\n"),
+        "src/gcdlab/other.py": "from .mod import used, shadowed\nused()\n",
+        "demos/01_demo.py": "import gcdlab\ngcdlab.by_demo()\n",
+    }
+    assert _unreached_exports(init, sources) == ["recursive", "shadowed", "CONST"]
+    sources["bench/run.py"] = "from gcdlab.mod import CONST, recursive\nprint(CONST)\n"
+    assert _unreached_exports(init, sources) == ["recursive", "shadowed"]
+
+
+def _function_local_relative_imports(tree):
+    """The lines of relative imports (``from .x import y``) that sit in a
+    function body, at any depth."""
+    return sorted({node.lineno
+                   for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, ast.ImportFrom) and node.level})
+
+
+def test_package_imports_sit_in_the_module_import_block():
+    """A module imports its siblings once, at load time: no function under
+    src/gcdlab imports from the package.  Only third-party and standard
+    modules that a call needs only sometimes (mpmath, random) are imported
+    inside functions."""
+    bad = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+           for line in _function_local_relative_imports(
+               ast.parse(path.read_text(encoding="utf-8")))]
+    assert not bad, bad
+
+
+def test_the_local_import_check_flags_a_planted_import():
+    for source in ("def f():\n    from .multipoly import coprime",
+                   "class A:\n    def g(self):\n        if True:\n            from . import arith",
+                   "async def f():\n    from ..x import y",
+                   "def f():\n    def g():\n        from .places import Place"):
+        assert _function_local_relative_imports(ast.parse(source)), source
+    ok = ("from .multipoly import coprime\n"
+          "def f():\n    import mpmath\n    from mpmath import iv\n    import random\n"
+          "if True:\n    from .places import Place")
+    assert _function_local_relative_imports(ast.parse(ok)) == []
