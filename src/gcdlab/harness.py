@@ -927,7 +927,8 @@ class SharpnessReport:
 
 def sharpness_window_holds(p: int, m: int, n: int, delta: Fraction):
     """Exact check of delta/2 * h(P) <= h_sbar(P) <= delta * h(P) for
-    P = (p^m, p^n (p^m + 1)) with S = {oo, p}."""
+    P = (p^m, p^n (p^m + 1)) with S = {oo, p}: (lower, upper, P, h(P),
+    h_sbar(P)), where lower and upper tell whether each inequality holds."""
     S = PlaceSet.of(p)
     x = Fraction(p) ** m
     P = TorusPoint([x, Fraction(p) ** n * (x + 1)])
@@ -935,7 +936,7 @@ def sharpness_window_holds(p: int, m: int, n: int, delta: Fraction):
     hbar = h_sbar(P, S)
     upper = (Fraction(delta) * hP - hbar).sign() >= 0
     lower = (hbar - Fraction(delta) / 2 * hP).sign() >= 0
-    return lower and upper, P, hP, hbar
+    return lower, upper, P, hP, hbar
 
 
 SHARPNESS_N_CAP = 10_000  # the window walk in n gives up past this
@@ -975,12 +976,12 @@ def run_sharpness(p: int = 2, delta: Fraction = Fraction(1, 5), trials: int = 10
             raise DomainError(f"the window for m = {m} starts past n = {SHARPNESS_N_CAP}")
         found = None
         while n <= SHARPNESS_N_CAP:
-            ok, P, hP, hbar = sharpness_window_holds(p, m, n, delta)
-            if ok:
+            lower, upper, P, hP, hbar = sharpness_window_holds(p, m, n, delta)
+            if lower and upper:
                 found = (n, P, hP, hbar)
                 break
             # past the upper end of the window: h_sbar < delta/2 h(P)
-            if (hbar - delta / 2 * hP).sign() < 0:
+            if not lower:
                 break
             n += 1
         if found is None:
@@ -1268,11 +1269,13 @@ def solve_unit_equation(S: PlaceSet = PlaceSet.of(2, 3), n: int = 1, bound: int 
     0 <= k <= 2 bound, and the equation reads x_0 + ... + x_n = D in ints."""
     if n < 1 or bound < 1:
         raise DomainError("need n >= 1 and bound >= 1")
+    if budget < 1:
+        raise DomainError("budget must be at least 1")
     primes = S.finite_primes
     size = 2 * (2 * bound + 1) ** len(primes)
     # size >= 2, so size ** n > budget once n >= budget.bit_length()
     truncated = n >= budget.bit_length() or size ** n > budget
-    tuples = max(0, budget if truncated else size ** n)
+    tuples = budget if truncated else size ** n
     words = 1 + 2 * bound * sum(p.bit_length() for p in primes) // 64
     work = (size + tuples * (n + 1 + 2 ** min(n + 1, 64))) * words
     _refuse_past(work, UNIT_EQ_MAX_WORK, "word operations")

@@ -135,12 +135,11 @@ def h_sbar(u, S: PlaceSet) -> LogReal:
 
 
 def is_almost_unit(u, cfg: AlmostUnitConfig) -> bool:
-    """Whether h_sbar(u) <= delta * h(u), decided by an exact sign test.
-    Accepts a scalar (uses the scalar height) or a torus point (uses the
-    projective torus height)."""
+    """Whether h_sbar(u) <= delta * h(u), decided by an exact sign test, for
+    a nonzero scalar or a torus point; h is the torus height, which for a
+    scalar x is its height log max(|num|, den)."""
     pt = _as_torus(u)
-    h = torus_height(pt) if isinstance(u, TorusPoint) else height(Fraction(u))
-    diff = cfg.delta * h - h_sbar(u, cfg.S)
+    diff = cfg.delta * torus_height(pt) - h_sbar(pt, cfg.S)
     return diff.sign() >= 0
 
 

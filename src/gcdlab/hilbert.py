@@ -1,21 +1,20 @@
 """Combinatorics of truncated polynomial ideals: exact dimension formulas
 for quotients by a coprime pair, the degree-bounded ideal (f,g) as an
 echelon span of its monomial multiples, place-adapted greedy monomial bases
-of the quotient, and the explicit constants of the gcd inequalities, all
-exact integers (the S-part degree by comparing integer d-th powers, not by
-intervals)."""
+of the quotient (ordered by the exact rational |u^e|_v, no logarithm), and
+the explicit constants of the gcd inequalities, all exact integers (the
+S-part degree by comparing integer d-th powers, not by intervals)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key, partial
+from functools import partial
 from math import comb
 
 from .heights import TorusPoint
-from .linalg import LinearSpan, _accumulate, int_rank
-from .logreal import LogReal, enclosure_sign
+from .linalg import LinearSpan, int_rank
 from .multipoly import (
     MultiPoly,
     _column_index,
@@ -26,7 +25,7 @@ from .multipoly import (
     _shift_masks,
     monomials_upto,
 )
-from .places import DomainError, Place, log_abs
+from .places import DomainError, Place, valuation
 
 
 # ---------------------------------------------------------------------
@@ -302,18 +301,17 @@ def truncated_ideal(f: MultiPoly, g: MultiPoly, m: int) -> TruncatedIdeal:
 
 @dataclass
 class GreedyBasis:
-    """Quotient basis of monomials chosen greedily by increasing |u^i|_v,
+    """Quotient basis of monomials chosen greedily by increasing |u^e|_v,
     ties broken graded-lex; its tagged span reduces any monomial exactly to
-    the chosen basis modulo the ideal.  Keeps log|u^e|_v of every monomial
-    of the ideal's space, computed once when the basis is chosen."""
+    the chosen basis modulo the ideal.  Keeps the exact size |u^e|_v, a
+    Fraction, of every monomial of the ideal's space."""
 
     place: Place
     point: TorusPoint
     monomials: list[tuple[int, ...]]
     ideal: TruncatedIdeal
     _span: LinearSpan = field(repr=False)
-    _logs: list[LogReal] = field(repr=False)
-    _mono_logs: dict[tuple[int, ...], LogReal] = field(repr=False)
+    _sizes: dict[tuple[int, ...], Fraction] = field(repr=False)
 
     def _reduced_tag(self, e) -> tuple[dict[int, int], int]:
         """(w, s): w / s is the tag of x^e reduced to the basis, sparse and
@@ -325,97 +323,49 @@ class GreedyBasis:
         return w, s
 
 
-def _monomial_log(logs: list[LogReal], exponents) -> LogReal:
-    """Exact log|u^e|_v from the coordinate logs log|u_i|_v, in one sum."""
-    return LogReal._wrap(_accumulate(
-        (b, c * k) for lg, k in zip(logs, exponents) if k for b, c in lg._coeffs.items()
-    ), False)
+def _abs_value(x: Fraction, v: Place) -> Fraction:
+    """|x|_v of a nonzero rational: |x| at oo, p^(-v_p(x)) at a prime p."""
+    return abs(x) if v.is_archimedean else Fraction(v.prime) ** -valuation(x, v.prime)
 
 
-def _sorted_by_logs(items: list, logs: dict, tiebreak) -> list:
-    """items sorted by their exact LogReal values logs[item], ties broken by
-    tiebreak(item); the same order as a sort on the exact comparison.
-
-    Each value's float_enclosure bounds its error; with r the largest
-    radius, items are sorted on their float midpoints and split into runs
-    of neighbours whose midpoints lie within 2r of each other.  Values in
-    different runs are more than both errors apart, so only within a run
-    can the float order differ from the exact one: each run of two or more
-    is re-sorted by the exact comparison.  Without an enclosure for every
-    value, the whole list is sorted exactly."""
-
-    def compare(a, b) -> int:
-        s = (logs[a] - logs[b]).sign()
-        if s:
-            return s
-        ka, kb = tiebreak(a), tiebreak(b)
-        return -1 if ka < kb else (1 if ka > kb else 0)
-
-    enclosures = [logs[x].float_enclosure() for x in items]
-    if None in enclosures:
-        return sorted(items, key=cmp_to_key(compare))
-    width = 2 * max((radius for _, radius in enclosures), default=0.0)
-    order = sorted(zip((mid for mid, _ in enclosures), range(len(items))))
-    out: list = []
-    run: list = []
-    previous = None
-    for mid, i in order:
-        if run and mid - previous > width:
-            out.extend(run if len(run) == 1 else sorted(run, key=cmp_to_key(compare)))
-            run = []
-        run.append(items[i])
-        previous = mid
-    out.extend(run if len(run) == 1 else sorted(run, key=cmp_to_key(compare)))
-    return out
+def _greedy_order(monomials: list, sizes: dict) -> list:
+    """The monomials by increasing size, ties broken graded-lex."""
+    return sorted(monomials, key=lambda e: (sizes[e], sum(e), e))
 
 
 def greedy_monomial_basis(T: TruncatedIdeal, u: TorusPoint, v: Place) -> GreedyBasis:
     """The quotient basis chosen greedily from the monomials of degree <= m
-    in increasing |u^e|_v, ties broken graded-lex.  The order is exact: it
-    is taken on float keys, and only runs of keys too close for their
-    error bound are re-sorted by the exact LogReal comparison
-    (_sorted_by_logs)."""
+    in increasing |u^e|_v, ties broken graded-lex.  Each size is the exact
+    rational prod |u_i|_v^(e_i), so the order is exact."""
     if len(u.coords) != T.nvars:
         raise DomainError("point dimension mismatch")
-    logs = [log_abs(c, v) for c in u.coords]
-    mono_logs = {e: _monomial_log(logs, e) for e in T.monomials}
-    candidates = _sorted_by_logs(T.monomials, mono_logs, lambda e: (sum(e), e))
+    coords = [_abs_value(c, v) for c in u.coords]
+    sizes = {e: math.prod(c ** k for c, k in zip(coords, e)) for e in T.monomials}
     n = len(T.monomials)
     span = LinearSpan(n, ntags=T.Nprime)
     # the ideal's rows, untagged: adding them again would reduce each to itself
     span.rows = dict(T.span.rows)
     chosen: list[tuple[int, ...]] = []
-    for e in candidates:
+    for e in _greedy_order(T.monomials, sizes):
         if len(chosen) == T.Nprime:
             break
         if span.add({T.column[e]: 1}, {len(chosen): 1}):
             chosen.append(e)
     if len(chosen) != T.Nprime:
         raise ArithmeticError("quotient basis construction failed")
-    return GreedyBasis(v, u, chosen, T, span, logs, mono_logs)
+    return GreedyBasis(v, u, chosen, T, span, sizes)
 
 
 def greedy_dominance_violations(gb: GreedyBasis):
     """Monomials of degree <= m outside the basis whose reduction uses a
     basis monomial of strictly larger |u^.|_v, as (monomial, basis
     monomial) pairs in monomial order, then basis order.  Always empty for
-    a correctly built greedy basis; returned for auditing.
-
-    The support of each reduction is read off the span's sparse integral
-    tag; the logs are those greedy_monomial_basis kept, each with its
-    float_enclosure taken once.  Two logs are ordered by the float filter
-    enclosure_sign on their enclosures where it separates them; otherwise
-    (overlapping enclosures, exact ties, or a log without an enclosure) by
-    the exact LogReal sign."""
+    a correctly built greedy basis; returned for auditing.  The support of
+    each reduction is read off the span's sparse integral tag, and the
+    sizes compared are the exact ones greedy_monomial_basis kept."""
     ncols = gb._span.ncols
-    logs = gb._mono_logs
-    enclosures = {e: lg.float_enclosure() for e, lg in logs.items()}
+    sizes = gb._sizes
     basis = set(gb.monomials)
-
-    def larger(mono, e) -> bool:
-        s = enclosure_sign(((1.0, enclosures[mono]), (-1.0, enclosures[e])))
-        return (s or (logs[mono] - logs[e]).sign()) > 0
-
     out = []
     for e in gb.ideal.monomials:
         if e in basis:
@@ -423,7 +373,7 @@ def greedy_dominance_violations(gb: GreedyBasis):
         w, _ = gb._reduced_tag(e)
         for j in sorted(w):
             mono = gb.monomials[j - ncols]
-            if larger(mono, e):
+            if sizes[mono] > sizes[e]:
                 out.append((e, mono))
     return out
 

@@ -672,6 +672,8 @@ def test_sizes_past_a_float_exit_2_at_once(capsys, tmp_path, sub, cfg):
     ("poly-gcd", {**POLY_GCD_PAIR, "count": -4}, "count must be at least 1"),
     ("lrs-scan", {"F": F_PK, "G": G_PK, "N": 0}, "N must be at least 1"),
     ("unit-eq", {"n": 0}, "need n >= 1"),
+    ("unit-eq", {"primes": [2, 3], "n": 1, "bound": 1, "budget": 0}, "budget must be at least 1"),
+    ("unit-eq", {"primes": [2, 3], "n": 1, "bound": 1, "budget": -4}, "budget must be at least 1"),
 ])
 def test_runs_that_examine_nothing_exit_2(capsys, tmp_path, sub, cfg, message):
     """Each of these once exited 0 with a report over no index, trial,

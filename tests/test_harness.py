@@ -846,9 +846,9 @@ def test_example_pk():
 def test_sharpness_window_and_bound():
     # at p=2, delta=1/5, m=10 the window starts at n=41: 4 log(1025) vs
     # 40 log 2 fails by exactly 1025 > 1024
-    ok40, *_ = sharpness_window_holds(2, 10, 40, Fraction(1, 5))
-    ok41, *_ = sharpness_window_holds(2, 10, 41, Fraction(1, 5))
-    assert not ok40 and ok41
+    lower40, upper40, *_ = sharpness_window_holds(2, 10, 40, Fraction(1, 5))
+    lower41, upper41, *_ = sharpness_window_holds(2, 10, 41, Fraction(1, 5))
+    assert (lower40, upper40) == (True, False) and lower41 and upper41
     rep = run_sharpness(2, Fraction(1, 5), 4, m_start=10)
     assert [r.m for r in rep.rows] == [10, 11, 12, 13]
     assert rep.rows[0].n == 41
@@ -869,7 +869,7 @@ def test_sharpness_at_a_negative_m_start():
     assert [r.m for r in rep.rows] == [-12, -11, -10]
     for r in rep.rows:
         assert r.n == next(n for n in range(1, r.n + 1)
-                           if sharpness_window_holds(2, r.m, n, delta)[0])
+                           if all(sharpness_window_holds(2, r.m, n, delta)[:2]))
     with time_limit(2):
         with pytest.raises(DomainError, match="m = -3000 starts past n = 10000"):
             run_sharpness(2, delta, 1, m_start=-3000)
@@ -1011,7 +1011,14 @@ def test_unit_equation_matches_the_fraction_oracle():
                 == _unit_equation_oracle(S, n, bound, budget)), (S, n, bound, budget)
 
 
-@pytest.mark.parametrize("budget, truncated", [(0, True), (-1, True), (2**70, False)])
+@pytest.mark.parametrize("budget", [0, -1])
+def test_unit_equation_refuses_a_budget_below_1(budget):
+    """A budget below 1 would examine no tuple."""
+    with pytest.raises(DomainError, match="budget must be at least 1"):
+        solve_unit_equation(PlaceSet.of(2, 3), 2, 1, budget)
+
+
+@pytest.mark.parametrize("budget, truncated", [(1, True), (2**70, False)])
 def test_unit_equation_budgets_outside_islice_range(budget, truncated):
     S = PlaceSet.of(2, 3)
     rep = solve_unit_equation(S, 2, 1, budget)

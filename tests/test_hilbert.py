@@ -30,7 +30,7 @@ from gcdlab.hilbert import (
     quotient_monomial_basis,
     truncated_ideal,
 )
-from gcdlab.logreal import LogReal
+from gcdlab.logreal import logreal_sum
 from gcdlab.multipoly import MultiPoly, _monomial_table, parse_poly
 from gcdlab.places import DomainError, Place, log_abs
 
@@ -496,60 +496,94 @@ def _graded_lex(e):
     return (sum(e), e)
 
 
+def _reference_logs(monomials, u, v):
+    """log|u^e|_v of each monomial e as the exact LogReal sum of
+    e_i log|u_i|_v."""
+    logs = [log_abs(c, v) for c in u.coords]
+    return {e: logreal_sum(lg * k for lg, k in zip(logs, e)) for e in monomials}
+
+
+def _reference_order(monomials, u, v):
+    """The greedy order by increasing log|u^e|_v, ties broken graded-lex."""
+    return _exact_order(monomials, _reference_logs(monomials, u, v), _graded_lex)
+
+
+def _record_orders(monkeypatch):
+    """The candidate orders greedy_monomial_basis takes, one per call."""
+    orders = []
+    order = hilbert._greedy_order
+
+    def record(monomials, sizes):
+        orders.append(order(monomials, sizes))
+        return orders[-1]
+
+    monkeypatch.setattr(hilbert, "_greedy_order", record)
+    return orders
+
+
+def _plant_order(monkeypatch, order):
+    """Make greedy_monomial_basis take its candidates in the given order."""
+    monkeypatch.setattr(hilbert, "_greedy_order", lambda monomials, sizes: list(order))
+
+
+# 10^400 overflows a float; at oo the sizes of x1 and x2 differ by a factor
+# of 1 + 1e-400, and at 3 they tie
+_PAST_A_FLOAT = (-(10**400 + 1), 10**400)
+
+
 @pytest.mark.parametrize("coords, place", [
     ((2, 4), Place.archimedean()),              # |x2| = |x1|^2: exact ties
     ((2, 4), Place.finite(2)),
     ((2**5, Fraction(1, 3**3)), Place.archimedean()),
-    ((Fraction(1, 6), 6), Place.finite(5)),     # every key is 0
-    ((2**200 + 1, 2**200), Place.archimedean()),  # keys 1e-60 apart
+    ((Fraction(1, 6), 6), Place.finite(5)),     # every size is 1
+    ((2**200 + 1, 2**200), Place.archimedean()),  # logs 1e-60 apart
+    ((-3, Fraction(-1, 2)), Place.archimedean()),  # |u_i| of a negative u_i
+    (_PAST_A_FLOAT, Place.archimedean()),
+    (_PAST_A_FLOAT, Place.finite(2)),
+    (_PAST_A_FLOAT, Place.finite(3)),
 ])
 def test_greedy_basis_matches_the_exact_comparison_sort(coords, place, monkeypatch):
+    """greedy_monomial_basis takes the reference order, and builds the same
+    basis when that order is planted."""
     u = TorusPoint([Fraction(c) for c in coords])
+    orders = _record_orders(monkeypatch)
     pairs = [("x1 + 1", "x2", 3), ("x1^2 - x2", "x1*x2 + 2", 4), ("x1 - x2", "x2^2 + 1", 5)]
-    chosen = []
-    for f, g, m in pairs:
-        T = truncated_ideal(parse_poly(f, nvars=2), parse_poly(g, nvars=2), m)
-        logs = [log_abs(c, place) for c in u.coords]
-        mono_logs = {e: hilbert._monomial_log(logs, e) for e in T.monomials}
-        want = _exact_order(T.monomials, mono_logs, _graded_lex)
-        assert hilbert._sorted_by_logs(T.monomials, mono_logs, _graded_lex) == want
-        chosen.append(greedy_monomial_basis(T, u, place).monomials)
-    monkeypatch.setattr(hilbert, "_sorted_by_logs", _exact_order)
-    for (f, g, m), got in zip(pairs, chosen):
-        T = truncated_ideal(parse_poly(f, nvars=2), parse_poly(g, nvars=2), m)
+    ideals = [truncated_ideal(parse_poly(f, nvars=2), parse_poly(g, nvars=2), m)
+              for f, g, m in pairs]
+    chosen = [greedy_monomial_basis(T, u, place).monomials for T in ideals]
+    wants = [_reference_order(T.monomials, u, place) for T in ideals]
+    assert orders == wants
+    for T, want, got in zip(ideals, wants, chosen):
+        _plant_order(monkeypatch, want)
         assert greedy_monomial_basis(T, u, place).monomials == got
-
-
-def test_sorted_by_logs_without_float_keys_sorts_exactly():
-    huge = Fraction(10**400, 3)   # overflows a float: no enclosure
-    values = [LogReal({2: huge, 3: -huge}), LogReal({2: 1}), LogReal({4: 1, 2: -2}),
-              LogReal({8: 1, 2: -3}), LogReal({3: 1}), LogReal({2: -huge, 3: huge})]
-    assert values[0].float_enclosure() is None
-    logs = dict(enumerate(values))
-    got = hilbert._sorted_by_logs(list(logs), logs, lambda i: i)
-    assert got == _exact_order(list(logs), logs, lambda i: i) == [0, 2, 3, 1, 4, 5]
 
 
 def _dominance_oracle(gb):
     """greedy_dominance_violations by the plain route: each reduction as
-    dense Fractions and each pair of logs settled by the exact sign."""
+    dense Fractions and each pair of monomials ordered by the exact sign
+    of the difference of their reference logs."""
     out = []
     basis = set(gb.monomials)
+    logs = _reference_logs(gb.ideal.monomials, gb.point, gb.place)
     for e in gb.ideal.monomials:
         if e in basis:
             continue
-        target = hilbert._monomial_log(gb._logs, e)
         residual, tag = gb._span.reduce({gb.ideal.column[e]: 1})
         assert not any(residual)
         for mono, coeff in zip(gb.monomials, tag):
-            if coeff and (hilbert._monomial_log(gb._logs, mono) - target).sign() > 0:
+            if coeff and (logs[mono] - logs[e]).sign() > 0:
                 out.append((e, mono))
     return out
 
 
-def _reversed_order(items, logs, tiebreak):
-    """A wrong greedy order: decreasing |u^e|_v."""
-    return _exact_order(items, logs, tiebreak)[::-1]
+def _reversed_basis(gb, monkeypatch):
+    """The basis of gb's instance built in decreasing |u^e|_v: a wrong
+    greedy order."""
+    order = _reference_order(gb.ideal.monomials, gb.point, gb.place)
+    _plant_order(monkeypatch, order[::-1])
+    wrong = greedy_monomial_basis(gb.ideal, gb.point, gb.place)
+    monkeypatch.undo()
+    return wrong
 
 
 def test_greedy_dominance_matches_the_exact_oracle_on_wrong_bases(monkeypatch):
@@ -571,10 +605,9 @@ def test_greedy_dominance_matches_the_exact_oracle_on_wrong_bases(monkeypatch):
     assert len(bases) == 200
     for gb in bases:
         assert greedy_dominance_violations(gb) == _dominance_oracle(gb) == []
-    monkeypatch.setattr(hilbert, "_sorted_by_logs", _reversed_order)
     found = 0
     for gb in bases[:60]:
-        wrong = greedy_monomial_basis(gb.ideal, gb.point, gb.place)
+        wrong = _reversed_basis(gb, monkeypatch)
         got = greedy_dominance_violations(wrong)
         assert got == _dominance_oracle(wrong)
         found += bool(got)
@@ -582,29 +615,20 @@ def test_greedy_dominance_matches_the_exact_oracle_on_wrong_bases(monkeypatch):
 
 
 def test_greedy_dominance_on_exact_ties_takes_the_exact_sign(monkeypatch):
-    """At u = (2, 4) at oo, log|u^e| = (e1 + 2 e2) log 2, so monomials tie
-    exactly: their enclosures overlap and the exact LogReal sign decides,
-    returning 0 (no violation) for a tie."""
+    """At u = (2, 4) at oo, |u^e| = 2^(e1 + 2 e2), so monomials tie
+    exactly, and a reduction that pairs tied monomials is no violation."""
     u = TorusPoint([Fraction(2), Fraction(4)])
-    calls = []
-    sign = LogReal.sign
-
-    def counted(value):
-        calls.append(value)
-        return sign(value)
-
     # modulo x1^2 - x2, x^(2, 0) reduces to x^(0, 1), and |u^(2, 0)| = |u^(0, 1)|
     # = 4: under both orders some reduction pairs tied monomials
     T = truncated_ideal(parse_poly("x1^2 - x2", nvars=2), parse_poly("x1*x2 + 2", nvars=2), 4)
-    for order, violations in ((hilbert._sorted_by_logs, 0), (_reversed_order, 9)):
-        monkeypatch.setattr(hilbert, "_sorted_by_logs", order)
-        gb = greedy_monomial_basis(T, u, Place.archimedean())
-        monkeypatch.setattr(LogReal, "sign", counted)
-        del calls[:]
-        got = greedy_dominance_violations(gb)
-        monkeypatch.setattr(LogReal, "sign", sign)
-        assert got == _dominance_oracle(gb) and len(got) == violations
-        assert calls and all(sign(c) == 0 for c in calls)
+    gb = greedy_monomial_basis(T, u, Place.archimedean())
+    logs = _reference_logs(T.monomials, u, Place.archimedean())
+    for basis, violations in ((gb, 0), (_reversed_basis(gb, monkeypatch), 9)):
+        got = greedy_dominance_violations(basis)
+        assert got == _dominance_oracle(basis) and len(got) == violations
+        ties = [(e, mono) for e in T.monomials if e not in basis.monomials
+                for mono in _reduce_monomial(basis, e) if not (logs[mono] - logs[e]).sign()]
+        assert ties
 
 
 def test_reduce_monomial_tags_are_expressions_modulo_the_ideal():

@@ -247,3 +247,50 @@ def test_the_local_import_check_flags_a_planted_import():
           "def f():\n    import mpmath\n    from mpmath import iv\n    import random\n"
           "if True:\n    from .places import Place")
     assert _function_local_relative_imports(ast.parse(ok)) == []
+
+
+_FLOAT_FILTER = {"float_enclosure", "enclosure_sign"}
+
+
+def _logreal_uses(tree):
+    """The lines that import from logreal (relatively or as gcdlab.logreal),
+    or that call float_enclosure or enclosure_sign, by name or as an
+    attribute."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            names = [alias.name for alias in node.names]
+            if module[-1] == "logreal" or (module in ([""], ["gcdlab"]) and "logreal" in names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any("logreal" in alias.name.split(".") for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _FLOAT_FILTER:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_hilbert_takes_nothing_from_logreal():
+    """Greedy bases are ordered by the exact rational |u^e|_v, so hilbert
+    imports nothing from logreal and calls no float filter."""
+    assert _logreal_uses(ast.parse((SRC / "hilbert.py").read_text(encoding="utf-8"))) == []
+
+
+def test_the_logreal_check_flags_a_planted_use():
+    for source in ("from .logreal import LogReal",
+                   "from .logreal import *",
+                   "from . import linalg, logreal",
+                   "import gcdlab.logreal as lr",
+                   "from gcdlab.logreal import enclosure_sign",
+                   "from gcdlab import logreal",
+                   "def f(x):\n    return x.float_enclosure()",
+                   "def f(parts):\n    return enclosure_sign(parts)",
+                   "s = lr.enclosure_sign(parts)"):
+        assert _logreal_uses(ast.parse(source)), source
+    ok = ("from .linalg import LinearSpan\nfrom .places import valuation\n"
+          "import logging\nfloat_enclosure = None\ns = (a - b).sign()")
+    assert _logreal_uses(ast.parse(ok)) == []
